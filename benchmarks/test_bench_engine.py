@@ -90,3 +90,42 @@ def test_bench_index_scan(benchmark, report_printer, populated):
     )
     assert indexed_rows < full_scan_rows
     assert lookups == 1
+
+
+def test_bench_index_dml(benchmark, report_printer, populated):
+    """Keyed UPDATE/DELETE through the hash index vs full scans."""
+    update = "UPDATE fact SET value = value + 1 WHERE dim_id = 7"
+    delete = "DELETE FROM fact WHERE dim_id = 7"
+
+    def fresh(indexed):
+        engine = Database()
+        engine.execute("CREATE TABLE fact (id INT, dim_id INT, value INT)")
+        engine.table("fact").insert_many(populated.table("fact").rows)
+        if indexed:
+            engine.execute("CREATE INDEX idx_dim ON fact (dim_id)")
+        return engine
+
+    bound = {}
+    for indexed in (False, True):
+        engine = fresh(indexed)
+        for sql in (update, delete):
+            engine.execute(sql)
+            bound[indexed, sql] = engine.explain_stats().rows_scanned
+        assert engine.explain_stats().index_lookups == int(indexed)
+
+    engine = fresh(True)
+    result = benchmark(engine.execute, update)
+    report_printer(
+        "ENGINE: keyed UPDATE/DELETE through the hash index",
+        [
+            f"statements: {update}; {delete}",
+            f"matching rows               : {result.rowcount}",
+            f"UPDATE rows bound, no index : {bound[False, update]}",
+            f"UPDATE rows bound, index    : {bound[True, update]}",
+            f"DELETE rows bound, no index : {bound[False, delete]}",
+            f"DELETE rows bound, index    : {bound[True, delete]}",
+        ],
+    )
+    for sql in (update, delete):
+        assert bound[True, sql] < bound[False, sql]
+    assert bound[True, update] == bound[True, delete] == result.rowcount

@@ -785,7 +785,7 @@ class ClusterDatabase:
             for catalog, _, _ in sources:
                 partition = catalog.resolve(name)
                 if partition is not None:
-                    union.insert_many(partition.rows)
+                    union.rows.extend(partition.rows)  # already typed tuples
             for indexed in self.catalog.get(name).index_names():
                 union.create_index(indexed)
             scratch.add_table(union)

@@ -300,12 +300,7 @@ class ShardReplicator:
         replica must classify the torn half and stay consistent.
         """
         self._observe_lag()
-        raw = (
-            self.primary.wal_path.read_bytes()
-            if self.primary.wal_path.exists()
-            else b""
-        )
-        pending = raw[self.shipped_bytes :]
+        pending = _read_tail(self.primary.wal_path, self.shipped_bytes)
         scan = scan_wal_bytes(pending)
         chunk = pending[: scan.valid_bytes]
         if not chunk:
@@ -369,3 +364,13 @@ class ShardReplicator:
             offset += len(encode_record(record))
         self.shipped_bytes = offset
         return True
+
+
+def _read_tail(path: Path, offset: int) -> bytes:
+    """The bytes of ``path`` from ``offset`` on; empty if it is missing."""
+    try:
+        with open(path, "rb") as handle:
+            handle.seek(offset)
+            return handle.read()
+    except FileNotFoundError:
+        return b""

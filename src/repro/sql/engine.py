@@ -13,6 +13,7 @@ from repro.sql.ast import (
     DeleteFrom,
     DropTable,
     ExplainQuery,
+    Expr,
     InsertInto,
     SelectQuery,
     UpdateTable,
@@ -22,13 +23,15 @@ from repro.sql.eval import RowEnv, evaluate
 from repro.sql.executor import (
     ExecutionStats,
     ExecutorOptions,
+    bind_row,
+    candidate_positions,
     execute_select,
     explain_plan,
 )
 from repro.sql.parser import parse_sql
 from repro.sql.schema import TableSchema
 from repro.sql.table import Table
-from repro.sql.types import Value
+from repro.sql.types import Value, coerce
 
 
 @dataclass
@@ -107,8 +110,8 @@ class Database:
     def execute(self, sql: str) -> QueryResult:
         """Parse and run one SQL statement."""
         statement = parse_sql(sql)
+        self.last_stats = ExecutionStats()
         if isinstance(statement, SelectQuery):
-            self.last_stats = ExecutionStats()
             columns, rows = execute_select(
                 statement, self.catalog, self.options, self.last_stats
             )
@@ -140,44 +143,54 @@ class Database:
         table = self.catalog.get(statement.name)
         schema = table.schema
         # Validate assignment targets before touching any row.
-        positions = [
-            (schema.index_of(column), column, expr)
-            for column, expr in statement.assignments
+        targets = [
+            (schema.index_of(column), expr) for column, expr in statement.assignments
         ]
-        updated = 0
-        new_rows = []
-        for row in table.rows:
-            env = _row_env(statement.name, schema.column_names, row)
-            if statement.where is not None and evaluate(statement.where, env) is not True:
-                new_rows.append(row)
-                continue
-            values = list(row)
-            for position, column, expr in positions:
-                from repro.sql.types import coerce
-
-                values[position] = coerce(
-                    evaluate(expr, env), schema.columns[position].sql_type
+        # Compute every new row first: a failing SET leaves the table as it was.
+        updates = []
+        for position, env in self._matches(table, statement.name, statement.where):
+            values = list(table.rows[position])
+            for target, expr in targets:
+                values[target] = coerce(
+                    evaluate(expr, env), schema.columns[target].sql_type
                 )
-            new_rows.append(tuple(values))
-            updated += 1
-        table.rows = new_rows
-        table.invalidate_indexes()
-        return QueryResult(columns=[], rows=[], rowcount=updated)
+            updates.append((position, tuple(values)))
+        for position, row in updates:
+            table.rows[position] = row
+        if updates and any(
+            table.has_index(schema.columns[target].name) for target, _ in targets
+        ):
+            table.invalidate_indexes()
+        return QueryResult(columns=[], rows=[], rowcount=len(updates))
 
     def _execute_delete(self, statement: DeleteFrom) -> QueryResult:
         table = self.catalog.get(statement.name)
-        schema = table.schema
-        kept = []
-        deleted = 0
-        for row in table.rows:
-            env = _row_env(statement.name, schema.column_names, row)
-            if statement.where is None or evaluate(statement.where, env) is True:
-                deleted += 1
-            else:
-                kept.append(row)
-        table.rows = kept
-        table.invalidate_indexes()
-        return QueryResult(columns=[], rows=[], rowcount=deleted)
+        doomed = {
+            position
+            for position, _ in self._matches(table, statement.name, statement.where)
+        }
+        if doomed:
+            table.rows = [
+                row for position, row in enumerate(table.rows)
+                if position not in doomed
+            ]
+            table.invalidate_indexes()
+        return QueryResult(columns=[], rows=[], rowcount=len(doomed))
+
+    def _matches(
+        self, table: Table, name: str, where: Optional[Expr]
+    ) -> List[Tuple[int, RowEnv]]:
+        """``(position, bound row)`` of every row ``where`` holds for."""
+        positions, _ = candidate_positions(
+            table, name, where, self.options, self.last_stats
+        )
+        column_names = table.schema.column_names
+        matched = []
+        for position in positions:
+            env = bind_row(name, column_names, table.rows[position])
+            if where is None or evaluate(where, env) is True:
+                matched.append((position, env))
+        return matched
 
     def _execute_insert(self, statement: InsertInto) -> QueryResult:
         table = self.catalog.get(statement.name)
@@ -199,13 +212,6 @@ class Database:
         return QueryResult(columns=[], rows=[], rowcount=len(statement.rows))
 
     def explain_stats(self) -> ExecutionStats:
-        """Execution counters of the most recent SELECT."""
+        """Execution counters of the most recent statement."""
         return self.last_stats
 
-
-def _row_env(table_name: str, column_names: List[str], row: Tuple[Value, ...]) -> RowEnv:
-    """Bind one stored row for WHERE/SET expression evaluation."""
-    env = RowEnv()
-    for column, value in zip(column_names, row):
-        env.bind(table_name, column, value)
-    return env

@@ -143,7 +143,7 @@ def _eval_binary(expr: BinaryOp, env: RowEnv) -> Value:
         return None
 
     if op in ("=", "<>", "<", "<=", ">", ">="):
-        return _compare(op, left, right)
+        return compare(op, left, right)
     if op == "||":
         return str(left) + str(right)
     if op in ("+", "-", "*", "/", "%"):
@@ -179,7 +179,7 @@ def _arith(op: str, left: Value, right: Value) -> Value:
     raise SQLExecutionError(f"unknown arithmetic operator {op!r}")
 
 
-def _compare(op: str, left: Value, right: Value) -> Optional[bool]:
+def compare(op: str, left: Value, right: Value) -> Optional[bool]:
     # Numbers compare numerically (bool as 0/1); strings lexicographically.
     left_num = isinstance(left, (int, float, bool))
     right_num = isinstance(right, (int, float, bool))
@@ -226,7 +226,7 @@ def _eval_in(expr: InList, env: RowEnv) -> Optional[bool]:
             saw_null = True
             continue
         try:
-            if _compare("=", value, candidate) is True:
+            if compare("=", value, candidate) is True:
                 return False if expr.negated else True
         except SQLExecutionError:
             continue  # type-incompatible list item can never match
@@ -241,7 +241,7 @@ def _eval_between(expr: Between, env: RowEnv) -> Optional[bool]:
     high = evaluate(expr.high, env)
     if value is None or low is None or high is None:
         return None
-    result = sql_and(_compare(">=", value, low), _compare("<=", value, high))
+    result = sql_and(compare(">=", value, low), compare("<=", value, high))
     return sql_not(result) if expr.negated else result
 
 

@@ -5,7 +5,9 @@ The executor materializes intermediate results as lists of
 toggled (the engine ablation benchmark flips them):
 
 * **predicate pushdown** — WHERE conjuncts that reference a single
-  table are applied before joins;
+  table are applied before joins, and a ``col = literal`` conjunct over
+  an indexed column is answered by the hash index (for SELECT, UPDATE
+  and DELETE alike, through :func:`candidate_positions`);
 * **hash joins** — INNER equi-joins build a hash table on the join key
   instead of running a nested loop.
 """
@@ -37,9 +39,9 @@ from repro.sql.ast import (
     UnaryOp,
 )
 from repro.sql.catalog import Catalog
-from repro.sql.eval import RowEnv, evaluate
+from repro.sql.eval import RowEnv, compare, evaluate
 from repro.sql.table import Table
-from repro.sql.types import Value
+from repro.sql.types import Value, coerce
 
 
 @dataclass
@@ -76,17 +78,13 @@ def execute_select(
 
     # FROM: bind the base table — through a hash index when an equality
     # conjunct targets an indexed column, else a full scan.
-    rows = None
-    if options.predicate_pushdown:
-        for index, conjunct in enumerate(where_conjuncts):
-            equality = _indexable_equality(conjunct, query.table, catalog)
-            if equality is not None:
-                column, value = equality
-                rows = _index_scan(catalog, query.table, column, value, stats)
-                pushed.add(index)
-                break
-    if rows is None:
-        rows = _scan(catalog, query.table, stats)
+    table = catalog.get(query.table.name)
+    positions, probed = candidate_positions(
+        table, query.table.effective_name, query.where, options, stats
+    )
+    if probed is not None:
+        pushed.add(probed)
+    rows = _bind_rows(table, query.table.effective_name, positions)
     if options.predicate_pushdown:
         rows, pushed = _apply_single_table_predicates(
             rows, where_conjuncts, {query.table.effective_name.lower()}, pushed
@@ -339,72 +337,83 @@ def explain_plan(
 
 
 # -- scanning and joining --------------------------------------------------
+def bind_row(name: str, column_names: List[str], row: Tuple[Value, ...]) -> RowEnv:
+    """Bind one stored row under table name ``name``."""
+    env = RowEnv()
+    for column, value in zip(column_names, row):
+        env.bind(name, column, value)
+    return env
+
+
+def _bind_rows(table: Table, name: str, positions: Sequence[int]) -> List[RowEnv]:
+    column_names = table.schema.column_names
+    return [bind_row(name, column_names, table.rows[p]) for p in positions]
+
+
 def _scan(catalog: Catalog, ref: TableRef, stats: ExecutionStats) -> List[RowEnv]:
     table = catalog.get(ref.name)
-    name = ref.effective_name
-    envs: List[RowEnv] = []
-    column_names = table.schema.column_names
-    for row in table.rows:
-        env = RowEnv()
-        for column, value in zip(column_names, row):
-            env.bind(name, column, value)
-        envs.append(env)
-    stats.rows_scanned += len(envs)
-    return envs
+    stats.rows_scanned += len(table.rows)
+    return _bind_rows(table, ref.effective_name, range(len(table.rows)))
 
 
-def _indexable_equality(
-    conjunct: Expr, ref: TableRef, catalog: Catalog
-) -> Optional[Tuple[str, Value]]:
-    """Detect ``col = literal`` (either order) over an indexed column."""
+def candidate_positions(
+    table: Table,
+    name: str,
+    where: Optional[Expr],
+    options: ExecutorOptions,
+    stats: ExecutionStats,
+) -> Tuple[Sequence[int], Optional[int]]:
+    """Row positions of ``table`` (bound as ``name``) that may satisfy ``where``.
+
+    With predicate pushdown on, the first top-level ``col = literal``
+    conjunct over an indexed column is answered by the hash index, and
+    its position among the WHERE's conjuncts comes back as the second
+    element: every returned row satisfies it. Otherwise all positions
+    come back with ``None``. Callers still evaluate the other conjuncts.
+    """
+    if options.predicate_pushdown:
+        for index, conjunct in enumerate(_split_conjuncts(where)):
+            positions = _index_probe(conjunct, name, table)
+            if positions is not None:
+                stats.index_lookups += 1
+                stats.rows_scanned += len(positions)
+                return positions, index
+    stats.rows_scanned += len(table.rows)
+    return range(len(table.rows)), None
+
+
+def _index_probe(conjunct: Expr, name: str, table: Table) -> Optional[List[int]]:
+    """Positions the hash index holds for ``col = literal`` (either order)
+    over an indexed column of ``table``; None for any other conjunct.
+
+    The literal is coerced through the column type so it hashes like the
+    stored values (FLOAT columns probed with integer literals). A literal
+    the column type cannot hold exactly (``int_col = 1.5``) matches no
+    row; one that does not compare with the column at all
+    (``int_col = 'abc'``) gives None, so the scan raises the error an
+    unindexed table would.
+    """
     if not (isinstance(conjunct, BinaryOp) and conjunct.op == "="):
         return None
-    column_ref: Optional[ColumnRef] = None
-    literal: Optional[Literal] = None
-    for left, right in ((conjunct.left, conjunct.right), (conjunct.right, conjunct.left)):
-        if isinstance(left, ColumnRef) and isinstance(right, Literal):
-            column_ref, literal = left, right
+    for column_ref, literal in (
+        (conjunct.left, conjunct.right), (conjunct.right, conjunct.left)
+    ):
+        if isinstance(column_ref, ColumnRef) and isinstance(literal, Literal):
             break
-    if column_ref is None or literal is None or literal.value is None:
+    else:
         return None
-    if column_ref.table is not None and (
-        column_ref.table.lower() != ref.effective_name.lower()
+    if literal.value is None or (
+        column_ref.table is not None and column_ref.table.lower() != name.lower()
     ):
         return None
-    table = catalog.get(ref.name)
-    if not table.schema.has_column(column_ref.name):
+    if not (table.schema.has_column(column_ref.name) and table.has_index(column_ref.name)):
         return None
-    if not table.has_index(column_ref.name):
+    try:
+        probe = coerce(literal.value, table.schema.column(column_ref.name).sql_type)
+        exact = compare("=", probe, literal.value)
+    except SQLExecutionError:
         return None
-    return column_ref.name, literal.value
-
-
-def _index_scan(
-    catalog: Catalog,
-    ref: TableRef,
-    column: str,
-    value: Value,
-    stats: ExecutionStats,
-) -> List[RowEnv]:
-    """Bind only the rows the hash index returns for ``column = value``."""
-    table = catalog.get(ref.name)
-    name = ref.effective_name
-    column_names = table.schema.column_names
-    envs: List[RowEnv] = []
-    # Coerce the literal through the column's type so lookups match
-    # stored values (e.g. FLOAT columns probed with integer literals).
-    from repro.sql.types import coerce
-
-    probe = coerce(value, table.schema.column(column).sql_type)
-    for row_position in table.index_lookup(column, probe):
-        row = table.rows[row_position]
-        env = RowEnv()
-        for column_name, row_value in zip(column_names, row):
-            env.bind(name, column_name, row_value)
-        envs.append(env)
-    stats.index_lookups += 1
-    stats.rows_scanned += len(envs)
-    return envs
+    return table.index_lookup(column_ref.name, probe) if exact else []
 
 
 def _join(
