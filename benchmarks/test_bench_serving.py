@@ -28,7 +28,7 @@ from repro.autograd import no_grad
 from repro.generation import GenerationConfig, generate
 from repro.models import GPTModel, ModelConfig
 from repro.nn import quantize_weight
-from repro.serving import BatchRequest, BatchScheduler, distill_draft
+from repro.serving import BatchRequest, BatchScheduler, PrefixCache, distill_draft
 from repro.tokenizers import WhitespaceTokenizer
 
 PROMPT_LEN = 16
@@ -454,3 +454,81 @@ def test_bench_slab_vs_concat(report_printer, bench_metrics, setup):
     # The slab path must be at least as fast as concatenate growth
     # (10% tolerance for timer noise at this tiny model scale).
     assert slab <= legacy * 1.1
+
+
+# -- prefix-cache operations at the few-shot workload's shapes -------------
+PREFIX_LAYERS, PREFIX_HEADS, PREFIX_HEAD_DIM = 12, 4, 16
+PREFIX_HEADER_LEN, PREFIX_SUFFIX_LEN = 195, 7
+PREFIX_BUDGET = 16 * 2**20
+
+
+def test_bench_prefix_cache_ops(report_printer, bench_metrics):
+    """``PrefixCache.lookup``/``insert`` cost at the few-shot shapes.
+
+    Four 195-token headers (sharing a 3-token lead, as ``q :`` prompts
+    do) and unique 7-token suffixes (sharing their first 2 tokens);
+    12 layers x 4 heads x head_dim 16 in float64, 12 KiB per position.
+    The 16 MB budget is full before timing starts, so every insert also
+    evicts. Each call is one engine request: a lookup capped at
+    ``len - 1``, then an insert of the whole prompt from views of a
+    slab, as ``BatchedGenerator`` does.
+    """
+    rng = np.random.default_rng(0)
+    lead = [1, 2, 3]
+    headers = [
+        lead + list(map(int, rng.integers(10, 1000, PREFIX_HEADER_LEN - 3)))
+        for _ in range(4)
+    ]
+    fresh = iter(range(1000, 10**6))
+
+    def prompt(i):
+        unique = [next(fresh) for _ in range(PREFIX_SUFFIX_LEN - 2)]
+        return headers[i % 4] + [4, 5] + unique
+
+    length = PREFIX_HEADER_LEN + PREFIX_SUFFIX_LEN
+    shape = (PREFIX_LAYERS, 2, PREFIX_HEADS, length + 8, PREFIX_HEAD_DIM)
+    slab = rng.standard_normal(shape)
+    layers = [
+        (slab[layer, 0, :, :length], slab[layer, 1, :, :length])
+        for layer in range(PREFIX_LAYERS)
+    ]
+    position_bytes = PREFIX_LAYERS * 2 * PREFIX_HEADS * PREFIX_HEAD_DIM * 8
+
+    cache = PrefixCache(max_bytes=PREFIX_BUDGET)
+    calls = 0
+    while cache.stats.evictions == 0:  # fill the budget, untimed
+        cache.insert(prompt(calls), layers)
+        calls += 1
+    lookups, inserts, matches = [], [], set()
+    for i in range(calls, calls + 400):
+        ids = prompt(i)
+        start = time.perf_counter()
+        match, _ = cache.lookup(ids, max_len=len(ids) - 1)
+        middle = time.perf_counter()
+        cache.insert(ids, layers)
+        lookups.append(middle - start)
+        inserts.append(time.perf_counter() - middle)
+        matches.add(match)
+    lookup_us = float(np.median(lookups)) * 1e6
+    insert_us = float(np.median(inserts)) * 1e6
+
+    report_printer(
+        "SERVING: prefix cache ops, 4 x 195-token headers, 16 MB full",
+        [
+            f"{'operation':<34}{'median us':>12}",
+            f"{'lookup (195-token header + 2)':<34}{lookup_us:>12.0f}",
+            f"{'insert (7-token suffix, evicts)':<34}{insert_us:>12.0f}",
+            f"positions {len(cache)}, evicted {cache.stats.evictions}, "
+            f"bytes {cache.stats.bytes}",
+        ],
+    )
+
+    bench_metrics["prefix_lookup_us"] = round(lookup_us, 1)
+    bench_metrics["prefix_insert_us"] = round(insert_us, 1)
+
+    # Every timed lookup reuses exactly its header plus the shared two
+    # suffix tokens, and the budget holds while eviction runs each call.
+    assert matches == {PREFIX_HEADER_LEN + 2}
+    assert cache.stats.oversized == 0
+    assert PREFIX_BUDGET - position_bytes * length < cache.stats.bytes <= PREFIX_BUDGET
+    assert cache.stats.evictions >= 400 * (PREFIX_SUFFIX_LEN - 2)

@@ -897,6 +897,92 @@ class TestPrefixEquivalence:
         # One header prefill + per-row suffixes, not 6 full prompts.
         assert generator.stats.prefill_tokens == header_len + suffixes
 
+    def test_identical_across_splits_and_strict_prefixes(
+        self, model, shared_header_prompts
+    ):
+        """One cached header run is split at several depths by prompts
+        that diverge inside it, then looked up by prompts that stop
+        inside it; every decode still matches the oracle."""
+        first = shared_header_prompts[0]
+        config = GenerationConfig(max_new_tokens=5)
+        diverging = [first[:d] + [first[d] % 47 + 1, 2] for d in (12, 9, 5, 2)]
+        prefixes = [first[:d] for d in (11, 6, 3)]
+        prompts = [first] + diverging + prefixes + [first]
+        generator = BatchedGenerator(model, prefix_cache=PrefixCache())
+        for prompt in prompts:
+            (result,) = generator.generate([BatchRequest(prompt, config)])
+            assert result.sequences[0] == generate(model, prompt, config)
+        assert generator.stats.prefix_hits == len(prompts) - 1
+
+    def test_identical_when_budget_trims_tails_mid_sweep(
+        self, model, shared_header_prompts
+    ):
+        """A budget a few positions over one prompt makes inserts trim
+        the tails of cached runs (suffixes and headers) between calls."""
+        config = GenerationConfig(max_new_tokens=5)
+        position_bytes = model.config.num_layers * 2 * model.config.dim * 8
+        budget = 19 * position_bytes
+        rng = np.random.default_rng(11)
+        other = list(map(int, rng.integers(1, 48, size=12)))
+        prompts = []
+        for i, prompt in enumerate(shared_header_prompts):
+            prompts += [prompt, other + [i + 1, 2 * i + 3]]
+        cache = PrefixCache(max_bytes=budget)
+        generator = BatchedGenerator(model, prefix_cache=cache)
+        for prompt in prompts:
+            (result,) = generator.generate([BatchRequest(prompt, config)])
+            assert result.sequences[0] == generate(model, prompt, config)
+            assert cache.stats.bytes <= budget
+        assert cache.stats.oversized == 0
+        assert cache.stats.evictions > 0
+        assert generator.stats.prefix_hits > 0
+
+    def test_n_choices_after_split_of_cached_header(
+        self, model, shared_header_prompts
+    ):
+        first = shared_header_prompts[0]
+        generator = BatchedGenerator(model, prefix_cache=PrefixCache())
+        generator.generate([BatchRequest(first, GenerationConfig(max_new_tokens=2))])
+        prompt = first[:9] + [first[9] % 47 + 1, 4]  # diverges inside the run
+        config = GenerationConfig(
+            max_new_tokens=6, strategy="sample", temperature=0.9, seed=5
+        )
+        expected = [
+            generate(model, prompt, dataclasses.replace(config, seed=5 + j))
+            for j in range(3)
+        ]
+        for _ in range(2):  # splits the cached run, then reuses the split
+            (result,) = generator.generate([BatchRequest(prompt, config, n=3)])
+            assert result.sequences == expected
+
+    def test_speculative_client_with_draft_prefix_cache(
+        self, tiny_gpt, word_tokenizer
+    ):
+        from repro.serving import draft_config, engine_serving_stats
+
+        hub = ModelHub()
+        hub.register("tiny-gpt", tiny_gpt, word_tokenizer)
+        draft = GPTModel(draft_config(tiny_gpt.config, num_layers=1), seed=99)
+        hub.register("tiny-draft", draft, word_tokenizer)
+        header = "the cat sat on the mat and the dog ran after the bird ;"
+        tails = ["a dog", "the cat sat", "cats and dogs", "the bird flew over"]
+        prompts = [f"{header} {tail}" for tail in tails]
+        prompts += ["the cat sat on the mat and", f"{header} a dog"]
+        client = CompletionClient(
+            hub, speculative_draft="tiny-draft", speculative_k=3
+        )
+        config = GenerationConfig(
+            max_new_tokens=6, stop_ids=(word_tokenizer.vocab.eos_id,)
+        )
+        for prompt in prompts:
+            (response,) = client.complete_batch("tiny-gpt", [prompt], max_tokens=6)
+            ids = word_tokenizer.encode(prompt, add_bos=True).ids
+            oracle = word_tokenizer.decode(generate(tiny_gpt, ids, config))
+            assert response.text == oracle.strip()
+        assert engine_serving_stats(client, "tiny-gpt")["verify_forwards"] > 0
+        assert client.prefix_cache("tiny-gpt").stats.hits > 0
+        assert client.prefix_cache("tiny-draft").stats.hits > 0
+
     def test_client_prefix_cache_persists_and_invalidates(self, hub):
         client = CompletionClient(hub)
         client.complete_batch("tiny-gpt", PROMPTS, max_tokens=4)
