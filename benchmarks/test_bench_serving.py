@@ -10,14 +10,17 @@ token-at-a-time versus the chunked causal prefill, the prefix-cache
 speedup on a few-shot text-to-SQL sweep whose prompts share a long
 header, speculative decoding with a distilled 1-layer draft against
 plain batched decode on that same sweep, the int8 weight-quantization
-kernel against the fp64 matmul it replaces, and the slab KV cache
-versus the legacy concatenate-per-token growth at batch 8.
+kernel against the fp64 matmul it replaces, the slab KV cache
+versus the legacy concatenate-per-token growth at batch 8, prefix-cache
+lookup/insert and the cached forward (decode step, prefill chunk, fused
+attention) at the few-shot workload's shapes.
 Machine-readable results land in ``benchmarks/BENCH_serving.json`` via
 the ``bench_metrics`` fixture.
 """
 
 from __future__ import annotations
 
+import copy
 import time
 
 import numpy as np
@@ -27,7 +30,7 @@ from repro.api import CompletionClient, ModelHub
 from repro.autograd import no_grad
 from repro.generation import GenerationConfig, generate
 from repro.models import GPTModel, ModelConfig
-from repro.nn import quantize_weight
+from repro.nn import chunk_causal_mask, quantize_weight, set_fused_attention
 from repro.serving import BatchRequest, BatchScheduler, PrefixCache, distill_draft
 from repro.tokenizers import WhitespaceTokenizer
 
@@ -532,3 +535,100 @@ def test_bench_prefix_cache_ops(report_printer, bench_metrics):
     assert cache.stats.oversized == 0
     assert PREFIX_BUDGET - position_bytes * length < cache.stats.bytes <= PREFIX_BUDGET
     assert cache.stats.evictions >= 400 * (PREFIX_SUFFIX_LEN - 2)
+
+
+# -- the graph-free cached forward at the few-shot workload's shapes -------
+FORWARD_LAYERS, FORWARD_DIM, FORWARD_HEADS, FORWARD_FF = 12, 64, 4, 256
+FORWARD_CACHED, FORWARD_CHUNK = 195, 7
+
+
+def _median_us(fn, repeats):
+    fn()  # warmup
+    times = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - start)
+    return float(np.median(times)) * 1e6
+
+
+def test_bench_cached_forward(report_printer, bench_metrics):
+    """``encode_chunk`` cost per decode step and per 7-token prefill chunk.
+
+    Batch 1 on a 12-layer, dim-64, 4-head, ff-256 model with 195 key
+    columns already cached, as a few-shot prompt's reused header leaves
+    them: a 7-token prefill chunk over columns 195..201, then one
+    decode step at column 202 through the ragged slotted layout the
+    batched engine uses. The fused row is the same step with
+    ``set_fused_attention`` on. Repeated calls rewrite the same cache
+    columns with the same values, so every timed call does equal work.
+    """
+    length = FORWARD_CACHED + FORWARD_CHUNK
+    model = GPTModel(
+        ModelConfig(
+            vocab_size=256, max_seq_len=length + 8, dim=FORWARD_DIM,
+            num_layers=FORWARD_LAYERS, num_heads=FORWARD_HEADS,
+            ff_dim=FORWARD_FF,
+        ),
+        seed=0,
+    ).eval()
+    fused = set_fused_attention(copy.deepcopy(model))
+    prompt = np.random.default_rng(4).integers(1, 256, size=(1, length))
+    chunk_blocked = chunk_causal_mask(FORWARD_CACHED, length)[None, None]
+    step_blocked = np.zeros((1, 1, 1, length + 1), dtype=bool)
+    lengths = np.array([length])
+
+    def prefill(m, caches):
+        return m.encode_chunk(
+            prompt[:, FORWARD_CACHED:], np.arange(FORWARD_CACHED, length)[None],
+            caches, blocked=chunk_blocked,
+            write_cols=slice(FORWARD_CACHED, length), kv_len=length,
+        )
+
+    def step(m, caches):
+        return m.encode_chunk(
+            prompt[:, -1:], lengths[:, None], caches, blocked=step_blocked,
+            write_cols=lengths, kv_len=length + 1,
+        )
+
+    def primed(m):
+        caches = m.init_cache(batch_size=1, capacity=length + 8)
+        m.encode_chunk(
+            prompt[:, :FORWARD_CACHED], np.arange(FORWARD_CACHED)[None], caches,
+            blocked=chunk_causal_mask(0, FORWARD_CACHED)[None, None],
+            write_cols=slice(0, FORWARD_CACHED), kv_len=FORWARD_CACHED,
+        )
+        prefill(m, caches)
+        return caches
+
+    caches, fused_caches = primed(model), primed(fused)
+    prefill_us = _median_us(lambda: prefill(model, caches), 100)
+    decode_us = _median_us(lambda: step(model, caches), 200)
+    fused_us = _median_us(lambda: step(fused, fused_caches), 200)
+
+    report_printer(
+        f"SERVING: cached forward, {FORWARD_LAYERS} layers x dim {FORWARD_DIM}, "
+        f"batch 1, {FORWARD_CACHED} cached columns",
+        [
+            f"{'call':<34}{'median us':>12}",
+            f"{f'prefill chunk ({FORWARD_CHUNK} tokens)':<34}{prefill_us:>12.0f}",
+            f"{'decode step':<34}{decode_us:>12.0f}",
+            f"{'decode step, fused attention':<34}{fused_us:>12.0f}",
+        ],
+    )
+
+    bench_metrics["cached_prefill7_us"] = round(prefill_us, 1)
+    bench_metrics["cached_decode_step_us"] = round(decode_us, 1)
+    bench_metrics["fused_decode_step_us"] = round(fused_us, 1)
+
+    # Shapes, and the next token: the cached chunk picks what the full
+    # autograd forward picks, and the fused step what the plain one does.
+    hidden = prefill(model, caches)
+    assert hidden.shape == (1, FORWARD_CHUNK, FORWARD_DIM)
+    full = model(prompt).data[0, -1]
+    last = model.logits_from_hidden(hidden).data[0, -1]
+    assert int(np.argmax(last)) == int(np.argmax(full))
+    plain_step = model.logits_from_hidden(step(model, caches)).data
+    fused_step = fused.logits_from_hidden(step(fused, fused_caches)).data
+    assert plain_step.shape == fused_step.shape == (1, 1, 256)
+    assert int(np.argmax(plain_step)) == int(np.argmax(fused_step))

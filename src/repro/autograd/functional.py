@@ -7,7 +7,7 @@ hand-written backward closures for efficiency and numerical stability.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -146,11 +146,20 @@ def relu(x: Tensor) -> Tensor:
     return x._make(out_data, (x,), backward)
 
 
+def _gelu_parts(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """GELU of a plain array plus its inner tanh (the backward reuses it)."""
+    t = np.tanh(_SQRT_2_OVER_PI * (x + 0.044715 * x**3))
+    return 0.5 * x * (1.0 + t), t
+
+
+def gelu_array(x: np.ndarray) -> np.ndarray:
+    """Graph-free GELU: the forward value :func:`gelu` records."""
+    return _gelu_parts(x)[0]
+
+
 def gelu(x: Tensor) -> Tensor:
     """GELU activation (tanh approximation, as used by BERT and GPT)."""
-    u = x.data + 0.044715 * x.data**3
-    t = np.tanh(_SQRT_2_OVER_PI * u)
-    out_data = 0.5 * x.data * (1.0 + t)
+    out_data, t = _gelu_parts(x.data)
 
     def backward(grad: np.ndarray) -> None:
         du = 1.0 + 3 * 0.044715 * x.data**2

@@ -109,7 +109,9 @@ class GPTModel(Module):
         ``positions`` holds each token's absolute position, broadcastable
         to (B, T), so ragged batches can run rows at different offsets.
         ``blocked``/``write_cols``/``kv_len`` are forwarded to
-        :meth:`repro.nn.MultiHeadAttention.incremental`.
+        :meth:`repro.nn.MultiHeadAttention.incremental`. Past the
+        embeddings the blocks run graph-free on plain arrays; only the
+        returned hidden state is wrapped in a :class:`Tensor`.
         """
         ids = np.asarray(ids, dtype=np.int64)
         if ids.ndim != 2 or ids.shape[1] < 1:
@@ -120,10 +122,10 @@ class GPTModel(Module):
                 f"position {int(positions.max())} exceeds max_seq_len "
                 f"{self.config.max_seq_len}"
             )
-        x = self.token_emb(ids) + self.pos_emb(positions)
-        return self.stack.incremental(
+        x = (self.token_emb(ids) + self.pos_emb(positions)).data
+        return Tensor(self.stack.incremental(
             x, caches, blocked=blocked, write_cols=write_cols, kv_len=kv_len
-        )
+        ))
 
     def forward_chunk(
         self,

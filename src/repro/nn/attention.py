@@ -177,7 +177,7 @@ class MultiHeadAttention(Module):
         return self.out(merged)
 
     def _split_heads(self, x: Tensor, batch: int, seq: int) -> Tensor:
-        """(B, T, D) -> (B, H, T, D/H)."""
+        """(B, T, D) -> (B, H, T, D/H), for a Tensor or a plain array."""
         return x.reshape(batch, seq, self.num_heads, self.head_dim).transpose(
             0, 2, 1, 3
         )
@@ -194,19 +194,24 @@ class MultiHeadAttention(Module):
 
     def incremental(
         self,
-        x: Tensor,
+        x: np.ndarray,
         cache: dict,
         blocked: Optional[np.ndarray] = None,
         write_cols: Optional[object] = None,
         kv_len: Optional[int] = None,
-    ) -> Tensor:
+    ) -> np.ndarray:
         """Attend new positions against cached keys/values.
 
-        Inference-only fast path for autoregressive decoding: ``x`` holds
-        the new positions (B, T, D) — a single decode step (T = 1) or a
-        prompt-prefill chunk (T > 1, with ``blocked`` carrying the
-        in-chunk causal mask). The cache accumulates this layer's K/V
-        across steps so earlier positions are never recomputed.
+        Inference-only, graph-free fast path for autoregressive decoding:
+        ``x`` is a plain (B, T, D) array of the new positions — a single
+        decode step (T = 1) or a prompt-prefill chunk (T > 1, with
+        ``blocked`` carrying the in-chunk causal mask) — and the result
+        is a plain (B, T, D) array. No autograd graph is built and
+        attention dropout is not applied. The projections run through
+        each Linear's ``infer`` kernel, so the output is bit-identical
+        to the Tensor ops of :meth:`forward`'s projections. The cache
+        accumulates this layer's K/V across steps so earlier positions
+        are never recomputed.
 
         Three cache layouts are supported:
 
@@ -234,9 +239,9 @@ class MultiHeadAttention(Module):
         row's slots).
         """
         batch, seq, _ = x.shape
-        q = self._split_heads(self.query(x), batch, seq).data
-        k = self._split_heads(self.key(x), batch, seq).data
-        v = self._split_heads(self.value(x), batch, seq).data
+        q = self._split_heads(self.query.infer(x), batch, seq)
+        k = self._split_heads(self.key.infer(x), batch, seq)
+        v = self._split_heads(self.value.infer(x), batch, seq)
         if write_cols is None:
             if isinstance(cache, dict):
                 # Legacy growing layout: O(n²) traffic over a decode,
@@ -276,7 +281,7 @@ class MultiHeadAttention(Module):
                 scale=1.0 / np.sqrt(self.head_dim),
             )
             merged = context.transpose(0, 2, 1, 3).reshape(batch, seq, self.dim)
-            return self.out(Tensor(merged))
+            return self.out.infer(merged)
         scores = (q @ keys.transpose(0, 1, 3, 2)) / np.sqrt(self.head_dim)
         if blocked is not None:
             scores = np.where(blocked, NEG_INF, scores)
@@ -286,7 +291,7 @@ class MultiHeadAttention(Module):
         self._last_attention = weights
         context = weights @ values
         merged = context.transpose(0, 2, 1, 3).reshape(batch, seq, self.dim)
-        return self.out(Tensor(merged))
+        return self.out.infer(merged)
 
 
 def set_fused_attention(module: Module, enabled: bool = True) -> Module:

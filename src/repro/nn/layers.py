@@ -41,6 +41,13 @@ class Linear(Module):
             out = out + self.bias
         return out
 
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        """Graph-free :meth:`forward` on a plain array (same float ops)."""
+        out = x @ self.weight.data
+        if self.bias is not None:
+            out += self.bias.data
+        return out
+
 
 class Embedding(Module):
     """Lookup table mapping integer ids to dense vectors."""
@@ -71,6 +78,18 @@ class LayerNorm(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         return F.layer_norm(x, self.weight, self.bias, eps=self.eps)
+
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        """Graph-free :meth:`forward`, op for op as :func:`F.layer_norm`.
+
+        ``mean`` is ``sum * (1/n)`` and ``x - mu`` is ``x + (-mu)`` there,
+        so the same order here keeps the result bit-identical.
+        """
+        inv_n = 1.0 / x.shape[-1]
+        centered = x + -(x.sum(axis=-1, keepdims=True) * inv_n)
+        var = (centered * centered).sum(axis=-1, keepdims=True) * inv_n
+        normalized = centered * ((var + self.eps) ** -0.5)
+        return normalized * self.weight.data + self.bias.data
 
 
 class Dropout(Module):

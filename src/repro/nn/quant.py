@@ -109,13 +109,16 @@ class QuantizedLinear(Module):
         self._weight_f32 = self.weight_q.astype(np.float32)
         self.bias = None if linear.bias is None else linear.bias.data.copy()
 
-    def forward(self, x: object) -> Tensor:
-        data = x.data if isinstance(x, Tensor) else np.asarray(x)
-        out = (data.astype(np.float32) @ self._weight_f32).astype(np.float64)
+    def forward(self, x: Tensor) -> Tensor:
+        return Tensor(self.infer(x.data))
+
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        """The int8 kernel on a plain array; :meth:`forward` wraps it."""
+        out = (x.astype(np.float32) @ self._weight_f32).astype(np.float64)
         out *= self.scales
         if self.bias is not None:
             out += self.bias
-        return Tensor(out)
+        return out
 
     @property
     def max_abs_error(self) -> float:

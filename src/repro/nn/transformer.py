@@ -26,6 +26,10 @@ class FeedForward(Module):
     def forward(self, x: Tensor) -> Tensor:
         return self.drop(self.down(F.gelu(self.up(x))))
 
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        """Graph-free inference :meth:`forward` (no dropout)."""
+        return self.down.infer(F.gelu_array(self.up.infer(x)))
+
 
 class TransformerBlock(Module):
     """Pre-norm Transformer block: LN -> attention -> residual, LN -> FFN -> residual."""
@@ -57,19 +61,18 @@ class TransformerBlock(Module):
 
     def incremental(
         self,
-        x: Tensor,
+        x: np.ndarray,
         cache: dict,
         blocked: Optional[np.ndarray] = None,
         write_cols: Optional[object] = None,
         kv_len: Optional[int] = None,
-    ) -> Tensor:
-        """Cached forward over new positions using this block's K/V cache."""
+    ) -> np.ndarray:
+        """Graph-free cached forward over new positions (B, T, D) arrays."""
         x = x + self.attn.incremental(
-            self.attn_norm(x), cache,
+            self.attn_norm.infer(x), cache,
             blocked=blocked, write_cols=write_cols, kv_len=kv_len,
         )
-        x = x + self.ff(self.ff_norm(x))
-        return x
+        return x + self.ff.infer(self.ff_norm.infer(x))
 
 
 class TransformerStack(Module):
@@ -142,15 +145,15 @@ class TransformerStack(Module):
 
     def incremental(
         self,
-        x: Tensor,
+        x: np.ndarray,
         caches: List[dict],
         blocked: Optional[np.ndarray] = None,
         write_cols: Optional[object] = None,
         kv_len: Optional[int] = None,
-    ) -> Tensor:
-        """Cached forward over new positions through all blocks."""
+    ) -> np.ndarray:
+        """Graph-free cached forward over new positions through all blocks."""
         for block, cache in zip(self.blocks, caches):
             x = block.incremental(
                 x, cache, blocked=blocked, write_cols=write_cols, kv_len=kv_len
             )
-        return self.final_norm(x)
+        return self.final_norm.infer(x)

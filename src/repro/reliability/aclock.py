@@ -88,6 +88,12 @@ class AsyncVirtualClock:
     run at the current instant. Timer ties break by registration order,
     so runs are reproducible.
 
+    External work (:meth:`wait_external`) finishes at a real-time
+    instant, which may fall in the middle of a drain. So its waiter
+    resumes only when :meth:`run` releases it: after a drain, in
+    registration order. How fast the work ran never changes the
+    interleaving.
+
     Shared state discipline: the timer heap and external-future set are
     only mutated from synchronous sections of coroutines running on the
     single event loop (never from worker threads), so no lock is
@@ -104,7 +110,8 @@ class AsyncVirtualClock:
         self._clock = clock if clock is not None else VirtualClock()
         self._timers: List[Tuple[float, int, asyncio.Future]] = []
         self._seq = 0
-        self._external: List[asyncio.Future] = []
+        #: (work, gate) pairs: the waiter resumes when ``gate`` is set
+        self._external: List[Tuple[asyncio.Future, asyncio.Future]] = []
         #: timers fired by the driver (diagnostics)
         self.fired = 0
 
@@ -128,21 +135,32 @@ class AsyncVirtualClock:
 
     async def wait_external(self, awaitable: Awaitable[T]) -> T:
         """Await real work; virtual time freezes until it completes."""
-        future = asyncio.ensure_future(awaitable)
-        self._register_external(future)
-        return await future
+        work = asyncio.ensure_future(awaitable)
+        gate = asyncio.get_running_loop().create_future()
+        self._register_external(work, gate)
+        try:
+            await gate
+        except asyncio.CancelledError:
+            work.cancel()
+            raise
+        return work.result()
 
     def _register_timer(self, deadline: float, future: asyncio.Future) -> None:
         heapq.heappush(self._timers, (deadline, self._seq, future))
         self._seq += 1
 
-    def _register_external(self, future: asyncio.Future) -> None:
-        self._external.append(future)
+    def _register_external(self, work: asyncio.Future, gate: asyncio.Future) -> None:
+        self._external.append((work, gate))
 
-    def _prune_external(self) -> List[asyncio.Future]:
-        """Drop completed external futures; return those still pending."""
-        self._external = [f for f in self._external if not f.done()]
+    def _prune_external(self) -> List[Tuple[asyncio.Future, asyncio.Future]]:
+        """Drop externals whose waiter is gone; return the rest in order."""
+        self._external = [(w, g) for w, g in self._external if not g.done()]
         return self._external
+
+    def _release_external(self) -> None:
+        """Resume the oldest external's waiter (its work is done)."""
+        _, gate = self._external.pop(0)
+        gate.set_result(None)
 
     def _fire_next_timer(self) -> None:
         deadline, _, future = heapq.heappop(self._timers)
@@ -169,9 +187,12 @@ class AsyncVirtualClock:
                     break
                 pending_external = self._prune_external()
                 if pending_external:
-                    await asyncio.wait(
-                        pending_external, return_when=asyncio.FIRST_COMPLETED
-                    )
+                    work, _ = pending_external[0]
+                    if work.done():
+                        self._release_external()
+                    else:
+                        # Drain again once it finishes, then release.
+                        await asyncio.wait([work])
                     continue
                 if self._timers:
                     self._fire_next_timer()

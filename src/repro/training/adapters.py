@@ -56,6 +56,11 @@ class LoRALinear(Module):
             out = out + self.base.bias
         return out + ((x @ self.lora_a) @ self.lora_b) * self.scale
 
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        """Graph-free :meth:`forward` for the cached decode path."""
+        out = self.base.infer(x)
+        return out + ((x @ self.lora_a.data) @ self.lora_b.data) * self.scale
+
     def merged_weight(self) -> np.ndarray:
         """The effective weight after folding in the adapter."""
         return self.base.weight.data + self.scale * (

@@ -13,6 +13,7 @@ bookkeeping that always balances the admission ledger.
 from __future__ import annotations
 
 import asyncio
+import time
 
 import numpy as np
 import pytest
@@ -112,6 +113,39 @@ class TestAsyncVirtualClock:
         value, elapsed = run_virtual(main(), clock)
         assert value == 42
         assert elapsed == 0.0
+
+    def test_external_finish_time_does_not_change_interleaving(self):
+        """Work that lands mid-drain resumes its waiter after the drain.
+
+        Regression: the waiter used to resume whenever the worker thread
+        finished, so the same program interleaved differently (and could
+        report a spurious deadlock) depending on real decode speed.
+        """
+
+        def order(work_seconds):
+            clock = AsyncVirtualClock()
+            events = []
+
+            async def external():
+                loop = asyncio.get_running_loop()
+                await clock.wait_external(
+                    loop.run_in_executor(None, time.sleep, work_seconds)
+                )
+                events.append("external")
+
+            async def chain():
+                for _ in range(8):
+                    sum(range(300_000))  # a slow step, e.g. a GC pause
+                    await asyncio.sleep(0)
+                events.append("chain")
+
+            async def main():
+                await asyncio.gather(external(), chain())
+
+            run_virtual(main(), clock)
+            return events
+
+        assert order(0.0) == order(0.2) == ["chain", "external"]
 
     def test_deadlock_detected(self):
         clock = AsyncVirtualClock()

@@ -275,9 +275,9 @@ class TestFusedAttention:
         attn = MultiHeadAttention(8, 2, rng, causal=True)
         x = Tensor(np.random.default_rng(3).normal(size=(2, 5, 8)))
         blocked = causal_mask(5)[None, None]
-        base = attn.incremental(x, KVCache(), blocked=blocked).data
+        base = attn.incremental(x.data, KVCache(), blocked=blocked)
         set_fused_attention(attn)
-        fused = attn.incremental(x, KVCache(), blocked=blocked).data
+        fused = attn.incremental(x.data, KVCache(), blocked=blocked)
         np.testing.assert_allclose(fused, base, atol=1e-10)
         # The fused path never materializes the weight matrix.
         assert attn.last_attention is None
