@@ -10,17 +10,15 @@ token-at-a-time versus the chunked causal prefill, the prefix-cache
 speedup on a few-shot text-to-SQL sweep whose prompts share a long
 header, speculative decoding with a distilled 1-layer draft against
 plain batched decode on that same sweep, the int8 weight-quantization
-kernel against the fp64 matmul it replaces, the slab KV cache
-versus the legacy concatenate-per-token growth at batch 8, prefix-cache
-lookup/insert and the cached forward (decode step, prefill chunk, fused
-attention) at the few-shot workload's shapes.
+kernel against the fp64 matmul it replaces, prefix-cache lookup/insert
+and the cached forward (decode step, prefill chunk) at the few-shot
+workload's shapes.
 Machine-readable results land in ``benchmarks/BENCH_serving.json`` via
 the ``bench_metrics`` fixture.
 """
 
 from __future__ import annotations
 
-import copy
 import time
 
 import numpy as np
@@ -30,7 +28,7 @@ from repro.api import CompletionClient, ModelHub
 from repro.autograd import no_grad
 from repro.generation import GenerationConfig, generate
 from repro.models import GPTModel, ModelConfig
-from repro.nn import chunk_causal_mask, quantize_weight, set_fused_attention
+from repro.nn import chunk_causal_mask, quantize_weight
 from repro.serving import BatchRequest, BatchScheduler, PrefixCache, distill_draft
 from repro.tokenizers import WhitespaceTokenizer
 
@@ -270,11 +268,12 @@ def test_bench_prefix_sweep(report_printer, bench_metrics, sweep_setup):
 def test_bench_speculative_sweep(report_printer, bench_metrics, sweep_setup):
     """Draft-and-verify speculative decoding vs plain batched decode.
 
-    Both sides run the barriered microbatch path with warm prefix
-    caches, so the only difference in the timed region is who advances
-    the decode: the target one token per forward, or a distilled
-    one-layer draft proposing runs the target verifies in one chunk.
-    Greedy outputs must be token-identical (acceptance bar).
+    The plain side runs barriered microbatches, the speculative side
+    continuous batching with its proposer, both with warm prefix
+    caches: in the timed region the target either advances one token
+    per forward, or a distilled one-layer draft proposes runs the
+    target verifies in one chunk. Greedy outputs must be
+    token-identical (acceptance bar).
     """
     hub, prompts = sweep_setup
     entry = hub.get("sql-bench")
@@ -419,46 +418,6 @@ def test_bench_int8_sweep_identity(report_printer, bench_metrics, sweep_setup):
     assert 0.0 < report.max_abs_error < 0.05
 
 
-# -- slab KV cache vs legacy concatenate growth at batch 8 -----------------
-def _decode_seconds(model, layout: str, steps: int, batch: int) -> float:
-    rng = np.random.default_rng(7)
-    ids = rng.integers(1, model.config.vocab_size, size=(batch, steps))
-    caches = model.init_cache(layout=layout)
-    with no_grad():
-        start = time.perf_counter()
-        for position in range(steps):
-            model.forward_incremental(
-                ids[:, position: position + 1], position, caches
-            )
-        return time.perf_counter() - start
-
-
-def test_bench_slab_vs_concat(report_printer, bench_metrics, setup):
-    """Preallocated slab appends must not lose to concatenate growth."""
-    model, _ = setup
-    steps = model.config.max_seq_len
-    batch = 8
-    _decode_seconds(model, "slab", 8, batch)  # warmup
-    legacy = min(_decode_seconds(model, "legacy", steps, batch) for _ in range(3))
-    slab = min(_decode_seconds(model, "slab", steps, batch) for _ in range(3))
-
-    report_printer(
-        f"SERVING: KV-cache layout, batch {batch} x {steps} decode steps",
-        [
-            f"{'layout':<34}{'seconds':>10}{'ratio':>10}",
-            f"{'legacy (concatenate per token)':<34}{legacy:>10.3f}{1.0:>10.2f}",
-            f"{'slab (in-place, amortized 2x)':<34}{slab:>10.3f}"
-            f"{slab / legacy:>10.2f}",
-        ],
-    )
-
-    bench_metrics["slab_vs_concat_batch8_ratio"] = round(slab / legacy, 3)
-
-    # The slab path must be at least as fast as concatenate growth
-    # (10% tolerance for timer noise at this tiny model scale).
-    assert slab <= legacy * 1.1
-
-
 # -- prefix-cache operations at the few-shot workload's shapes -------------
 PREFIX_LAYERS, PREFIX_HEADS, PREFIX_HEAD_DIM = 12, 4, 16
 PREFIX_HEADER_LEN, PREFIX_SUFFIX_LEN = 195, 7
@@ -559,9 +518,8 @@ def test_bench_cached_forward(report_printer, bench_metrics):
     columns already cached, as a few-shot prompt's reused header leaves
     them: a 7-token prefill chunk over columns 195..201, then one
     decode step at column 202 through the ragged slotted layout the
-    batched engine uses. The fused row is the same step with
-    ``set_fused_attention`` on. Repeated calls rewrite the same cache
-    columns with the same values, so every timed call does equal work.
+    batched engine uses. Repeated calls rewrite the same cache columns
+    with the same values, so every timed call does equal work.
     """
     length = FORWARD_CACHED + FORWARD_CHUNK
     model = GPTModel(
@@ -572,7 +530,6 @@ def test_bench_cached_forward(report_printer, bench_metrics):
         ),
         seed=0,
     ).eval()
-    fused = set_fused_attention(copy.deepcopy(model))
     prompt = np.random.default_rng(4).integers(1, 256, size=(1, length))
     chunk_blocked = chunk_causal_mask(FORWARD_CACHED, length)[None, None]
     step_blocked = np.zeros((1, 1, 1, length + 1), dtype=bool)
@@ -601,10 +558,9 @@ def test_bench_cached_forward(report_printer, bench_metrics):
         prefill(m, caches)
         return caches
 
-    caches, fused_caches = primed(model), primed(fused)
+    caches = primed(model)
     prefill_us = _median_us(lambda: prefill(model, caches), 100)
     decode_us = _median_us(lambda: step(model, caches), 200)
-    fused_us = _median_us(lambda: step(fused, fused_caches), 200)
 
     report_printer(
         f"SERVING: cached forward, {FORWARD_LAYERS} layers x dim {FORWARD_DIM}, "
@@ -613,22 +569,18 @@ def test_bench_cached_forward(report_printer, bench_metrics):
             f"{'call':<34}{'median us':>12}",
             f"{f'prefill chunk ({FORWARD_CHUNK} tokens)':<34}{prefill_us:>12.0f}",
             f"{'decode step':<34}{decode_us:>12.0f}",
-            f"{'decode step, fused attention':<34}{fused_us:>12.0f}",
         ],
     )
 
     bench_metrics["cached_prefill7_us"] = round(prefill_us, 1)
     bench_metrics["cached_decode_step_us"] = round(decode_us, 1)
-    bench_metrics["fused_decode_step_us"] = round(fused_us, 1)
 
     # Shapes, and the next token: the cached chunk picks what the full
-    # autograd forward picks, and the fused step what the plain one does.
+    # autograd forward picks.
     hidden = prefill(model, caches)
     assert hidden.shape == (1, FORWARD_CHUNK, FORWARD_DIM)
     full = model(prompt).data[0, -1]
     last = model.logits_from_hidden(hidden).data[0, -1]
     assert int(np.argmax(last)) == int(np.argmax(full))
     plain_step = model.logits_from_hidden(step(model, caches)).data
-    fused_step = fused.logits_from_hidden(step(fused, fused_caches)).data
-    assert plain_step.shape == fused_step.shape == (1, 1, 256)
-    assert int(np.argmax(plain_step)) == int(np.argmax(fused_step))
+    assert plain_step.shape == (1, 1, 256)

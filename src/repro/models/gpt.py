@@ -78,20 +78,16 @@ class GPTModel(Module):
         self,
         batch_size: Optional[int] = None,
         capacity: Optional[int] = None,
-        layout: str = "slab",
     ) -> list:
         """Fresh per-layer K/V caches for cached decoding.
 
         With no arguments: in-place :class:`~repro.serving.kvcache.KVCache`
-        slabs for the single-sequence :meth:`forward_incremental` path
-        (``layout="legacy"`` selects the old concatenate-per-token
-        dicts). With ``batch_size`` and ``capacity``: preallocated
+        slabs for the single-sequence :meth:`forward_incremental` path.
+        With ``batch_size`` and ``capacity``: preallocated
         slotted caches for the padding-aware batched path of
         :mod:`repro.serving`.
         """
-        return self.stack.init_cache(
-            batch_size=batch_size, capacity=capacity, layout=layout
-        )
+        return self.stack.init_cache(batch_size=batch_size, capacity=capacity)
 
     def encode_chunk(
         self,

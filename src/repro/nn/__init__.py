@@ -12,9 +12,7 @@ from repro.nn.attention import (
     MultiHeadAttention,
     causal_mask,
     chunk_causal_mask,
-    fused_attention,
     padding_mask,
-    set_fused_attention,
 )
 from repro.nn.quant import (
     QuantizationReport,
@@ -36,11 +34,9 @@ __all__ = [
     "QuantizedLinear",
     "causal_mask",
     "chunk_causal_mask",
-    "fused_attention",
     "padding_mask",
     "quantize_model",
     "quantize_weight",
-    "set_fused_attention",
     "FeedForward",
     "TransformerBlock",
     "TransformerStack",

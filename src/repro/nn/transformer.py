@@ -111,24 +111,17 @@ class TransformerStack(Module):
         self,
         batch_size: Optional[int] = None,
         capacity: Optional[int] = None,
-        layout: str = "slab",
     ) -> List[object]:
         """Fresh per-block K/V caches for incremental decoding.
 
         With no arguments the caches are preallocated
         :class:`~repro.serving.kvcache.KVCache` slabs that append in
-        place with amortized capacity doubling (``layout="legacy"``
-        returns the old empty dicts that grow by ``np.concatenate`` —
-        kept as the regression reference). With ``batch_size`` and
+        place with amortized capacity doubling. With ``batch_size`` and
         ``capacity`` they are preallocated slotted slabs
         (B, H, capacity, D/H) for the padding-aware batched layout (see
         :meth:`MultiHeadAttention.incremental`).
         """
         if batch_size is None:
-            if layout == "legacy":
-                return [{} for _ in self.blocks]
-            if layout != "slab":
-                raise ValueError(f"unknown cache layout {layout!r}")
             # Imported here (not at module top) because repro.serving
             # imports repro.nn; at call time both are fully loaded.
             from repro.serving.kvcache import KVCache

@@ -4,16 +4,17 @@ Vectorizes decoding across sequences: preallocated KV slabs
 (:class:`KVCache`), padding-aware batched KV caches, chunked causal
 prefill, per-sequence stop handling, a prompt-prefix K/V cache
 (:class:`PrefixCache`), retire-and-admit continuous batching, and a
-FIFO microbatching scheduler. See :class:`BatchedGenerator` for the
-engine and :class:`BatchScheduler` for the queueing front-end.
+FIFO scheduler. See :class:`BatchedGenerator` for the engine — one
+retire-and-admit decode loop — and :class:`BatchScheduler` for the
+queueing front-end.
+Speculative decoding is a per-step proposer inside that same loop: a
+draft model (:func:`distill_draft`) proposes runs of tokens the target
+verifies in one batched forward, token-identical to plain greedy
+decoding, under barriered and continuous batching alike.
 Above the scheduler, :class:`SemanticCache` memoizes whole
 completions — exact-match on the full request key plus an opt-in
 embedding-similarity tier — so repeated prompts skip prefill and
 decode entirely.
-:class:`SpeculativeGenerator` layers draft-and-verify speculative
-decoding on top: a distilled draft model (:func:`distill_draft`)
-proposes runs of tokens the target verifies in one batched forward,
-token-identical to plain greedy decoding.
 
 On top of the scheduler sits the asyncio serving tier: the multi-tenant
 :class:`Gateway` (admission control, load shedding, deadline dispatch,
@@ -48,22 +49,15 @@ from repro.serving.semcache import (
     completion_request_key,
     hashed_embedding,
 )
-from repro.serving.speculative import (
-    SpeculativeGenerator,
-    distill_draft,
-    draft_config,
-    speculative_generate,
-)
+from repro.serving.speculative import distill_draft, draft_config
 
 __all__ = [
     "BatchedGenerator",
     "BatchRequest",
     "BatchResult",
     "BatchScheduler",
-    "SpeculativeGenerator",
     "distill_draft",
     "draft_config",
-    "speculative_generate",
     "Gateway",
     "GatewayRequest",
     "GatewayResult",

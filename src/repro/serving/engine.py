@@ -1,37 +1,51 @@
-"""Vectorized batched decoding over the numpy Transformer.
+"""Vectorized batched decoding over the numpy Transformer: one decode loop.
 
-One :class:`BatchedGenerator` turns N queued prompts into one sequence
-of model forwards: a *chunked causal prefill* (one forward over each
-prompt chunk with an in-chunk causal mask, instead of priming the cache
-one token at a time) followed by a vectorized decode loop in which every
-active sequence advances one token per forward. Ragged prompt lengths
-are handled with padding-aware slotted KV caches — each row's keys
-occupy columns ``0..len-1`` of a preallocated slab and a per-row mask
-blocks everything beyond — so sequences of different lengths share the
-same batch without influencing each other.
+One :class:`BatchedGenerator` serves every batched request through a
+single retire-and-admit loop. Admitting requests runs a *chunked causal
+prefill* (one forward over each prompt chunk with an in-chunk causal
+mask, instead of priming the cache one token at a time) and splices the
+new rows into the active batch; each step then advances every active
+sequence with one model forward. Ragged prompt lengths are handled with
+padding-aware slotted KV caches — each row's keys occupy columns
+``0..len-1`` of a preallocated slab and a per-row mask blocks everything
+beyond — so sequences of different lengths share the same batch without
+influencing each other.
 
 Requests with ``n > 1`` choices prefill the prompt **once** and fork the
 cache afterwards (the choices share the prompt's K/V), which is what
 makes multi-sample recipes — CodexDB's candidate programs, GPT-3-style
 self-consistency — cheap. Finished sequences retire from the batch
-immediately (their rows are compacted away), so one long request never
-taxes the short ones that already finished.
+immediately (their rows are compacted away), and
+:meth:`BatchedGenerator.generate_continuous` refills their slots from
+the queue at once (**continuous batching**), so the batch stays full
+instead of draining to the slowest request.
+:meth:`BatchedGenerator.generate` is the same loop with every request
+admitted at once.
 
-Two reuse layers ride on top:
+Speculative decoding is a per-step *proposer* inside that loop (the
+draft-and-verify rung of the implementation survey, arXiv 2403.18969).
+With a ``draft`` model, admission also prefills the draft's own slotted
+caches, and at each step every greedy row that fits both context
+windows has the draft propose up to ``k`` tokens. One target forward
+over ``[last token, proposals]`` scores them all; the accept scan emits
+the matching run, then the target's own pick at the first mismatch (or
+a bonus token when every proposal matched). Every emitted token is the
+target's pick given exactly the tokens before it, so output is
+token-identical to plain decoding — the draft only decides how many
+tokens a forward advances. Sampled rows, rows outside the draft's
+window, and every row when no draft is set propose nothing; a step in
+which no row proposes is the plain one-token decode step. Rejected
+proposals cost no rollback: a row's valid prefix is its length, the
+blocked mask hides stale columns beyond it, and later writes overwrite
+them.
 
-* a :class:`~repro.serving.prefix.PrefixCache` lets prompts that share
-  a prefix (the few-shot header of a text2sql sweep, an imputation
-  shot block) skip re-prefilling it — the engine preloads the cached
-  K/V columns, prefills only the suffix, and stores each new prompt's
-  states back for later requests. When several queued prompts share a
-  prefix that is not cached yet, the engine prefills that header
-  *once* (one single-row forward) before the batch so every row reuses
-  it.
-* :meth:`BatchedGenerator.generate_continuous` replaces the microbatch
-  barrier with retire-and-admit **continuous batching**: when a
-  sequence finishes mid-decode its slot is refilled from the queue
-  immediately, so the batch stays full instead of draining to the
-  slowest request.
+A :class:`~repro.serving.prefix.PrefixCache` per model lets prompts that
+share a prefix (the few-shot header of a text2sql sweep, an imputation
+shot block) skip re-prefilling it — the engine preloads the cached K/V
+columns, prefills only the suffix, and stores each new prompt's states
+back for later requests. When several admitted prompts share a prefix
+that is not cached yet, the engine prefills that header *once* (one
+single-row forward) so every row reuses it.
 """
 
 from __future__ import annotations
@@ -59,6 +73,9 @@ from repro.utils.rng import SeededRNG
 #: request indexes currently decoding and those still queued; returning
 #: indexes cancels them mid-stream, raising aborts the whole run.
 StepHook = Callable[[List[int], List[int]], Optional[Iterable[int]]]
+
+#: default number of tokens the draft proposes per verify forward
+DEFAULT_DRAFT_K = 4
 
 
 @dataclass
@@ -101,13 +118,14 @@ class GeneratorStats:
     model; tokens served from the prefix cache instead are counted in
     ``prefix_reused_tokens``. ``refills`` counts requests admitted into
     freed slots mid-decode (continuous batching); ``peak_active`` is
-    the widest decode batch observed.
+    the widest decode batch observed. ``decode_steps`` counts plain
+    one-token steps.
 
-    The speculative counters are zero on a plain generator:
+    The speculative counters stay zero without a draft model:
     ``draft_tokens`` counts tokens proposed by the draft model,
     ``draft_accepted_tokens`` the subset the target model verified, and
     ``verify_forwards`` the batched target forwards that did the
-    verification (one per speculative round).
+    verification (one per step in which some row proposed).
     """
 
     prefill_chunks: int = 0
@@ -144,7 +162,75 @@ class _ChoiceState:
     config: GenerationConfig
     constraint: Optional[TokenConstraint]
     rng: SeededRNG
+    speculative: bool = False
     generated: List[int] = field(default_factory=list)
+
+
+class _Batch:
+    """The active rows of the decode loop and the arrays aligned with them.
+
+    Between steps, row ``r``'s target cache holds its first
+    ``lengths[r]`` tokens, and ``logits[r, j]`` is the target's
+    next-token distribution after them plus ``proposals[r, :j]``
+    (``-1`` = no proposal; a plain step has width 1 and no proposals).
+    With a draft model, ``dcaches`` hold each row's first ``d_lens[r]``
+    tokens.
+    """
+
+    def __init__(
+        self,
+        states: List[_ChoiceState],
+        caches: list,
+        lengths: np.ndarray,
+        logits: np.ndarray,
+    ) -> None:
+        self.states = states
+        self.caches = caches
+        self.lengths = lengths
+        self.logits = logits
+        self.proposals = np.zeros((len(states), 0), dtype=np.int64)
+        self.dcaches: list = []
+        self.d_lens: Optional[np.ndarray] = None
+
+    def select(self, keep: np.ndarray) -> None:
+        """Drop the rows whose ``keep`` entry is False."""
+        self.states = [s for s, k in zip(self.states, keep) if k]
+        self.lengths = self.lengths[keep]
+        self.logits = self.logits[keep]
+        self.proposals = self.proposals[keep]
+        for cache in self.caches + self.dcaches:
+            cache["k"] = cache["k"][keep]
+            cache["v"] = cache["v"][keep]
+        if self.d_lens is not None:
+            self.d_lens = self.d_lens[keep]
+
+    def extend(self, wave: "_Batch") -> "_Batch":
+        """Append a freshly admitted wave's rows (logits of width 1)."""
+        width = self.logits.shape[1]
+        logits, proposals = wave.logits, wave.proposals
+        if width > 1:
+            # Pad the wave to this step's verify width; with no
+            # proposals its scan stops at position 0.
+            logits = np.pad(logits, ((0, 0), (0, width - 1), (0, 0)))
+            proposals = np.full((len(wave.states), width - 1), -1, dtype=np.int64)
+        for cache, addition in zip(
+            self.caches + self.dcaches, wave.caches + wave.dcaches
+        ):
+            # Row-axis splice, once per admission wave (amortized over
+            # the wave's whole decode, not per token).
+            cache["k"] = np.concatenate(  # repro: noqa[concat-in-loop]
+                [cache["k"], addition["k"]], axis=0
+            )
+            cache["v"] = np.concatenate(  # repro: noqa[concat-in-loop]
+                [cache["v"], addition["v"]], axis=0
+            )
+        self.states = self.states + wave.states
+        self.lengths = np.concatenate([self.lengths, wave.lengths])
+        self.logits = np.concatenate([self.logits, logits])
+        self.proposals = np.concatenate([self.proposals, proposals])
+        if self.d_lens is not None:
+            self.d_lens = np.concatenate([self.d_lens, wave.d_lens])
+        return self
 
 
 class BatchedGenerator:
@@ -160,7 +246,14 @@ class BatchedGenerator:
     the sequential path does (choice ``j`` of a request samples with
     ``config.seed + j``).
 
-    Shared state: ``stats`` (and the prefix cache, when attached) are
+    A ``draft`` model (same vocabulary) turns on the speculative
+    proposer: greedy rows that fit both context windows advance up to
+    ``k + 1`` tokens per target forward, with unchanged output.
+    ``draft_prefix_cache`` gives the draft its own prompt K/V reuse
+    (draft and target states differ in shape and must never share a
+    cache); the draft's prefill work is not counted in ``stats``.
+
+    Shared state: ``stats`` (and the prefix caches, when attached) are
     plain mutable attributes updated on every generate call with no
     synchronization — safe only while one caller drives the generator
     at a time. ``python -m repro.analysis.lint --shared-state
@@ -174,29 +267,40 @@ class BatchedGenerator:
         model: GPTModel,
         prefill_chunk: Optional[int] = None,
         prefix_cache: Optional[PrefixCache] = None,
+        draft: Optional[GPTModel] = None,
+        k: int = DEFAULT_DRAFT_K,
+        draft_prefix_cache: Optional[PrefixCache] = None,
     ) -> None:
         if prefill_chunk is not None and prefill_chunk <= 0:
             raise GenerationError("prefill_chunk must be positive")
         self.model = model
         self.prefill_chunk = prefill_chunk
         self.prefix_cache = prefix_cache
+        self.draft = draft
+        self.k = k
         self.stats = GeneratorStats()
+        if draft is not None:
+            if k <= 0:
+                raise GenerationError("speculative k must be positive")
+            if draft.config.vocab_size != model.config.vocab_size:
+                raise GenerationError(
+                    f"draft vocab {draft.config.vocab_size} != "
+                    f"target vocab {model.config.vocab_size}"
+                )
+            # Prefills the draft's caches through its own prefix cache.
+            self._draft_engine = BatchedGenerator(
+                draft, prefill_chunk=prefill_chunk, prefix_cache=draft_prefix_cache
+            )
 
     def generate(self, requests: Sequence[BatchRequest]) -> List[BatchResult]:
-        """Serve ``requests`` in one batch; order follows the input."""
-        results: List[Optional[BatchResult]] = [None] * len(requests)
-        batched: List[int] = []
-        for i, request in enumerate(requests):
-            if self._fits(request):
-                batched.append(i)
-            else:
-                results[i] = self._sequential_fallback(request)
-        if batched:
-            self.model.eval()
-            with no_grad():
-                for i, result in zip(batched, self._run([requests[i] for i in batched])):
-                    results[i] = result
-        return [r for r in results if r is not None]
+        """Serve ``requests`` in one batch; order follows the input.
+
+        The continuous loop of :meth:`generate_continuous` with every
+        request admitted at once.
+        """
+        return self.generate_continuous(
+            requests, max_active=max(1, sum(r.n for r in requests))
+        )
 
     def generate_continuous(
         self,
@@ -243,6 +347,11 @@ class BatchedGenerator:
                 )
             )
             self.model.eval()
+            if self.draft is not None:
+                self.draft.eval()
+                # Verify chunks of rows near retirement may overshoot
+                # their own end by up to k - 1 columns.
+                capacity = min(capacity + self.k, self.model.config.max_seq_len)
             with no_grad():
                 self._run_continuous(
                     pending, capacity, max_active, results, on_step, on_admit
@@ -252,6 +361,15 @@ class BatchedGenerator:
     def _fits(self, request: BatchRequest) -> bool:
         max_len = self.model.config.max_seq_len
         return len(request.prompt_ids) + request.config.max_new_tokens <= max_len
+
+    def _speculates(self, request: BatchRequest) -> bool:
+        """Whether ``request``'s rows get draft proposals."""
+        return (
+            self.draft is not None
+            and request.config.strategy == "greedy"
+            and len(request.prompt_ids) + request.config.max_new_tokens
+            <= self.draft.config.max_seq_len
+        )
 
     def _sequential_fallback(self, request: BatchRequest) -> BatchResult:
         """Serve one non-fitting request with sliding-window decoding."""
@@ -267,58 +385,7 @@ class BatchedGenerator:
         ]
         return BatchResult(sequences=sequences, batched=False)
 
-    # -- the batched path --------------------------------------------------
-    def _run(self, requests: Sequence[BatchRequest]) -> List[BatchResult]:
-        prompt_lengths = np.array([len(r.prompt_ids) for r in requests])
-        capacity = int(
-            max(
-                len(r.prompt_ids) + r.config.max_new_tokens for r in requests
-            )
-        )
-        caches = self.model.init_cache(batch_size=len(requests), capacity=capacity)
-        self._seed_shared_prefix(requests)
-        next_logits = self._prefill(requests, prompt_lengths, caches)
-
-        # Fork each request's prefilled cache across its n choices.
-        repeats = np.array([r.n for r in requests])
-        for cache in caches:
-            cache["k"] = np.repeat(cache["k"], repeats, axis=0)
-            cache["v"] = np.repeat(cache["v"], repeats, axis=0)
-        lengths = np.repeat(prompt_lengths, repeats)
-        next_logits = np.repeat(next_logits, repeats, axis=0)
-        states = [
-            _ChoiceState(
-                request_index=i,
-                choice_index=j,
-                config=_choice_config(request.config, j),
-                constraint=request.constraint,
-                rng=SeededRNG(request.config.seed + j),
-            )
-            for i, request in enumerate(requests)
-            for j in range(request.n)
-        ]
-
-        results = [BatchResult(sequences=[]) for _ in requests]
-        while states:
-            self.stats.peak_active = max(self.stats.peak_active, len(states))
-            keep = self._advance(states, next_logits, results)
-            if not keep.all():
-                states = [s for s, k in zip(states, keep) if k]
-                lengths = lengths[keep]
-                next_logits = next_logits[keep]
-                for cache in caches:
-                    cache["k"] = cache["k"][keep]
-                    cache["v"] = cache["v"][keep]
-            if not states:
-                break
-            next_logits = self._decode_step(states, lengths, caches)
-            lengths += 1
-        for result in results:
-            result.sequences.sort(key=lambda pair: pair[0])
-            result.sequences[:] = [seq for _, seq in result.sequences]
-        return results
-
-    # -- continuous batching ----------------------------------------------
+    # -- the decode loop ---------------------------------------------------
     def _run_continuous(
         self,
         pending: List[Tuple[int, BatchRequest]],
@@ -329,57 +396,41 @@ class BatchedGenerator:
         on_admit: Optional[Callable[[int], None]] = None,
     ) -> None:
         queue = list(pending)
-        caches: Optional[list] = None
-        states: List[_ChoiceState] = []
-        lengths = np.zeros(0, dtype=np.int64)
-        next_logits = np.zeros((0, self.model.config.vocab_size))
+        batch = _Batch([], [], np.zeros(0, dtype=np.int64), np.zeros((0, 1, 0)))
         admitted_any = False
 
-        while queue or states:
+        while queue or batch.states:
             if on_step is not None:
                 cancelled = self._apply_cancellations(
-                    on_step, queue, states, results
+                    on_step, queue, batch.states, results
                 )
-                if cancelled and states:
+                if cancelled and batch.states:
                     keep = np.array(
-                        [s.request_index not in cancelled for s in states],
+                        [s.request_index not in cancelled for s in batch.states],
                         dtype=bool,
                     )
                     if not keep.all():
-                        states = [s for s, k in zip(states, keep) if k]
-                        lengths = lengths[keep]
-                        next_logits = next_logits[keep]
-                        for cache in caches:
-                            cache["k"] = cache["k"][keep]
-                            cache["v"] = cache["v"][keep]
-                if not (queue or states):
+                        batch.select(keep)
+                if not (queue or batch.states):
                     break
-            batch = self._take_admissions(queue, states, max_active)
-            if batch:
+            wave = self._take_admissions(queue, batch.states, max_active)
+            if wave:
                 if admitted_any:
-                    self.stats.refills += len(batch)
+                    self.stats.refills += len(wave)
                 admitted_any = True
                 if on_admit is not None:
-                    for index, _ in batch:
+                    for index, _ in wave:
                         on_admit(index)
-                caches, states, lengths, next_logits = self._admit(
-                    batch, capacity, caches, states, lengths, next_logits, results
-                )
-            if not states:
+                fresh = self._admit(wave, capacity, results)
+                batch = batch.extend(fresh) if batch.states else fresh
+            if not batch.states:
                 continue
-            self.stats.peak_active = max(self.stats.peak_active, len(states))
-            keep = self._advance(states, next_logits, results)
+            self.stats.peak_active = max(self.stats.peak_active, len(batch.states))
+            keep = self._advance(batch, results)
             if not keep.all():
-                states = [s for s, k in zip(states, keep) if k]
-                lengths = lengths[keep]
-                next_logits = next_logits[keep]
-                for cache in caches:
-                    cache["k"] = cache["k"][keep]
-                    cache["v"] = cache["v"][keep]
-            if not states:
-                continue  # freed slots may admit queued work next turn
-            next_logits = self._decode_step(states, lengths, caches)
-            lengths += 1
+                batch.select(keep)
+            if batch.states:  # else freed slots may admit queued work next turn
+                self._step(batch, capacity)
 
         for result in results:
             if result is not None and result.batched:
@@ -449,58 +500,74 @@ class BatchedGenerator:
 
     def _admit(
         self,
-        batch: List[Tuple[int, BatchRequest]],
+        wave: List[Tuple[int, BatchRequest]],
         capacity: int,
-        caches: Optional[list],
-        states: List[_ChoiceState],
-        lengths: np.ndarray,
-        next_logits: np.ndarray,
         results: List[Optional[BatchResult]],
-    ) -> Tuple[list, List[_ChoiceState], np.ndarray, np.ndarray]:
-        """Prefill newly admitted requests and splice them into the batch."""
-        requests = [request for _, request in batch]
+    ) -> _Batch:
+        """Prefill newly admitted requests into a batch of their own rows."""
+        requests = [request for _, request in wave]
         prompt_lengths = np.array([len(r.prompt_ids) for r in requests])
-        fresh = self.model.init_cache(batch_size=len(requests), capacity=capacity)
+        caches = self.model.init_cache(batch_size=len(requests), capacity=capacity)
         self._seed_shared_prefix(requests)
-        logits = self._prefill(requests, prompt_lengths, fresh)
+        logits = self._prefill(requests, prompt_lengths, caches)
 
         repeats = np.array([r.n for r in requests])
-        for cache in fresh:
-            cache["k"] = np.repeat(cache["k"], repeats, axis=0)
-            cache["v"] = np.repeat(cache["v"], repeats, axis=0)
-        new_lengths = np.repeat(prompt_lengths, repeats)
-        new_logits = np.repeat(logits, repeats, axis=0)
-        for (index, request) in batch:
+        states = []
+        for index, request in wave:
             results[index] = BatchResult(sequences=[])
-        new_states = [
-            _ChoiceState(
-                request_index=index,
-                choice_index=j,
-                config=_choice_config(request.config, j),
-                constraint=request.constraint,
-                rng=SeededRNG(request.config.seed + j),
+            speculative = self._speculates(request)
+            states.extend(
+                _ChoiceState(
+                    request_index=index,
+                    choice_index=j,
+                    config=_choice_config(request.config, j),
+                    constraint=request.constraint,
+                    rng=SeededRNG(request.config.seed + j),
+                    speculative=speculative,
+                )
+                for j in range(request.n)
             )
-            for index, request in batch
-            for j in range(request.n)
-        ]
-
-        if caches is None:
-            return fresh, new_states, new_lengths, new_logits
-        for cache, addition in zip(caches, fresh):
-            # Row-axis splice, once per admission wave (amortized over
-            # the wave's whole decode, not per token).
-            cache["k"] = np.concatenate(  # repro: noqa[concat-in-loop]
-                [cache["k"], addition["k"]], axis=0
-            )
-            cache["v"] = np.concatenate(  # repro: noqa[concat-in-loop]
-                [cache["v"], addition["v"]], axis=0
-            )
-        return (
-            caches,
-            states + new_states,
-            np.concatenate([lengths, new_lengths]),
-            np.concatenate([next_logits, new_logits]),
+        lengths = np.repeat(prompt_lengths, repeats)
+        batch = _Batch(
+            states,
+            _fork(caches, repeats),
+            lengths,
+            np.repeat(logits, repeats, axis=0)[:, None],
         )
+        if self.draft is not None:
+            dcaches = self._draft_prefill(requests, prompt_lengths, capacity)
+            batch.dcaches = _fork(dcaches, repeats)
+            batch.d_lens = lengths.copy()
+        return batch
+
+    def _draft_prefill(
+        self,
+        requests: Sequence[BatchRequest],
+        prompt_lengths: np.ndarray,
+        capacity: int,
+    ) -> list:
+        """The draft's slotted caches, prefilled for the rows that speculate.
+
+        Rows that never propose keep zero K/V; their draft outputs are
+        discarded.
+        """
+        dcaches = self.draft.init_cache(batch_size=len(requests), capacity=capacity)
+        chosen = [i for i, r in enumerate(requests) if self._speculates(r)]
+        if not chosen:
+            return dcaches
+        subset = [requests[i] for i in chosen]
+        part = (
+            dcaches
+            if len(chosen) == len(requests)
+            else self.draft.init_cache(batch_size=len(chosen), capacity=capacity)
+        )
+        self._draft_engine._seed_shared_prefix(subset)
+        self._draft_engine._prefill(subset, prompt_lengths[chosen], part)
+        if part is not dcaches:
+            for cache, piece in zip(dcaches, part):
+                cache["k"][chosen] = piece["k"]
+                cache["v"][chosen] = piece["v"]
+        return dcaches
 
     # -- prefill with prefix reuse -----------------------------------------
     def _seed_shared_prefix(self, requests: Sequence[BatchRequest]) -> None:
@@ -615,39 +682,169 @@ class BatchedGenerator:
         self._store_prefixes(requests, prompt_lengths, caches)
         return next_logits
 
-    def _advance(
-        self,
-        states: List[_ChoiceState],
-        next_logits: np.ndarray,
-        results: List[BatchResult],
-    ) -> np.ndarray:
-        """Pick one token per active sequence; retire finished rows."""
+    # -- one step: pick tokens, then one target forward ---------------------
+    def _advance(self, batch: _Batch, results: List[BatchResult]) -> np.ndarray:
+        """Pick each row's tokens from its logits; retire finished rows.
+
+        Position ``j`` of a row's logits is the target's distribution
+        after the committed tokens plus proposals ``0..j-1``, so its
+        pick is the true next token: a pick that matches proposal ``j``
+        extends the run, and the first pick that does not — or the pick
+        after the last proposal — is emitted and ends it. Accepted
+        proposals already sit in the target cache, so they advance
+        ``lengths``; the draft keeps the ones it forwarded (all but the
+        last). Returns the keep-mask.
+        """
+        states, logits, proposals = batch.states, batch.logits, batch.proposals
+        width = logits.shape[1]
         keep = np.ones(len(states), dtype=bool)
+        accepted = np.zeros(len(states), dtype=np.int64)
         plain_greedy = all(
             s.config.strategy == "greedy" and s.constraint is None for s in states
         )
-        greedy_ids = np.argmax(next_logits, axis=-1) if plain_greedy else None
-        for i, state in enumerate(states):
-            if greedy_ids is not None:
-                token: Optional[int] = int(greedy_ids[i])
-            else:
-                token = _next_token(
-                    next_logits[i], state.generated, state.config,
-                    state.constraint, state.rng,
-                )
-            if token is None or token in state.config.stop_ids:
-                keep[i] = False
-            else:
+        greedy_ids = np.argmax(logits, axis=-1) if plain_greedy else None
+        for r, state in enumerate(states):
+            for j in range(width):
+                if greedy_ids is not None:
+                    token: Optional[int] = int(greedy_ids[r, j])
+                else:
+                    token = _next_token(
+                        logits[r, j], state.generated, state.config,
+                        state.constraint, state.rng,
+                    )
+                if token is None or token in state.config.stop_ids:
+                    keep[r] = False
+                    break
                 state.generated.append(token)
                 self.stats.generated_tokens += 1
                 if len(state.generated) >= state.config.max_new_tokens:
-                    keep[i] = False
-            if not keep[i]:
+                    keep[r] = False
+                if j == width - 1 or token != proposals[r, j]:
+                    break
+                accepted[r] += 1
+                if not keep[r]:
+                    break
+            if not keep[r]:
                 self.stats.retired_sequences += 1
                 results[state.request_index].sequences.append(
                     (state.choice_index, state.generated)
                 )
+        if width > 1:
+            self.stats.draft_accepted_tokens += int(accepted.sum())
+            batch.d_lens = batch.lengths + np.minimum(accepted, width - 2)
+            batch.lengths = batch.lengths + accepted
         return keep
+
+    def _step(self, batch: _Batch, capacity: int) -> None:
+        """Verify this step's proposals, or take a plain decode step."""
+        k_eff = self._proposal_length(batch, capacity)
+        if k_eff:
+            batch.proposals = self._propose(batch, k_eff)
+            batch.logits = self._verify(batch)
+        else:
+            if batch.proposals.shape[1]:
+                batch.proposals = batch.proposals[:, :0]
+            batch.logits = self._decode_step(
+                batch.states, batch.lengths, batch.caches
+            )[:, None]
+        batch.lengths += 1
+
+    def _proposal_length(self, batch: _Batch, capacity: int) -> int:
+        """Draft tokens per row this step; 0 when no row speculates.
+
+        Bounded by ``k``, by the largest remaining token budget among
+        speculating rows, and by the room the verify chunk has left in
+        the caches and in the draft's context window.
+        """
+        if self.draft is None:
+            return 0
+        spec = [r for r, s in enumerate(batch.states) if s.speculative]
+        if not spec:
+            return 0
+        committed = batch.lengths + 1
+        budget = max(
+            batch.states[r].config.max_new_tokens - len(batch.states[r].generated)
+            for r in spec
+        )
+        room = min(
+            capacity - int(committed.max()),
+            self.draft.config.max_seq_len - int(committed[spec].max()),
+        )
+        return max(0, min(self.k, budget - 1, room))
+
+    def _propose(self, batch: _Batch, k_eff: int) -> np.ndarray:
+        """Draft up to ``k_eff`` ids per speculating row; ``-1`` marks none.
+
+        The draft first catches up on committed tokens it has not seen
+        (the last step's emitted tokens, and any plain steps since):
+        each row's chunk starts at its ``d_lens`` column, and rows that
+        need fewer columns repeat their last committed one, rewriting
+        that column with the same token. Proposals are then decoded one
+        draft forward at a time; a constraint that allows nothing ends a
+        row's run early. Rows that do not speculate ride along on column
+        0 of their unused draft rows.
+        """
+        states = batch.states
+        rows = len(states)
+        spec = np.fromiter((s.speculative for s in states), dtype=bool, count=rows)
+        committed = batch.lengths + 1
+        width = int((committed - batch.d_lens)[spec].max())
+        positions = np.minimum(
+            batch.d_lens[:, None] + np.arange(width), committed[:, None] - 1
+        )
+        positions[~spec] = 0
+        ids = np.zeros((rows, width), dtype=np.int64)
+        for r in np.flatnonzero(spec):
+            # Every column from d_lens on holds a generated token.
+            generated = states[r].generated
+            ids[r] = [generated[p - committed[r]] for p in positions[r]]
+        hidden = _ragged_forward(self.draft, ids, positions, batch.dcaches)
+        d_next = self.draft.logits_from_hidden(Tensor(hidden[:, -1])).data
+
+        proposals = np.full((rows, k_eff), -1, dtype=np.int64)
+        # A row proposes at most its remaining budget minus the token
+        # the verify forward always yields.
+        room = np.array(
+            [s.config.max_new_tokens - len(s.generated) - 1 for s in states]
+        )
+        alive = spec.copy()
+        unconstrained = all(s.constraint is None for s in states)
+        for j in range(k_eff):
+            alive &= room > j
+            if not alive.any():
+                break
+            if unconstrained:
+                proposals[alive, j] = np.argmax(d_next, axis=-1)[alive]
+            else:
+                for r in np.flatnonzero(alive):
+                    state = states[r]
+                    pick = _next_token(
+                        d_next[r], state.generated + proposals[r, :j].tolist(),
+                        state.config, state.constraint, state.rng,
+                    )
+                    if pick is None:
+                        alive[r] = False
+                    else:
+                        proposals[r, j] = pick
+            if j == k_eff - 1:
+                break
+            cols = np.where(spec, committed + j, 0)[:, None]
+            step_ids = np.maximum(proposals[:, j : j + 1], 0)
+            hidden = _ragged_forward(self.draft, step_ids, cols, batch.dcaches)
+            d_next = self.draft.logits_from_hidden(Tensor(hidden[:, 0])).data
+        self.stats.draft_tokens += int((proposals >= 0).sum())
+        return proposals
+
+    def _verify(self, batch: _Batch) -> np.ndarray:
+        """One target forward over each row's last token and proposals."""
+        width = batch.proposals.shape[1] + 1
+        ids = np.empty((len(batch.states), width), dtype=np.int64)
+        ids[:, 0] = [s.generated[-1] for s in batch.states]
+        ids[:, 1:] = np.maximum(batch.proposals, 0)
+        positions = batch.lengths[:, None] + np.arange(width)
+        hidden = _ragged_forward(self.model, ids, positions, batch.caches)
+        self.stats.verify_forwards += 1
+        return self.model.logits_from_hidden(Tensor(hidden)).data
 
     def _decode_step(
         self, states: List[_ChoiceState], lengths: np.ndarray, caches: list
@@ -667,6 +864,29 @@ class BatchedGenerator:
         logits = self.model.logits_from_hidden(Tensor(hidden.data[:, 0]))
         self.stats.decode_steps += 1
         return logits.data
+
+
+def _ragged_forward(
+    model: GPTModel, ids: np.ndarray, positions: np.ndarray, caches: list
+) -> np.ndarray:
+    """Hidden states for per-row runs of tokens at ``positions`` (B, T).
+
+    Each run is written to the slotted caches at its own columns and
+    attends every column up to its own position.
+    """
+    kv_len = int(positions.max()) + 1
+    blocked = np.arange(kv_len)[None, None, None, :] > positions[:, None, :, None]
+    return model.encode_chunk(
+        ids, positions, caches, blocked=blocked, write_cols=positions, kv_len=kv_len
+    ).data
+
+
+def _fork(caches: list, repeats: np.ndarray) -> list:
+    """Repeat each request's cache row across its ``n`` choices."""
+    for cache in caches:
+        cache["k"] = np.repeat(cache["k"], repeats, axis=0)
+        cache["v"] = np.repeat(cache["v"], repeats, axis=0)
+    return caches
 
 
 def _choice_config(config: GenerationConfig, choice: int) -> GenerationConfig:

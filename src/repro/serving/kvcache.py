@@ -1,12 +1,12 @@
 """Preallocated K/V slabs for incremental decoding.
 
-The original growing cache layout appended each decode step's keys and
-values with ``np.concatenate``, which reallocates and copies the entire
-cache on every token — O(n²) memory traffic over a generation of n
-tokens. A :class:`KVCache` instead owns one preallocated slab per layer
-and writes new columns *in place*; when the slab fills up, capacity
-doubles, so the total bytes copied over a whole generation is O(n)
-(amortized constant per token), exactly the dynamic-array argument.
+Appending each decode step's keys and values with ``np.concatenate``
+would reallocate and copy the entire cache on every token — O(n²)
+memory traffic over a generation of n tokens. A :class:`KVCache`
+instead owns one preallocated slab per layer and writes new columns
+*in place*; when the slab fills up, capacity doubles, so the total
+bytes copied over a whole generation is O(n) (amortized constant per
+token), exactly the dynamic-array argument.
 
 The slab is deliberately free of any ``repro`` imports so the neural
 layers can use it without an import cycle (``repro.nn`` is imported by
@@ -30,9 +30,7 @@ class KVCache:
     Arrays have shape ``(batch, heads, capacity, head_dim)`` and are
     allocated lazily on the first :meth:`append`, so the same object
     works for any batch/head geometry. ``append`` writes the new
-    columns in place and returns zero-copy views of the live prefix —
-    drop-in replacements for the concatenated arrays of the legacy
-    dict layout.
+    columns in place and returns zero-copy views of the live prefix.
 
     Shared state: ``k``/``v``/``length`` mutate in place on every
     append, and the returned views alias the slab; one decode loop must
@@ -99,19 +97,3 @@ class KVCache:
         self.v[:, :, self.length : self.length + new] = v
         self.length += new
         return self.k[:, :, : self.length], self.v[:, :, : self.length]
-
-    def truncate(self, length: int) -> None:
-        """Rewind the live prefix to ``length`` columns.
-
-        Speculative decoding appends a whole draft run optimistically
-        and, when the target model rejects a tail, rolls the cache back
-        to the last verified token. The slab itself is untouched — the
-        rejected columns simply fall outside the live prefix and are
-        overwritten by the next :meth:`append` — so rejection costs no
-        memory traffic at all.
-        """
-        if length < 0 or length > self.length:
-            raise ValueError(
-                f"cannot truncate to {length}: live prefix has {self.length} columns"
-            )
-        self.length = length

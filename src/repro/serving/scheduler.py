@@ -1,14 +1,16 @@
-"""Microbatching scheduler over :class:`repro.serving.BatchedGenerator`.
+"""Queueing front-end over :class:`repro.serving.BatchedGenerator`.
 
 Callers queue :class:`~repro.serving.engine.BatchRequest`\\ s with
 :meth:`BatchScheduler.submit` and receive tickets; :meth:`BatchScheduler.run`
-packs the queue into FIFO microbatches bounded by ``max_batch_size``
-*sequences* (a request with ``n`` choices occupies ``n`` slots), hands
-each microbatch to the generator — which retires finished sequences
-mid-batch — and returns results keyed by ticket. With
-``continuous=True`` the microbatch barrier disappears entirely: the
-whole queue is handed to the generator's retire-and-admit loop, which
-refills freed slots mid-decode. This is the serving-layer shape of the
+drains the queue through the generator's one decode loop and returns
+results keyed by ticket. With ``continuous=True`` the whole queue is
+handed to that retire-and-admit loop, which refills freed slots
+mid-decode. The barriered mode (``continuous=False``) is only a queue
+rule: it packs FIFO microbatches bounded by ``max_batch_size``
+*sequences* (a request with ``n`` choices occupies ``n`` slots) and
+hands each to the same loop, so no request joins a batch once it has
+started. A ``draft_model`` adds speculative draft-and-verify steps in
+either mode. This is the serving-layer shape of the
 paper's hosted-API deployments: many callers' prompts share one model,
 and throughput comes from batching, not from making any single request
 faster. A shared :class:`~repro.serving.prefix.PrefixCache` additionally
@@ -87,11 +89,11 @@ class BatchScheduler:
     switches :meth:`run` from barriered microbatches to the generator's
     retire-and-admit loop; ``prefix_cache`` threads a shared prompt
     K/V cache through every request; ``clock`` timestamps queue waits
-    (defaults to real time). A ``draft_model`` swaps the generator for
-    :class:`~repro.serving.speculative.SpeculativeGenerator` — greedy
-    requests then advance up to ``speculative_k + 1`` tokens per target
-    forward with token-identical output (barriered microbatches only;
-    ``draft_prefix_cache`` gives the draft its own prompt K/V reuse).
+    (defaults to real time). A ``draft_model`` turns on the generator's
+    speculative proposer in either mode — greedy requests then advance
+    up to ``speculative_k + 1`` tokens per target forward with
+    token-identical output (``draft_prefix_cache`` gives the draft its
+    own prompt K/V reuse).
 
     Shared state: the pending queue, ticket counter, submission stamps,
     and ``stats`` are unsynchronized instance attributes (see the
@@ -115,27 +117,14 @@ class BatchScheduler:
     ) -> None:
         if max_batch_size <= 0:
             raise GenerationError("max_batch_size must be positive")
-        if draft_model is not None and continuous:
-            raise GenerationError(
-                "speculative decoding uses barriered microbatches; "
-                "continuous=True is not supported with a draft_model"
-            )
-        if draft_model is not None:
-            from repro.serving.speculative import SpeculativeGenerator
-
-            # Duck-typed stand-in: same generate()/stats surface.
-            self.generator = SpeculativeGenerator(
-                model,
-                draft_model,
-                k=speculative_k,
-                prefill_chunk=prefill_chunk,
-                prefix_cache=prefix_cache,
-                draft_prefix_cache=draft_prefix_cache,
-            )
-        else:
-            self.generator = BatchedGenerator(
-                model, prefill_chunk=prefill_chunk, prefix_cache=prefix_cache
-            )
+        self.generator = BatchedGenerator(
+            model,
+            prefill_chunk=prefill_chunk,
+            prefix_cache=prefix_cache,
+            draft=draft_model,
+            k=speculative_k,
+            draft_prefix_cache=draft_prefix_cache,
+        )
         self.max_batch_size = max_batch_size
         self.continuous = continuous
         self.clock: Clock = clock if clock is not None else SystemClock()

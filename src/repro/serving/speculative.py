@@ -1,628 +1,29 @@
-"""Speculative decoding: a draft model proposes, the target verifies.
+"""Draft models for speculative decoding.
 
-Plain autoregressive decoding pays one full target-model forward per
-token. Speculative decoding (the "draft-and-verify" scheme named as the
-standard decode-speed rung by the implementation survey in PAPERS.md,
-arXiv 2403.18969) breaks that serialization for *greedy* decoding
-without changing a single output token:
-
-1. a small **draft** model proposes ``k`` tokens autoregressively
-   (cheap — the draft has fewer layers);
-2. the **target** model scores the whole proposed run in **one** chunked
-   forward over ``k + 1`` positions (barely more expensive than a
-   single-token decode step, because the per-forward Python/BLAS
-   overhead dominates at these widths);
-3. the proposals are compared against the target's own greedy picks
-   position by position: the accepted prefix is emitted as-is, the first
-   mismatch is replaced by the **target's** token (so output never
-   depends on draft quality), and when every proposal survives, the
-   verify forward's last logits yield a free *bonus* token.
-
-Because every emitted token is the target's greedy argmax given exactly
-the tokens before it, the output is token-identical to
-:class:`~repro.serving.engine.BatchedGenerator` — the draft only decides
-how many tokens each target forward advances. Acceptance rate therefore
-buys throughput, never correctness.
-
-Cache discipline: draft and target each keep their own KV cache. The
-single-sequence path (:func:`speculative_generate`) uses
-:class:`~repro.serving.kvcache.KVCache` slabs — accepted runs advance in
-place, rejected tails are rolled back with
-:meth:`~repro.serving.kvcache.KVCache.truncate`. The batched path
-(:class:`SpeculativeGenerator`) uses the slotted per-row layout of the
-serving engine, where truncation is a per-row *length* rewind: stale
-columns beyond a row's verified length are never attended (the blocked
-mask hides them) and the next verify chunk overwrites them in place.
-
-Sampled requests fall back to the plain engine (speculative identity
-here is a greedy-argmax argument; matching a sampler's RNG stream
-token-for-token is a different contract), as do requests that do not
-fit either model's context window.
+Speculative decoding itself is a per-step proposer inside the one
+decode loop of :class:`~repro.serving.engine.BatchedGenerator` (pass
+``draft=`` there, or ``draft_model=`` to
+:class:`~repro.serving.scheduler.BatchScheduler`). Because the target
+verifies every proposal, the output never depends on the draft: draft
+quality only buys throughput. This module builds drafts —
+:func:`draft_config` shrinks a target's geometry, and
+:func:`distill_draft` trains a small model to imitate the target's
+greedy output.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Optional, Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 
-from repro.autograd import Tensor, cross_entropy, no_grad
+from repro.autograd import cross_entropy
 from repro.errors import GenerationError
-from repro.generation.decoding import (
-    GenerationConfig,
-    TokenConstraint,
-    _next_token,
-    generate,
-)
+from repro.generation.decoding import GenerationConfig
 from repro.models.config import ModelConfig
 from repro.models.gpt import GPTModel
-from repro.nn.attention import chunk_causal_mask
-from repro.serving.engine import (
-    BatchedGenerator,
-    BatchRequest,
-    BatchResult,
-    _ChoiceState,
-    _choice_config,
-)
-from repro.serving.prefix import PrefixCache
-from repro.utils.rng import SeededRNG
-
-#: default number of tokens the draft proposes per verify forward
-DEFAULT_DRAFT_K = 4
-
-#: filler id for rows whose draft aborted proposing early (constraint
-#: dead end); never credited as accepted because the accept scan stops
-#: before reaching it.
-_PAD_TOKEN = 0
-
-
-class SpeculativeGenerator:
-    """Batched speculative decoding with the serving engine's contract.
-
-    Drop-in alternative to :class:`~repro.serving.engine.BatchedGenerator`
-    for the microbatching scheduler: same :meth:`generate` signature,
-    same :class:`~repro.serving.engine.BatchResult` ordering, same
-    ``stats`` object (the plain engine it wraps shares the instance, so
-    fallback work and speculative work land in one
-    :class:`~repro.serving.engine.GeneratorStats`).
-
-    Greedy requests that fit both context windows run the speculative
-    loop — including constraint masks (applied to draft proposals *and*
-    verify picks) and ``n > 1`` choice forking. Everything else is
-    served by the wrapped plain engine, so callers never see a behavior
-    cliff. ``draft_prefix_cache`` gives the draft model its own prompt
-    K/V reuse (draft and target states are different shapes and must
-    never share a cache).
-
-    Shared state: ``stats`` and both prefix caches mutate without
-    synchronization, exactly like the plain engine — one caller at a
-    time (see the :mod:`repro.analysis.concurrency` audit).
-    """
-
-    def __init__(
-        self,
-        model: GPTModel,
-        draft: GPTModel,
-        k: int = DEFAULT_DRAFT_K,
-        prefill_chunk: Optional[int] = None,
-        prefix_cache: Optional[PrefixCache] = None,
-        draft_prefix_cache: Optional[PrefixCache] = None,
-    ) -> None:
-        if k <= 0:
-            raise GenerationError("speculative k must be positive")
-        if draft.config.vocab_size != model.config.vocab_size:
-            raise GenerationError(
-                f"draft vocab {draft.config.vocab_size} != "
-                f"target vocab {model.config.vocab_size}"
-            )
-        self.model = model
-        self.draft = draft
-        self.k = k
-        self.engine = BatchedGenerator(
-            model, prefill_chunk=prefill_chunk, prefix_cache=prefix_cache
-        )
-        self.draft_engine = BatchedGenerator(
-            draft, prefill_chunk=prefill_chunk, prefix_cache=draft_prefix_cache
-        )
-        # One stats surface: speculative counters and fallback work
-        # accumulate on the same GeneratorStats instance.
-        self.stats = self.engine.stats
-
-    @property
-    def prefix_cache(self) -> Optional[PrefixCache]:
-        return self.engine.prefix_cache
-
-    def generate(self, requests: Sequence[BatchRequest]) -> List[BatchResult]:
-        """Serve ``requests`` in one batch; order follows the input."""
-        results: List[Optional[BatchResult]] = [None] * len(requests)
-        speculative: List[int] = []
-        plain: List[int] = []
-        for i, request in enumerate(requests):
-            if request.config.strategy == "greedy" and self._fits(request):
-                speculative.append(i)
-            else:
-                plain.append(i)
-        if plain:
-            served = self.engine.generate([requests[i] for i in plain])
-            for i, result in zip(plain, served):
-                results[i] = result
-        if speculative:
-            self.model.eval()
-            self.draft.eval()
-            with no_grad():
-                served = self._run([requests[i] for i in speculative])
-            for i, result in zip(speculative, served):
-                results[i] = result
-        return [r for r in results if r is not None]
-
-    def _fits(self, request: BatchRequest) -> bool:
-        max_len = min(
-            self.model.config.max_seq_len, self.draft.config.max_seq_len
-        )
-        return len(request.prompt_ids) + request.config.max_new_tokens <= max_len
-
-    # -- the speculative batch loop ----------------------------------------
-    def _run(self, requests: Sequence[BatchRequest]) -> List[BatchResult]:
-        prompt_lengths = np.array([len(r.prompt_ids) for r in requests])
-        max_seq_len = min(
-            self.model.config.max_seq_len, self.draft.config.max_seq_len
-        )
-        # Verify chunks may overshoot a row's own prompt+max_new end by
-        # up to k - 1 columns (rows near retirement ride along with the
-        # batch's uniform chunk width), so the slabs get k spare columns.
-        capacity = int(
-            min(
-                max(
-                    len(r.prompt_ids) + r.config.max_new_tokens
-                    for r in requests
-                )
-                + self.k,
-                max_seq_len,
-            )
-        )
-        tcaches = self.model.init_cache(
-            batch_size=len(requests), capacity=capacity
-        )
-        dcaches = self.draft.init_cache(
-            batch_size=len(requests), capacity=capacity
-        )
-        self.engine._seed_shared_prefix(requests)
-        next_logits = self.engine._prefill(requests, prompt_lengths, tcaches)
-        self.draft_engine._seed_shared_prefix(requests)
-        self.draft_engine._prefill(requests, prompt_lengths, dcaches)
-
-        # Fork each request's prefilled caches across its n choices.
-        repeats = np.array([r.n for r in requests])
-        for cache in tcaches + dcaches:
-            cache["k"] = np.repeat(cache["k"], repeats, axis=0)
-            cache["v"] = np.repeat(cache["v"], repeats, axis=0)
-        next_logits = np.repeat(next_logits, repeats, axis=0)
-        states = [
-            _ChoiceState(
-                request_index=i,
-                choice_index=j,
-                config=_choice_config(request.config, j),
-                constraint=request.constraint,
-                rng=SeededRNG(request.config.seed + j),
-            )
-            for i, request in enumerate(requests)
-            for j in range(request.n)
-        ]
-        # committed[r] tokens per row = prompt + generated; invariant
-        # between rounds: all but the LAST committed token sit verified
-        # in the target cache (t_lens), the draft cache may trail by one
-        # more (d_lens).
-        prompts = [
-            list(requests[i].prompt_ids)
-            for i, request in enumerate(requests)
-            for _ in range(request.n)
-        ]
-        t_lens = np.repeat(prompt_lengths, repeats)
-        d_lens = np.repeat(prompt_lengths, repeats)
-
-        results = [BatchResult(sequences=[]) for _ in requests]
-        # Bootstrap: commit each row's first token from the prefill
-        # logits (the plain engine's _advance handles stop/max/retire).
-        keep = self.engine._advance(states, next_logits, results)
-        states, prompts, (t_lens, d_lens) = self._compact(
-            states, prompts, keep, (t_lens, d_lens), tcaches + dcaches
-        )
-
-        while states:
-            self.stats.peak_active = max(self.stats.peak_active, len(states))
-            committed_len = t_lens + 1
-            remaining = np.array(
-                [
-                    s.config.max_new_tokens - len(s.generated)
-                    for s in states
-                ]
-            )
-            k_eff = int(
-                min(
-                    self.k,
-                    max_seq_len - int(committed_len.max()),
-                    int(remaining.max()) - 1,
-                )
-            )
-            k_eff = max(k_eff, 0)
-            proposals, valid_counts = self._propose(
-                states, prompts, committed_len, d_lens, dcaches, k_eff
-            )
-            self.stats.draft_tokens += int(valid_counts.sum())
-            logits = self._verify(
-                states, prompts, committed_len, tcaches, k_eff, proposals
-            )
-            keep, accepted = self._accept(
-                states, logits, proposals, valid_counts, k_eff, results
-            )
-            t_lens = committed_len + accepted
-            if k_eff > 0:
-                # Draft valid prefix: catch-up covered everything
-                # committed, plus the accepted proposals it actually
-                # forwarded (never the last one — its forward is skipped).
-                d_lens = committed_len + np.minimum(accepted, k_eff - 1)
-            states, prompts, (t_lens, d_lens) = self._compact(
-                states, prompts, keep, (t_lens, d_lens), tcaches + dcaches
-            )
-
-        for result in results:
-            result.sequences.sort(key=lambda pair: pair[0])
-            result.sequences[:] = [seq for _, seq in result.sequences]
-        return results
-
-    @staticmethod
-    def _compact(
-        states: List[_ChoiceState],
-        prompts: List[List[int]],
-        keep: np.ndarray,
-        lengths: Tuple[np.ndarray, ...],
-        caches: list,
-    ) -> Tuple[List[_ChoiceState], List[List[int]], Tuple[np.ndarray, ...]]:
-        """Drop retired rows from states, prompts, lengths and caches."""
-        if keep.all():
-            return states, prompts, lengths
-        states = [s for s, k in zip(states, keep) if k]
-        prompts = [p for p, k in zip(prompts, keep) if k]
-        lengths = tuple(length[keep] for length in lengths)
-        for cache in caches:
-            cache["k"] = cache["k"][keep]
-            cache["v"] = cache["v"][keep]
-        return states, prompts, lengths
-
-    def _propose(
-        self,
-        states: List[_ChoiceState],
-        prompts: List[List[int]],
-        committed_len: np.ndarray,
-        d_lens: np.ndarray,
-        dcaches: list,
-        k_eff: int,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Draft-propose ``k_eff`` tokens per row; returns (B, k_eff) ids.
-
-        First the draft catches up on committed tokens it has not seen
-        (the previous round's correction/bonus token, and — after an
-        all-accepted round — the last proposal it never forwarded): the
-        catch-up chunk is right-aligned on each row's committed end, and
-        rows needing fewer new columns simply rewrite their trailing
-        verified columns with identical K/V, keeping the batch
-        rectangular. Then proposals are decoded one draft forward at a
-        time. ``valid_counts[r]`` < ``k_eff`` marks rows whose
-        constraint cut proposing short (padding fills the rest).
-        """
-        rows = len(states)
-        if k_eff == 0:
-            return (
-                np.zeros((rows, 0), dtype=np.int64),
-                np.zeros(rows, dtype=np.int64),
-            )
-        committed = [
-            prompts[r] + states[r].generated for r in range(rows)
-        ]
-        width = int((committed_len - d_lens).max())
-        ids = np.zeros((rows, width), dtype=np.int64)
-        for r in range(rows):
-            ids[r] = committed[r][-width:]
-        positions = (committed_len - width)[:, None] + np.arange(width)
-        kv_len = int(committed_len.max())
-        blocked = (
-            np.arange(kv_len)[None, None, None, :]
-            > positions[:, None, :, None]
-        )
-        logits = self.draft.forward_chunk(
-            ids,
-            positions,
-            dcaches,
-            blocked=blocked,
-            write_cols=positions,
-            kv_len=kv_len,
-        )
-        d_next = logits.data[:, -1]
-
-        plain = all(s.constraint is None for s in states)
-        proposals = np.full((rows, k_eff), _PAD_TOKEN, dtype=np.int64)
-        valid_counts = np.zeros(rows, dtype=np.int64)
-        alive = np.ones(rows, dtype=bool)
-        for j in range(k_eff):
-            if plain:
-                picks: List[Optional[int]] = list(np.argmax(d_next, axis=-1))
-            else:
-                picks = [
-                    _next_token(
-                        d_next[r],
-                        states[r].generated + list(proposals[r, :j][: valid_counts[r]]),
-                        states[r].config,
-                        states[r].constraint,
-                        states[r].rng,
-                    )
-                    if alive[r]
-                    else None
-                    for r in range(rows)
-                ]
-            for r, pick in enumerate(picks):
-                if not alive[r]:
-                    continue
-                if pick is None:
-                    alive[r] = False
-                    continue
-                proposals[r, j] = int(pick)
-                valid_counts[r] += 1
-            if j == k_eff - 1 or not alive.any():
-                break
-            step_ids = proposals[:, j][:, None]
-            cols = committed_len + j
-            kv_len = int(cols.max()) + 1
-            blocked = (
-                np.arange(kv_len)[None, :] > cols[:, None]
-            )[:, None, None, :]
-            logits = self.draft.forward_chunk(
-                step_ids,
-                cols[:, None],
-                dcaches,
-                blocked=blocked,
-                write_cols=cols,
-                kv_len=kv_len,
-            )
-            d_next = logits.data[:, 0]
-        return proposals, valid_counts
-
-    def _verify(
-        self,
-        states: List[_ChoiceState],
-        prompts: List[List[int]],
-        committed_len: np.ndarray,
-        tcaches: list,
-        k_eff: int,
-        proposals: np.ndarray,
-    ) -> np.ndarray:
-        """One target forward over [last committed, proposals] per row."""
-        rows = len(states)
-        width = k_eff + 1
-        ids = np.zeros((rows, width), dtype=np.int64)
-        for r in range(rows):
-            last = (
-                states[r].generated[-1]
-                if states[r].generated
-                else prompts[r][-1]
-            )
-            ids[r, 0] = last
-            ids[r, 1:] = proposals[r]
-        positions = (committed_len - 1)[:, None] + np.arange(width)
-        kv_len = int(committed_len.max()) + k_eff
-        blocked = (
-            np.arange(kv_len)[None, None, None, :]
-            > positions[:, None, :, None]
-        )
-        hidden = self.model.encode_chunk(
-            ids,
-            positions,
-            tcaches,
-            blocked=blocked,
-            write_cols=positions,
-            kv_len=kv_len,
-        )
-        logits = self.model.logits_from_hidden(Tensor(hidden.data))
-        self.stats.verify_forwards += 1
-        return logits.data
-
-    def _accept(
-        self,
-        states: List[_ChoiceState],
-        logits: np.ndarray,
-        proposals: np.ndarray,
-        valid_counts: np.ndarray,
-        k_eff: int,
-        results: List[BatchResult],
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Scan each row's verify logits; emit tokens, retire finishers.
-
-        Position ``j`` of a row's verify logits is the target's
-        distribution after the committed tokens plus proposals
-        ``0..j-1``, so the target's pick there is the *true* next token
-        given everything before it — matching the proposal extends the
-        accepted run, mismatching emits the pick as the correction and
-        ends the round, and surviving all ``k_eff`` positions emits the
-        final pick as the bonus token.
-        """
-        rows = len(states)
-        keep = np.ones(rows, dtype=bool)
-        accepted = np.zeros(rows, dtype=np.int64)
-        plain = all(
-            s.config.strategy == "greedy" and s.constraint is None
-            for s in states
-        )
-        greedy_ids = np.argmax(logits, axis=-1) if plain else None
-        for r, state in enumerate(states):
-            for j in range(k_eff + 1):
-                if greedy_ids is not None:
-                    token: Optional[int] = int(greedy_ids[r, j])
-                else:
-                    token = _next_token(
-                        logits[r, j],
-                        state.generated,
-                        state.config,
-                        state.constraint,
-                        state.rng,
-                    )
-                if token is None or token in state.config.stop_ids:
-                    keep[r] = False
-                    break
-                state.generated.append(token)
-                self.stats.generated_tokens += 1
-                if len(state.generated) >= state.config.max_new_tokens:
-                    keep[r] = False
-                matched = (
-                    j < valid_counts[r] and token == int(proposals[r, j])
-                )
-                if matched:
-                    accepted[r] += 1
-                    self.stats.draft_accepted_tokens += 1
-                if not keep[r] or not matched:
-                    break
-            if not keep[r]:
-                self.stats.retired_sequences += 1
-                results[state.request_index].sequences.append(
-                    (state.choice_index, state.generated)
-                )
-        return keep, accepted
-
-
-def speculative_generate(
-    model: GPTModel,
-    draft: GPTModel,
-    prompt_ids: Sequence[int],
-    config: Optional[GenerationConfig] = None,
-    constraint: Optional[TokenConstraint] = None,
-    k: int = DEFAULT_DRAFT_K,
-) -> List[int]:
-    """Single-sequence speculative decode over slab KV caches.
-
-    Token-identical to :func:`repro.generation.generate` for greedy
-    configs; sampled configs and prompts that do not fit either context
-    window delegate to it outright. Both models keep
-    :class:`~repro.serving.kvcache.KVCache` slabs: accepted runs advance
-    them in place and rejected tails are rolled back with
-    :meth:`~repro.serving.kvcache.KVCache.truncate` — the slab-layout
-    statement of "rejection is free".
-    """
-    if k <= 0:
-        raise GenerationError("speculative k must be positive")
-    config = config or GenerationConfig()
-    if not prompt_ids:
-        raise GenerationError("prompt must contain at least one token")
-    max_len = min(model.config.max_seq_len, draft.config.max_seq_len)
-    fits = len(prompt_ids) + config.max_new_tokens <= max_len
-    if config.strategy != "greedy" or not fits:
-        return generate(model, prompt_ids, config, constraint)
-
-    rng = SeededRNG(config.seed)
-    model.eval()
-    draft.eval()
-    generated: List[int] = []
-    with no_grad():
-        tcaches = model.init_cache()
-        dcaches = draft.init_cache()
-        n = len(prompt_ids)
-        prompt = np.array([prompt_ids], dtype=np.int64)
-        positions = np.arange(n)[None, :]
-        blocked = chunk_causal_mask(0, n)[None, None]
-        logits = model.forward_chunk(prompt, positions, tcaches, blocked=blocked)
-        draft.forward_chunk(prompt, positions, dcaches, blocked=blocked)
-        token = _next_token(
-            logits.data[0, -1], generated, config, constraint, rng
-        )
-        if token is None or token in config.stop_ids:
-            return generated
-        generated.append(token)
-
-        while len(generated) < config.max_new_tokens:
-            committed = list(prompt_ids) + generated
-            remaining = config.max_new_tokens - len(generated)
-            k_eff = min(k, remaining - 1, max_len - len(committed))
-            proposals = _draft_proposals(
-                draft, dcaches, committed, generated, config, constraint,
-                rng, k_eff,
-            )
-            chunk = [committed[-1]] + proposals
-            start = tcaches[0].length
-            stop = start + len(chunk)
-            logits = model.forward_chunk(
-                np.array([chunk], dtype=np.int64),
-                np.arange(start, stop)[None, :],
-                tcaches,
-                blocked=chunk_causal_mask(start, stop)[None, None],
-            )
-            scores = logits.data[0]
-            accepted = 0
-            done = False
-            for j in range(len(chunk)):
-                token = _next_token(
-                    scores[j], generated, config, constraint, rng
-                )
-                if token is None or token in config.stop_ids:
-                    done = True
-                    break
-                generated.append(token)
-                if len(generated) >= config.max_new_tokens:
-                    done = True
-                matched = j < len(proposals) and token == proposals[j]
-                if matched:
-                    accepted += 1
-                if done or not matched:
-                    break
-            if done:
-                break
-            # Roll both slabs back to the verified prefix: the target
-            # wrote len(chunk) optimistic columns, the draft wrote the
-            # catch-up plus all but the last proposal.
-            verified = len(prompt_ids) + len(generated) - 1
-            for cache in tcaches:
-                cache.truncate(verified)
-            for cache in dcaches:
-                cache.truncate(min(cache.length, verified))
-    return generated
-
-
-def _draft_proposals(
-    draft: GPTModel,
-    dcaches: list,
-    committed: List[int],
-    generated: List[int],
-    config: GenerationConfig,
-    constraint: Optional[TokenConstraint],
-    rng: SeededRNG,
-    k_eff: int,
-) -> List[int]:
-    """Catch the draft cache up to ``committed`` and propose ``k_eff`` ids."""
-    if k_eff <= 0:
-        return []
-    start = dcaches[0].length
-    pending = committed[start:]
-    logits = draft.forward_chunk(
-        np.array([pending], dtype=np.int64),
-        np.arange(start, len(committed))[None, :],
-        dcaches,
-        blocked=chunk_causal_mask(start, len(committed))[None, None],
-    )
-    d_next = logits.data[0, -1]
-    proposals: List[int] = []
-    for j in range(k_eff):
-        pick = _next_token(
-            d_next, generated + proposals, config, constraint, rng
-        )
-        if pick is None:
-            break
-        proposals.append(int(pick))
-        if pick in config.stop_ids or j == k_eff - 1:
-            break
-        logits = draft.forward_chunk(
-            np.array([[pick]], dtype=np.int64),
-            np.array([[len(committed) + j]], dtype=np.int64),
-            dcaches,
-        )
-        d_next = logits.data[0, -1]
-    return proposals
+from repro.serving.engine import BatchedGenerator, BatchRequest
 
 
 def draft_config(config: ModelConfig, num_layers: int = 1) -> ModelConfig:

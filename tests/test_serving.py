@@ -30,6 +30,9 @@ from repro.serving import (
     KVCache,
     PrefixCache,
     complete_many,
+    distill_draft,
+    draft_config,
+    engine_serving_stats,
 )
 from repro.sql import Database
 from repro.text2sql import (
@@ -236,6 +239,22 @@ def word_tokenizer_module(word_tokenizer):
 PROMPTS = ["the cat sat", "a dog", "the bird flew over", "cats and dogs"]
 
 
+def _assert_billing_parity(batched_client, per_prompt_client) -> None:
+    """``EngineStats`` of one ``complete_batch`` over ``PROMPTS`` against
+    one ``complete`` call per prompt: every field equal, except that the
+    per-prompt calls reuse earlier prompts' K/V from the engine's
+    persistent prefix cache (one cold batch cannot). Queue wait depends
+    on the wall clock, so it is zeroed on both sides."""
+    batched = batched_client.engine_stats("tiny-gpt")
+    single = per_prompt_client.engine_stats("tiny-gpt")
+    assert (batched.prefix_hits, batched.prefix_reused_tokens) == (0, 0)
+    assert (single.prefix_hits, single.prefix_reused_tokens) == (3, 8)
+    billing = dict(queue_wait_seconds=0.0, prefix_hits=0, prefix_reused_tokens=0)
+    assert dataclasses.replace(batched, **billing) == dataclasses.replace(
+        single, **billing
+    )
+
+
 class TestCompleteBatch:
     def test_greedy_matches_per_prompt_complete(self, hub):
         client = CompletionClient(hub)
@@ -258,12 +277,7 @@ class TestCompleteBatch:
         reference = CompletionClient(hub)
         for p in PROMPTS:
             reference.complete("tiny-gpt", p, max_tokens=6)
-        # Queue wait is inherently batch-only (per-prompt calls never
-        # queue), so parity is asserted with it zeroed out.
-        batched = dataclasses.replace(
-            client.engine_stats("tiny-gpt"), queue_wait_seconds=0.0
-        )
-        assert batched == reference.engine_stats("tiny-gpt")
+        _assert_billing_parity(client, reference)
         assert client.engine_stats("tiny-gpt").queue_wait_seconds >= 0.0
 
     def test_n_choices_match_per_prompt_semantics(self, hub):
@@ -300,10 +314,7 @@ class TestCompleteBatch:
         reference = CompletionClient(hub)
         for p in PROMPTS:
             reference.complete("tiny-gpt", p, max_tokens=8, stop=["the"])
-        batched = dataclasses.replace(
-            client.engine_stats("tiny-gpt"), queue_wait_seconds=0.0
-        )
-        assert batched == reference.engine_stats("tiny-gpt")
+        _assert_billing_parity(client, reference)
 
     def test_stop_billing_parity_with_stop_ids_and_length_cap(self, hub):
         """Mixed finish reasons (stop vs length) keep EngineStats parity
@@ -313,10 +324,7 @@ class TestCompleteBatch:
         reference = CompletionClient(hub)
         for p in PROMPTS:
             reference.complete("tiny-gpt", p, max_tokens=2, stop=["."])
-        batched = dataclasses.replace(
-            client.engine_stats("tiny-gpt"), queue_wait_seconds=0.0
-        )
-        assert batched == reference.engine_stats("tiny-gpt")
+        _assert_billing_parity(client, reference)
 
     def test_empty_prompt_list(self, hub):
         assert CompletionClient(hub).complete_batch("tiny-gpt", []) == []
@@ -683,30 +691,9 @@ class TestKVCacheSlab:
         with pytest.raises(ValueError):
             cache.append(np.zeros((3, 2, 1, 4)), np.zeros((3, 2, 1, 4)))
 
-    def test_slab_decode_matches_legacy_concatenate(self, model):
-        """Regression: the in-place slab is numerically identical to the
-        old concatenate-per-token growing cache."""
-        rng = np.random.default_rng(3)
-        ids = rng.integers(1, model.config.vocab_size, size=(2, 12))
-        slab = model.init_cache()
-        legacy = model.init_cache(layout="legacy")
-        from repro.autograd import no_grad
-
-        with no_grad():
-            for position in range(ids.shape[1]):
-                step = ids[:, position: position + 1]
-                a = model.forward_incremental(step, position, slab)
-                b = model.forward_incremental(step, position, legacy)
-                np.testing.assert_array_equal(a.data, b.data)
-
     def test_generate_uses_slab_by_default(self, model):
         caches = model.init_cache()
         assert isinstance(caches[0], KVCache)
-        assert isinstance(model.init_cache(layout="legacy")[0], dict)
-
-    def test_unknown_layout_rejected(self, model):
-        with pytest.raises(ValueError):
-            model.init_cache(layout="paged")
 
 
 def _toy_layers(tokens: int, fill: float = 1.0):
@@ -1429,3 +1416,113 @@ class TestConcatInLoopLint:
             if f.rule == "concat-in-loop"
         ]
         assert findings == []
+
+
+@pytest.fixture(scope="module")
+def matrix_setup(word_tokenizer, corpus):
+    """Ragged prompts, a stop id that lands mid-run, and two drafts.
+
+    The target has random weights: a trained model's repetitive output
+    can hide a token written at the wrong position."""
+    words = " ".join(corpus[:4]).split()
+    prompts = [" ".join(words[:n]) for n in (1, 6, 3, 11, 4, 8)]
+    ids = [word_tokenizer.encode(p, add_bos=True).ids for p in prompts]
+    vocab = word_tokenizer.vocab_size
+    target = GPTModel(ModelConfig.tiny(vocab_size=vocab), seed=7)
+    hub = ModelHub()
+    hub.register("tiny-gpt", target, word_tokenizer)
+    wrong = GPTModel(draft_config(target.config, num_layers=1), seed=99)
+    hub.register("wrong", wrong, word_tokenizer)
+    distilled = distill_draft(target, ids, steps=40, max_new_tokens=12)
+    hub.register("distilled", distilled, word_tokenizer)
+    stop = generate(target, ids[1], GenerationConfig(max_new_tokens=10))[2]
+    return hub, prompts, ids, stop
+
+
+def _matrix_requests(ids, stop, vocab):
+    """Greedy, stop id, constraint, n > 1 and one sampled request."""
+    sampled = GenerationConfig(
+        max_new_tokens=6, strategy="sample", temperature=0.9, seed=11
+    )
+    return [
+        BatchRequest(ids[0], GenerationConfig(max_new_tokens=8)),
+        BatchRequest(ids[1], GenerationConfig(max_new_tokens=10, stop_ids=(stop,))),
+        BatchRequest(ids[2], GenerationConfig(max_new_tokens=8), OddOnly(vocab)),
+        BatchRequest(ids[3], GenerationConfig(max_new_tokens=9), n=2),
+        BatchRequest(ids[4], sampled, n=2),
+        BatchRequest(ids[5], GenerationConfig(max_new_tokens=12)),
+    ]
+
+
+class TestServingEquivalenceMatrix:
+    """Every serving configuration against the sequential oracle.
+
+    Scheduling (barriered, continuous) x draft (none, always wrong,
+    distilled) x prefix caching (off, on): each cell serves the same
+    mixed batch twice — the second pass hits the prefix caches when
+    they are on — and must match :func:`repro.generation.generate`
+    token for token.
+    """
+
+    @pytest.mark.parametrize("prefix", [False, True], ids=["noprefix", "prefix"])
+    @pytest.mark.parametrize("draft", [None, "wrong", "distilled"])
+    @pytest.mark.parametrize(
+        "continuous", [False, True], ids=["barriered", "continuous"]
+    )
+    def test_matches_generate_oracle(self, matrix_setup, continuous, draft, prefix):
+        hub, prompts, ids, stop = matrix_setup
+        model = hub.get("tiny-gpt").model
+        requests = _matrix_requests(ids, stop, model.config.vocab_size)
+        expected = [
+            [
+                generate(
+                    model, r.prompt_ids,
+                    dataclasses.replace(r.config, seed=r.config.seed + j),
+                    r.constraint,
+                )
+                for j in range(r.n)
+            ]
+            for r in requests
+        ]
+        scheduler = BatchScheduler(
+            model,
+            max_batch_size=4,
+            continuous=continuous,
+            prefix_cache=PrefixCache() if prefix else None,
+            draft_model=hub.get(draft).model if draft else None,
+            speculative_k=3,
+            draft_prefix_cache=PrefixCache() if prefix and draft else None,
+        )
+        for _ in range(2):
+            tickets = [scheduler.submit(r) for r in requests]
+            results = scheduler.run()
+            assert [results[t].sequences for t in tickets] == expected
+        stats = scheduler.generator.stats
+        assert (stats.prefix_hits > 0) == prefix
+        assert (stats.verify_forwards > 0) == (draft is not None)
+        assert (stats.refills > 0) == continuous
+
+        if draft is None:
+            return
+        # The client's per-prompt path is a one-prompt batch: same texts
+        # and usage as one complete_batch call, speculation included.
+        budget = 2**20 if prefix else 0
+
+        def client():
+            return CompletionClient(
+                hub, prefix_cache_bytes=budget, speculative_draft=draft,
+                speculative_k=3,
+            )
+
+        batch = client().complete_batch(
+            "tiny-gpt", prompts, max_tokens=8, n=2, continuous=continuous
+        )
+        single_client = client()
+        single = [
+            single_client.complete("tiny-gpt", p, max_tokens=8, n=2) for p in prompts
+        ]
+        assert [[c.text for c in r.choices] for r in batch] == [
+            [c.text for c in r.choices] for r in single
+        ]
+        assert [r.usage for r in batch] == [r.usage for r in single]
+        assert engine_serving_stats(single_client, "tiny-gpt")["verify_forwards"] > 0

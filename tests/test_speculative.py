@@ -1,33 +1,39 @@
-"""Tests for repro.serving.speculative: draft-and-verify decoding.
+"""Tests for speculative decoding: the draft-and-verify proposer.
 
 The load-bearing property everywhere: greedy speculative output is
 **token-identical** to plain decoding — the draft model only changes how
 many tokens each target forward advances, never which tokens come out.
-Every test here asserts identity against the plain path, across drafts
-of every quality (always-wrong, perfect, distilled).
+Every test here asserts identity against the sequential
+:func:`repro.generation.generate` oracle, across drafts of every
+quality (always-wrong, perfect, distilled), through
+``BatchScheduler(draft_model=...)`` with barriered microbatches and
+with continuous batching.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 import pytest
 
 from repro.api import CompletionClient, ModelHub
+from repro.autograd import no_grad
 from repro.errors import GenerationError
 from repro.generation import GenerationConfig, generate
 from repro.models import GPTModel, ModelConfig
+from repro.nn import chunk_causal_mask
 from repro.serving import (
     BatchRequest,
     BatchScheduler,
     BatchedGenerator,
-    KVCache,
     PrefixCache,
-    SpeculativeGenerator,
     distill_draft,
     draft_config,
     engine_serving_stats,
-    speculative_generate,
 )
+
+MODES = (False, True)  # continuous=False (barriered), continuous=True
 
 
 @pytest.fixture(scope="module")
@@ -52,10 +58,43 @@ def distilled_draft(model, ragged_prompts):
     return distill_draft(model, ragged_prompts, steps=40, max_new_tokens=10)
 
 
-def _plain(model, prompts, config, **kwargs):
-    return BatchedGenerator(model).generate(
-        [BatchRequest(p, config, **kwargs) for p in prompts]
+def _expected(model, request):
+    """The oracle: per-choice sequential decode (choice j uses seed + j)."""
+    return [
+        generate(
+            model,
+            request.prompt_ids,
+            dataclasses.replace(request.config, seed=request.config.seed + j),
+            request.constraint,
+        )
+        for j in range(request.n)
+    ]
+
+
+def _serve(model, draft, requests, continuous, k=4, **kwargs):
+    """Run ``requests`` through a scheduler with ``draft``; (results, stats)."""
+    scheduler = BatchScheduler(
+        model,
+        max_batch_size=4,
+        continuous=continuous,
+        draft_model=draft,
+        speculative_k=k,
+        **kwargs,
     )
+    tickets = [scheduler.submit(request) for request in requests]
+    results = scheduler.run()
+    return [results[t] for t in tickets], scheduler.generator.stats
+
+
+def _assert_identity(model, draft, requests, k=4):
+    """Both scheduling modes serve ``requests`` exactly as the oracle."""
+    expected = [_expected(model, r) for r in requests]
+    stats = []
+    for continuous in MODES:
+        results, mode_stats = _serve(model, draft, requests, continuous, k=k)
+        assert [r.sequences for r in results] == expected, continuous
+        stats.append(mode_stats)
+    return stats
 
 
 class EvenOnly:
@@ -70,118 +109,87 @@ class EvenOnly:
         return list(range(0, self.vocab, 2))
 
 
-class TestKVCacheTruncate:
-    def test_truncate_rewinds_live_prefix(self):
-        cache = KVCache()
-        step = np.arange(2 * 2 * 3 * 4, dtype=float).reshape(2, 2, 3, 4)
-        cache.append(step, step * 2)
-        cache.truncate(1)
-        assert len(cache) == 1
-        keys, values = cache.append(step[:, :, :1], step[:, :, :1])
-        # Column 0 survives the rewind; column 1 is the new append.
-        np.testing.assert_array_equal(keys[:, :, 0], step[:, :, 0])
-        assert keys.shape[2] == 2
+class TestRejectedProposals:
+    def test_rejected_columns_are_overwritten_not_reused(self, model):
+        """Decoding a rejected run, rewinding the row's length, and
+        decoding a different token must give the same logits as never
+        having decoded the rejected run: the blocked mask hides stale
+        columns and the next write overwrites them."""
+        prompt = np.array([[5, 9, 2]])
+        caches = model.init_cache(batch_size=1, capacity=8)
+        fresh = model.init_cache(batch_size=1, capacity=8)
 
-    def test_truncate_to_full_length_is_noop(self):
-        cache = KVCache()
-        cache.append(np.ones((1, 2, 4, 3)), np.ones((1, 2, 4, 3)))
-        cache.truncate(4)
-        assert len(cache) == 4
+        def step(ids, start, cache):
+            cols = np.arange(start, start + ids.shape[1])[None, :]
+            kv_len = int(cols.max()) + 1
+            blocked = np.arange(kv_len)[None, None, None, :] > cols[:, None, :, None]
+            return model.forward_chunk(
+                ids, cols, cache, blocked=blocked, write_cols=cols, kv_len=kv_len
+            ).data
 
-    def test_truncate_bounds_checked(self):
-        cache = KVCache()
-        cache.append(np.ones((1, 2, 3, 3)), np.ones((1, 2, 3, 3)))
-        with pytest.raises(ValueError):
-            cache.truncate(4)
-        with pytest.raises(ValueError):
-            cache.truncate(-1)
-
-    def test_truncated_columns_are_overwritten_not_reused(self, model):
-        """Decoding, rewinding, and decoding a different token must give
-        the same logits as never having decoded the rejected token."""
-        from repro.autograd import no_grad
-
-        caches = model.init_cache()
-        fresh = model.init_cache()
         with no_grad():
-            prompt = np.array([[5, 9, 2]])
-            positions = np.arange(3)[None, :]
-            from repro.nn import chunk_causal_mask
-
-            blocked = chunk_causal_mask(0, 3)[None, None]
-            model.forward_chunk(prompt, positions, caches, blocked=blocked)
-            model.forward_chunk(prompt, positions, fresh, blocked=blocked)
-            # Optimistically decode token 7, then reject it.
-            model.forward_incremental(np.array([[7]]), 3, caches)
-            for cache in caches:
-                cache.truncate(3)
-            a = model.forward_incremental(np.array([[11]]), 3, caches)
-            b = model.forward_incremental(np.array([[11]]), 3, fresh)
-            np.testing.assert_array_equal(a.data, b.data)
+            for cache in (caches, fresh):
+                model.forward_chunk(
+                    prompt, np.arange(3)[None, :], cache,
+                    blocked=chunk_causal_mask(0, 3)[None, None],
+                    write_cols=slice(0, 3), kv_len=3,
+                )
+            step(np.array([[7, 8]]), 3, caches)  # rejected run
+            a = step(np.array([[11]]), 3, caches)
+            b = step(np.array([[11]]), 3, fresh)
+        np.testing.assert_array_equal(a, b)
 
 
 class TestSpeculativeIdentity:
-    """Satellite: edge-case sweep, every case asserting token-identity."""
+    """Edge-case sweep, every case asserting token-identity."""
 
     def test_always_wrong_draft_is_identical(self, model, bad_draft, ragged_prompts):
         config = GenerationConfig(max_new_tokens=10)
-        base = _plain(model, ragged_prompts, config)
-        spec = SpeculativeGenerator(model, bad_draft, k=3)
-        out = spec.generate([BatchRequest(p, config) for p in ragged_prompts])
-        assert [r.sequences for r in out] == [r.sequences for r in base]
-        # Even a useless draft must not fall back to plain decode.
-        assert spec.stats.verify_forwards > 0
-        assert spec.stats.draft_tokens > 0
+        requests = [BatchRequest(p, config) for p in ragged_prompts]
+        for stats in _assert_identity(model, bad_draft, requests, k=3):
+            # Even a useless draft must not fall back to plain decode.
+            assert stats.verify_forwards > 0
+            assert stats.draft_tokens > 0
 
     def test_perfect_draft_accepts_everything(self, model, ragged_prompts):
         config = GenerationConfig(max_new_tokens=10)
-        base = _plain(model, ragged_prompts, config)
-        spec = SpeculativeGenerator(model, model, k=4)
-        out = spec.generate([BatchRequest(p, config) for p in ragged_prompts])
-        assert [r.sequences for r in out] == [r.sequences for r in base]
-        assert spec.stats.acceptance_rate == 1.0
+        requests = [BatchRequest(p, config) for p in ragged_prompts]
+        for stats in _assert_identity(model, model, requests):
+            assert stats.acceptance_rate == 1.0
 
     def test_distilled_draft_is_identical(self, model, distilled_draft, ragged_prompts):
         config = GenerationConfig(max_new_tokens=10)
-        base = _plain(model, ragged_prompts, config)
-        spec = SpeculativeGenerator(model, distilled_draft, k=4)
-        out = spec.generate([BatchRequest(p, config) for p in ragged_prompts])
-        assert [r.sequences for r in out] == [r.sequences for r in base]
-        assert spec.stats.acceptance_rate > 0.0
+        requests = [BatchRequest(p, config) for p in ragged_prompts]
+        for stats in _assert_identity(model, distilled_draft, requests):
+            assert stats.acceptance_rate > 0.0
 
     def test_stop_token_inside_accepted_run(self, model, ragged_prompts):
         """A stop id hit mid-run must end the sequence exactly where the
-        plain engine ends it, discarding the speculated tail."""
+        plain decoder ends it, discarding the speculated tail."""
         # Use the model's own greedy stream to find a token that appears
         # mid-sequence, then decode again with it as a stop id.
         config = GenerationConfig(max_new_tokens=10)
-        probe = _plain(model, ragged_prompts, config)
         stop = None
-        for result in probe:
-            seq = result.sequences[0]
+        for prompt in ragged_prompts:
+            seq = generate(model, prompt, config)
             if len(seq) >= 4:
                 stop = seq[2]  # lands inside the first k=4 verify run
                 break
         assert stop is not None
         stopped = GenerationConfig(max_new_tokens=10, stop_ids=(stop,))
-        base = _plain(model, ragged_prompts, stopped)
-        spec = SpeculativeGenerator(model, model, k=4)
-        out = spec.generate([BatchRequest(p, stopped) for p in ragged_prompts])
-        assert [r.sequences for r in out] == [r.sequences for r in base]
+        requests = [BatchRequest(p, stopped) for p in ragged_prompts]
+        _assert_identity(model, model, requests)
 
     def test_constraints_and_multi_choice(self, model, distilled_draft, ragged_prompts):
         config = GenerationConfig(max_new_tokens=10)
         constraint = EvenOnly(model.config.vocab_size)
-        base = _plain(model, ragged_prompts, config, constraint=constraint, n=2)
-        spec = SpeculativeGenerator(model, distilled_draft, k=3)
-        out = spec.generate(
-            [
-                BatchRequest(p, config, constraint=constraint, n=2)
-                for p in ragged_prompts
-            ]
-        )
-        assert [r.sequences for r in out] == [r.sequences for r in base]
-        for result in out:
+        requests = [
+            BatchRequest(p, config, constraint=constraint, n=2)
+            for p in ragged_prompts
+        ]
+        _assert_identity(model, distilled_draft, requests, k=3)
+        results, _ = _serve(model, distilled_draft, requests, continuous=True, k=3)
+        for result in results:
             assert len(result.sequences) == 2
             for seq in result.sequences:
                 assert all(t % 2 == 0 for t in seq)
@@ -190,88 +198,93 @@ class TestSpeculativeIdentity:
         config = GenerationConfig(
             max_new_tokens=8, strategy="sample", temperature=0.8, seed=5
         )
-        base = _plain(model, ragged_prompts, config)
-        spec = SpeculativeGenerator(model, bad_draft, k=3)
-        out = spec.generate([BatchRequest(p, config) for p in ragged_prompts])
-        assert [r.sequences for r in out] == [r.sequences for r in base]
-        assert spec.stats.verify_forwards == 0  # no speculative work
+        requests = [BatchRequest(p, config) for p in ragged_prompts]
+        for stats in _assert_identity(model, bad_draft, requests, k=3):
+            assert stats.verify_forwards == 0  # no speculative work
 
     def test_oversized_prompt_uses_sequential_fallback(self, model, bad_draft):
         rng = np.random.default_rng(4)
         big = list(map(int, rng.integers(1, 48, size=60)))
         config = GenerationConfig(max_new_tokens=20)
-        spec = SpeculativeGenerator(model, bad_draft, k=3)
-        out = spec.generate([BatchRequest(big, config)])
-        assert out[0].batched is False
-        assert out[0].sequences == [generate(model, big, config)]
+        for continuous in MODES:
+            (result,), _ = _serve(
+                model, bad_draft, [BatchRequest(big, config)], continuous, k=3
+            )
+            assert result.batched is False
+            assert result.sequences == [generate(model, big, config)]
+
+    def test_rows_outside_draft_window_take_plain_steps(self, model, ragged_prompts):
+        """A draft with a shorter context window proposes only for the
+        rows that fit it; the others decode plainly in the same batch."""
+        short = GPTModel(
+            dataclasses.replace(draft_config(model.config), max_seq_len=16), seed=5
+        )
+        config = GenerationConfig(max_new_tokens=6)
+        requests = [BatchRequest(p, config) for p in ragged_prompts]
+        assert any(len(p) + 6 > 16 for p in ragged_prompts)
+        for stats in _assert_identity(model, short, requests):
+            assert stats.verify_forwards > 0
 
     def test_speculative_path_exercised_guard(self, model, distilled_draft, ragged_prompts):
         """Tier-1 guard: the sweep must actually run the speculative
-        loop — draft proposals made, verify forwards issued, and fewer
-        target decode passes than tokens generated."""
+        proposer — draft proposals made, verify forwards issued, and
+        fewer target forwards than tokens generated."""
         config = GenerationConfig(max_new_tokens=10)
-        spec = SpeculativeGenerator(model, distilled_draft, k=4)
-        spec.generate([BatchRequest(p, config) for p in ragged_prompts])
-        stats = spec.stats
-        assert stats.draft_tokens > 0
-        assert stats.verify_forwards > 0
-        assert stats.draft_accepted_tokens > 0
-        # With any acceptance at all, verify rounds < generated tokens.
-        assert stats.verify_forwards < stats.generated_tokens
-        assert stats.sequential_fallbacks == 0
-        assert stats.decode_steps == 0  # plain decode loop never ran
+        requests = [BatchRequest(p, config) for p in ragged_prompts]
+        for stats in _assert_identity(model, distilled_draft, requests):
+            assert stats.draft_tokens > 0
+            assert stats.verify_forwards > 0
+            assert stats.draft_accepted_tokens > 0
+            # With any acceptance at all, target forwards < tokens.
+            assert stats.verify_forwards + stats.decode_steps < stats.generated_tokens
+            assert stats.sequential_fallbacks == 0
 
 
 class TestSpeculativeSingleSequence:
+    """One request per run: each prompt alone through the proposer."""
+
+    def _check(self, model, draft, prompts, config, constraint=None, k=4):
+        for prompt in prompts:
+            _assert_identity(
+                model, draft, [BatchRequest(prompt, config, constraint)], k=k
+            )
+
     def test_matches_generate_across_prompts(self, model, distilled_draft, ragged_prompts):
         config = GenerationConfig(max_new_tokens=10)
-        for prompt in ragged_prompts:
-            expected = generate(model, prompt, config)
-            actual = speculative_generate(
-                model, distilled_draft, prompt, config, k=4
-            )
-            assert actual == expected
+        self._check(model, distilled_draft, ragged_prompts, config)
 
     def test_matches_generate_with_bad_draft(self, model, bad_draft, ragged_prompts):
         config = GenerationConfig(max_new_tokens=10)
-        for prompt in ragged_prompts[:3]:
-            assert speculative_generate(
-                model, bad_draft, prompt, config, k=3
-            ) == generate(model, prompt, config)
+        self._check(model, bad_draft, ragged_prompts[:3], config, k=3)
 
     def test_constraint_identity(self, model, bad_draft, ragged_prompts):
         config = GenerationConfig(max_new_tokens=10)
         constraint = EvenOnly(model.config.vocab_size)
-        for prompt in ragged_prompts[:3]:
-            assert speculative_generate(
-                model, bad_draft, prompt, config, constraint, k=3
-            ) == generate(model, prompt, config, constraint)
+        self._check(model, bad_draft, ragged_prompts[:3], config, constraint, k=3)
 
     def test_sampled_config_delegates(self, model, bad_draft, ragged_prompts):
         config = GenerationConfig(
             max_new_tokens=6, strategy="sample", temperature=0.7, seed=9
         )
-        prompt = ragged_prompts[0]
-        assert speculative_generate(
-            model, bad_draft, prompt, config, k=3
-        ) == generate(model, prompt, config)
+        self._check(model, bad_draft, ragged_prompts[:1], config, k=3)
 
     def test_empty_prompt_rejected(self, model, bad_draft):
+        scheduler = BatchScheduler(model, draft_model=bad_draft, continuous=True)
         with pytest.raises(GenerationError):
-            speculative_generate(model, bad_draft, [])
+            scheduler.submit(BatchRequest([]))
 
 
 class TestSpeculativeValidation:
     def test_nonpositive_k_rejected(self, model, bad_draft):
         with pytest.raises(GenerationError):
-            SpeculativeGenerator(model, bad_draft, k=0)
+            BatchedGenerator(model, draft=bad_draft, k=0)
         with pytest.raises(GenerationError):
-            speculative_generate(model, bad_draft, [1, 2], k=0)
+            BatchScheduler(model, draft_model=bad_draft, speculative_k=0)
 
     def test_vocab_mismatch_rejected(self, model):
         other = GPTModel(ModelConfig.tiny(vocab_size=32), seed=1)
         with pytest.raises(GenerationError):
-            SpeculativeGenerator(model, other)
+            BatchedGenerator(model, draft=other)
 
     def test_draft_config_bounds(self, model):
         assert draft_config(model.config, 1).num_layers == 1
@@ -302,30 +315,47 @@ class TestSpeculativeScheduler:
         assert spec.stats.draft_tokens > 0
         assert 0.0 < spec.stats.acceptance_rate <= 1.0
 
-    def test_continuous_with_draft_rejected(self, model, bad_draft):
-        with pytest.raises(GenerationError):
-            BatchScheduler(model, draft_model=bad_draft, continuous=True)
+    def test_continuous_with_draft_serves_mixed_queue(
+        self, model, distilled_draft, ragged_prompts
+    ):
+        """Speculation under continuous batching: a ragged queue of
+        greedy, sampled, constrained and n > 1 requests, refilled
+        mid-decode, comes out token-identical to per-request decode."""
+        greedy = GenerationConfig(max_new_tokens=10)
+        sampled = GenerationConfig(
+            max_new_tokens=8, strategy="sample", temperature=0.8, seed=3
+        )
+        constraint = EvenOnly(model.config.vocab_size)
+        requests = [
+            BatchRequest(ragged_prompts[0], greedy),
+            BatchRequest(ragged_prompts[1], sampled, n=2),
+            BatchRequest(ragged_prompts[2], greedy, constraint=constraint),
+            BatchRequest(ragged_prompts[3], greedy, n=3),
+            BatchRequest(ragged_prompts[4], sampled),
+            BatchRequest(ragged_prompts[5], greedy),
+        ]
+        results, stats = _serve(model, distilled_draft, requests, continuous=True)
+        assert [r.sequences for r in results] == [_expected(model, r) for r in requests]
+        assert stats.refills > 0
+        assert stats.verify_forwards > 0
+        assert stats.draft_accepted_tokens > 0
 
     def test_prefix_caches_stay_separate(self, model, distilled_draft, ragged_prompts):
         """Target and draft prefix caches must never mix K/V states."""
         config = GenerationConfig(max_new_tokens=6)
-        target_cache = PrefixCache()
-        draft_cache = PrefixCache()
-        scheduler = BatchScheduler(
-            model,
-            draft_model=distilled_draft,
-            prefix_cache=target_cache,
-            draft_prefix_cache=draft_cache,
-        )
-        for p in ragged_prompts:
-            scheduler.submit(BatchRequest(p, config))
-        results = scheduler.run()
-        plain = _plain(model, ragged_prompts, config)
-        assert [results[t].sequences for t in sorted(results)] == [
-            r.sequences for r in plain
-        ]
-        assert target_cache.stats.inserted_tokens > 0
-        assert draft_cache.stats.inserted_tokens > 0
+        for continuous in MODES:
+            target_cache = PrefixCache()
+            draft_cache = PrefixCache()
+            requests = [BatchRequest(p, config) for p in ragged_prompts]
+            results, _ = _serve(
+                model, distilled_draft, requests, continuous,
+                prefix_cache=target_cache, draft_prefix_cache=draft_cache,
+            )
+            assert [r.sequences for r in results] == [
+                _expected(model, r) for r in requests
+            ]
+            assert target_cache.stats.inserted_tokens > 0
+            assert draft_cache.stats.inserted_tokens > 0
 
 
 @pytest.fixture(scope="module")
