@@ -40,6 +40,11 @@ the offending line):
   concatenation per iteration is O(n²) traffic — write into a
   preallocated slab (:class:`repro.serving.KVCache`-style) and
   suppress the rare amortized concat explicitly;
+* ``slow-pow``             — ``x ** n`` with an integer literal ``n >= 3``
+  in the numeric hot paths (``autograd``, ``nn``, ``models``,
+  ``serving``, ``training``); numpy squares ``** 2`` in a fast path but
+  sends higher integer powers of a mixed-sign array through libm
+  ``pow``, 50 to 70 times slower than ``x * x * x``;
 * ``shared-state-mutation`` — an ``async def`` writes a ``self.*``
   attribute (assignment, augmented assignment, subscript store, or a
   mutating container-method call); between any two awaits another task
@@ -84,6 +89,7 @@ RULE_NAMES = (
     "atomic-write",
     "per-prompt-loop",
     "concat-in-loop",
+    "slow-pow",
     "shared-state-mutation",
     "blocking-call-in-async",
 )
@@ -105,6 +111,7 @@ _RULE_EXEMPT_DIRS = {
 _RULE_ONLY_DIRS = {
     "per-prompt-loop": ("codexdb", "text2sql", "wrangle", "neuraldb"),
     "concat-in-loop": ("nn", "generation", "serving", "models"),
+    "slow-pow": ("autograd", "nn", "models", "serving", "training"),
 }
 
 _NOQA_PATTERN = re.compile(r"#\s*repro:\s*noqa\[([a-z\-,\s]+)\]")
@@ -150,6 +157,8 @@ def lint_source(
         findings += _check_per_prompt_loop(tree, path)
     if _applies(path, "concat-in-loop"):
         findings += _check_concat_in_loop(tree, path)
+    if _applies(path, "slow-pow"):
+        findings += _check_slow_pow(tree, path)
     findings += concurrency_findings(tree, path)
     suppressed = _suppressions(code)
     return sorted(
@@ -538,6 +547,35 @@ def _check_concat_in_loop(tree: ast.Module, path: str) -> List[Finding]:
                     source=path,
                 )
             )
+    return findings
+
+
+def _check_slow_pow(tree: ast.Module, path: str) -> List[Finding]:
+    """Flag ``** n`` (and ``**= n``) with an integer literal ``n >= 3``."""
+    findings = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.BinOp):
+            op, exponent = node.op, node.right
+        elif isinstance(node, ast.AugAssign):
+            op, exponent = node.op, node.value
+        else:
+            continue
+        if not (
+            isinstance(op, ast.Pow)
+            and isinstance(exponent, ast.Constant)
+            and type(exponent.value) is int
+            and exponent.value >= 3
+        ):
+            continue
+        findings.append(
+            Finding(
+                rule="slow-pow",
+                message=f"'** {exponent.value}' on a numpy array runs libm pow, "
+                "far slower than repeated multiplication; write x * x * x",
+                line=node.lineno,
+                source=path,
+            )
+        )
     return findings
 
 

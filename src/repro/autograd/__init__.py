@@ -4,8 +4,8 @@ This is the numerical substrate for every model in the library: a
 :class:`Tensor` records the operations applied to it and :meth:`Tensor.backward`
 propagates gradients through the recorded graph. It supports everything a
 Transformer needs — batched matmul, broadcasting arithmetic, softmax,
-layer normalization, GELU, embedding gather — and is validated against
-finite differences in the test suite.
+layer normalization, linear layers, GELU, embedding gather — and is
+validated against finite differences in the test suite.
 """
 
 from repro.autograd.tensor import Tensor, no_grad, tensor
@@ -15,6 +15,7 @@ from repro.autograd.functional import (
     embedding,
     gelu,
     layer_norm,
+    linear,
     log_softmax,
     relu,
     sigmoid,
@@ -31,6 +32,7 @@ __all__ = [
     "log_softmax",
     "cross_entropy",
     "layer_norm",
+    "linear",
     "embedding",
     "gelu",
     "relu",

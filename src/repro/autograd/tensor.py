@@ -125,12 +125,18 @@ class Tensor:
         return out
 
     def _accumulate(self, grad: np.ndarray) -> None:
-        """Add ``grad`` into this tensor's gradient buffer."""
+        """Add ``grad`` into this tensor's gradient buffer.
+
+        The first gradient is stored as an owned copy: backward closures
+        hand the same array to several parents (``a + b`` passes ``grad``
+        to both), and optimizers scale ``.grad`` in place.
+        """
         if not self.requires_grad:
             return
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += grad
+            self.grad = np.array(grad, dtype=np.float64)
+        else:
+            self.grad += grad
 
     # -- arithmetic --------------------------------------------------------
     def __add__(self, other: Union["Tensor", float, int]) -> "Tensor":
@@ -341,25 +347,24 @@ def _run_backward(
 ) -> None:
     """Invoke a node's backward closure, collecting parent grads.
 
-    The closures call ``parent._accumulate``; for interior (non-leaf)
-    parents we intercept the accumulation into the ``grads`` dict so
-    interior tensors don't waste memory on ``.grad`` buffers.
+    The closures call ``parent._accumulate``, which writes ``.grad``.
+    Afterwards each interior (non-leaf) parent's ``.grad`` is moved into
+    the ``grads`` work dict and cleared, so interior tensors hold no
+    gradient buffer once backward is done; leaves keep theirs.
     """
-    # Temporarily swap parents' _accumulate targets via the grads dict:
-    # the closures call parent._accumulate directly, which writes .grad.
-    # For interior nodes we move that into the dict afterwards.
     assert node._backward is not None
     node._backward(node_grad)
     for parent in node._parents:
         if parent._backward is not None and parent.grad is not None:
             # Interior node: move its accumulated grad into the work dict.
+            # Both arrays are owned copies (see _accumulate), so the sum
+            # can run in place.
             existing = grads.get(id(parent))
-            grads[id(parent)] = (
-                parent.grad if existing is None else existing + parent.grad
-            )
+            if existing is None:
+                grads[id(parent)] = parent.grad
+            else:
+                existing += parent.grad
             parent.grad = None
-        elif parent._backward is None and parent.grad is not None:
-            pass  # leaf: gradient stays in .grad
 
 
 def _topological_order(root: Tensor) -> List[Tensor]:

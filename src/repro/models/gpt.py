@@ -13,6 +13,7 @@ from typing import Optional
 import numpy as np
 
 from repro.autograd import Tensor
+from repro.autograd import functional as F
 from repro.errors import ModelError
 from repro.models.config import ModelConfig
 from repro.nn import Embedding, Linear, Module, TransformerStack
@@ -71,7 +72,7 @@ class GPTModel(Module):
         if self.lm_head is not None:
             return self.lm_head(hidden)
         # Weight tying: share the token embedding as the output projection.
-        return hidden @ self.token_emb.weight.transpose(1, 0)
+        return F.linear(hidden, self.token_emb.weight.transpose(1, 0))
 
     # -- incremental decoding (KV cache) -----------------------------------
     def init_cache(

@@ -36,10 +36,7 @@ class Linear(Module):
             self.bias = Tensor(np.zeros(out_features), requires_grad=True)
 
     def forward(self, x: Tensor) -> Tensor:
-        out = x @ self.weight
-        if self.bias is not None:
-            out = out + self.bias
-        return out
+        return F.linear(x, self.weight, self.bias)
 
     def infer(self, x: np.ndarray) -> np.ndarray:
         """Graph-free :meth:`forward` on a plain array (same float ops)."""
@@ -80,16 +77,8 @@ class LayerNorm(Module):
         return F.layer_norm(x, self.weight, self.bias, eps=self.eps)
 
     def infer(self, x: np.ndarray) -> np.ndarray:
-        """Graph-free :meth:`forward`, op for op as :func:`F.layer_norm`.
-
-        ``mean`` is ``sum * (1/n)`` and ``x - mu`` is ``x + (-mu)`` there,
-        so the same order here keeps the result bit-identical.
-        """
-        inv_n = 1.0 / x.shape[-1]
-        centered = x + -(x.sum(axis=-1, keepdims=True) * inv_n)
-        var = (centered * centered).sum(axis=-1, keepdims=True) * inv_n
-        normalized = centered * ((var + self.eps) ** -0.5)
-        return normalized * self.weight.data + self.bias.data
+        """Graph-free :meth:`forward`: the same :func:`F.layer_norm_parts`."""
+        return F.layer_norm_parts(x, self.weight.data, self.bias.data, self.eps)[0]
 
 
 class Dropout(Module):

@@ -18,6 +18,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.autograd import Tensor
+from repro.autograd import functional as F
 from repro.errors import TrainingError
 from repro.nn.layers import Linear
 from repro.nn.module import Module
@@ -51,9 +52,7 @@ class LoRALinear(Module):
         )
 
     def forward(self, x: Tensor) -> Tensor:
-        out = x @ self.base.weight
-        if self.base.bias is not None:
-            out = out + self.base.bias
+        out = F.linear(x, self.base.weight, self.base.bias)
         return out + ((x @ self.lora_a) @ self.lora_b) * self.scale
 
     def infer(self, x: np.ndarray) -> np.ndarray:

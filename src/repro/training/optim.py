@@ -91,10 +91,15 @@ class Adam(Optimizer):
         for i, param in enumerate(self.params):
             if param.grad is None:
                 continue
-            self._m[i] = self.beta1 * self._m[i] + (1 - self.beta1) * param.grad
-            self._v[i] = self.beta2 * self._v[i] + (1 - self.beta2) * param.grad**2
-            m_hat = self._m[i] / bias1
-            v_hat = self._v[i] / bias2
+            # In place, in the same op order as m = b1*m + (1-b1)*g and
+            # v = b2*v + (1-b2)*g*g, so the moments are bit-identical.
+            m, v = self._m[i], self._v[i]
+            m *= self.beta1
+            m += (1 - self.beta1) * param.grad
+            v *= self.beta2
+            v += (1 - self.beta2) * (param.grad * param.grad)
+            m_hat = m / bias1
+            v_hat = v / bias2
             param.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 

@@ -699,6 +699,28 @@ class TestLintRules:
     def test_atomic_write_read_text_ok(self):
         assert lint_source("data = path.read_text()\n") == []
 
+    def test_slow_pow_flagged_in_hot_path_dirs(self):
+        code = "def f(x):\n    return 0.5 * x**3\n"
+        for package in ("autograd", "nn", "models", "serving", "training"):
+            findings = lint_source(code, path=f"src/repro/{package}/mod.py")
+            assert rules_of(findings) == ["slow-pow"]
+            assert findings[0].line == 2
+        code = "x **= 4\n"
+        assert rules_of(lint_source(code, path="src/repro/nn/mod.py")) == ["slow-pow"]
+
+    def test_slow_pow_ignores_squares_floats_and_names(self):
+        code = "a = x**2\nb = x ** 0.5\nc = x ** -0.5\nd = x ** n\ne = x * x * x\n"
+        assert lint_source(code, path="src/repro/autograd/mod.py") == []
+
+    def test_slow_pow_only_in_hot_path_dirs(self):
+        code = "y = x ** 3\n"
+        assert lint_source(code, path="src/repro/sql/eval.py") == []
+        assert lint_source(code, path="tests/test_nn.py") == []
+
+    def test_slow_pow_noqa(self):
+        code = "y = x ** 3  # repro: noqa[slow-pow]\n"
+        assert lint_source(code, path="src/repro/nn/mod.py") == []
+
 
 class TestNoqaSuppression:
     def test_noqa_suppresses_named_rule(self):

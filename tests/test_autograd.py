@@ -13,6 +13,7 @@ from repro.autograd import (
     embedding,
     gelu,
     layer_norm,
+    linear,
     log_softmax,
     no_grad,
     relu,
@@ -21,6 +22,7 @@ from repro.autograd import (
     tanh,
 )
 from repro.errors import ShapeError
+from repro.training.optim import SGD
 
 
 def numeric_grad(fn, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
@@ -41,9 +43,11 @@ def numeric_grad(fn, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
 
 def check_gradient(build_loss, shape, seed=0, tol=1e-5):
     """Compare autograd gradient against finite differences."""
-    rng = np.random.default_rng(seed)
-    x = rng.normal(size=shape)
+    check_gradient_at(build_loss, np.random.default_rng(seed).normal(size=shape), tol)
 
+
+def check_gradient_at(build_loss, x: np.ndarray, tol=1e-5):
+    """:func:`check_gradient` at a given input ``x``."""
     t = Tensor(x.copy(), requires_grad=True)
     loss = build_loss(t)
     loss.backward()
@@ -132,6 +136,41 @@ class TestBasicOps:
         (y + z).backward()
         np.testing.assert_array_equal(x.grad, [7.0])
 
+    def test_first_gradient_is_not_shared_between_tensors(self):
+        # ``a + b`` hands one gradient array to both parents; each must
+        # own its copy, or scaling one .grad in place scales the other.
+        a = Tensor([1.0, 2.0], requires_grad=True)
+        b = Tensor([3.0, 4.0], requires_grad=True)
+        (a + b).sum().backward()
+        a.grad *= 2
+        np.testing.assert_array_equal(b.grad, [1.0, 1.0])
+
+    def test_clip_grad_norm_over_shared_gradients(self):
+        a = Tensor([1.0, 2.0], requires_grad=True)
+        b = Tensor([3.0, 4.0], requires_grad=True)
+        (a + b).sum().backward()
+        copies = [Tensor([0.0, 0.0], requires_grad=True) for _ in range(2)]
+        for copy, source in zip(copies, (a, b)):
+            copy.grad = source.grad.copy()
+        norms = [SGD(params, lr=0.1).clip_grad_norm(1.0) for params in ([a, b], copies)]
+        assert norms[0] == norms[1]
+        np.testing.assert_array_equal(a.grad, copies[0].grad)
+        np.testing.assert_array_equal(b.grad, copies[1].grad)
+        np.testing.assert_allclose(np.linalg.norm([a.grad, b.grad]), 1.0)
+
+    def test_tensor_used_twice_receives_summed_gradient(self):
+        x = Tensor([3.0, -2.0], requires_grad=True)
+        (x * x).sum().backward()
+        np.testing.assert_array_equal(x.grad, [6.0, -4.0])
+        a = Tensor([1.0, 5.0], requires_grad=True)
+        (a + a).sum().backward()
+        np.testing.assert_array_equal(a.grad, [2.0, 2.0])
+        # The same through an interior node.
+        y = a * 1.0
+        a.zero_grad()
+        (y + y).sum().backward()
+        np.testing.assert_array_equal(a.grad, [2.0, 2.0])
+
     def test_grad_accumulates_across_backward_calls(self):
         x = Tensor([1.0], requires_grad=True)
         (x * 2.0).backward()
@@ -203,6 +242,57 @@ class TestFunctional:
         check_gradient(
             lambda t: (layer_norm(t, Tensor(w), Tensor(b)) ** 2).sum(), (3, 6)
         )
+
+    @pytest.mark.parametrize("shape", [(3, 6), (2, 3, 6)])
+    def test_layer_norm_grad_wrt_weight_and_bias(self, shape):
+        gen = np.random.default_rng(11)
+        x = gen.normal(size=shape)
+        w = gen.normal(size=(6,))
+        b = gen.normal(size=(6,))
+        check_gradient(
+            lambda t: (layer_norm(Tensor(x), t, Tensor(b)) ** 2).sum(), (6,), seed=1
+        )
+        check_gradient(
+            lambda t: (layer_norm(Tensor(x), Tensor(w), t) ** 2).sum(), (6,), seed=2
+        )
+        check_gradient(
+            lambda t: (layer_norm(t, Tensor(w), Tensor(b)) ** 2).sum(), shape, seed=3
+        )
+
+    @pytest.mark.parametrize("shape", [(5, 4), (2, 3, 4)])
+    @pytest.mark.parametrize("with_bias", [True, False])
+    def test_linear_grad(self, shape, with_bias):
+        gen = np.random.default_rng(12)
+        x = gen.normal(size=shape)
+        w = gen.normal(size=(4, 3))
+        b = gen.normal(size=(3,)) if with_bias else None
+
+        def bias():
+            return None if b is None else Tensor(b)
+
+        check_gradient(lambda t: (linear(t, Tensor(w), bias()) ** 2).sum(), shape)
+        check_gradient(lambda t: (linear(Tensor(x), t, bias()) ** 2).sum(), (4, 3))
+        if with_bias:
+            check_gradient(lambda t: (linear(Tensor(x), Tensor(w), t) ** 2).sum(), (3,))
+
+    def test_linear_matches_matmul_plus_bias(self):
+        gen = np.random.default_rng(13)
+        x, w, b = gen.normal(size=(2, 3, 4)), gen.normal(size=(4, 5)), gen.normal(size=5)
+        out = linear(Tensor(x), Tensor(w), Tensor(b))
+        assert np.array_equal(out.data, (Tensor(x) @ Tensor(w) + Tensor(b)).data)
+
+    def test_linear_skips_frozen_gradients(self):
+        x = Tensor(np.ones((2, 3)), requires_grad=True)
+        w = Tensor(np.ones((3, 2)))
+        b = Tensor(np.zeros(2))
+        linear(x, w, b).sum().backward()
+        assert w.grad is None and b.grad is None
+        np.testing.assert_array_equal(x.grad, np.full((2, 3), 2.0))
+
+    def test_gelu_grad_on_wide_inputs(self):
+        # The tails: tanh saturates and the cubic term dominates.
+        x = np.linspace(-6.0, 6.0, 25).reshape(5, 5)
+        check_gradient_at(lambda t: (gelu(t) ** 2).sum(), x)
 
     def test_embedding_forward(self):
         weight = Tensor(np.arange(12.0).reshape(4, 3), requires_grad=True)

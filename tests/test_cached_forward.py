@@ -10,6 +10,7 @@ deep the model is.
 
 from __future__ import annotations
 
+import contextlib
 import copy
 
 import numpy as np
@@ -18,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import CompletionClient, ModelHub
-from repro.autograd import Tensor
+from repro.autograd import Tensor, no_grad
 from repro.generation import GenerationConfig, generate
 from repro.models import GPTModel, ModelConfig
 from repro.nn import FeedForward, LayerNorm, Linear, QuantizedLinear
@@ -60,8 +61,9 @@ def _kernel_module(kind: str, dim: int, seed: int):
     ),
     seed=st.integers(0, 2**16),
     transposed=st.booleans(),
+    recording=st.booleans(),
 )
-def test_kernel_equals_autograd_forward(kind, shape, seed, transposed):
+def test_kernel_equals_autograd_forward(kind, shape, seed, transposed, recording):
     module = _kernel_module(kind, shape[2], seed)
     gen = np.random.default_rng(seed + 1)
     if transposed:
@@ -69,7 +71,10 @@ def test_kernel_equals_autograd_forward(kind, shape, seed, transposed):
         x = gen.normal(size=shape[::-1]).transpose(2, 1, 0)
     else:
         x = gen.normal(size=shape)
-    expected = module(Tensor(x)).data
+    # With recording on, the fused training nodes (one-node LayerNorm and
+    # Linear) build the graph; with it off, no graph is kept.
+    with contextlib.nullcontext() if recording else no_grad():
+        expected = module(Tensor(x, requires_grad=recording)).data
     out = module.infer(x)
     assert isinstance(out, np.ndarray)
     assert np.array_equal(out, expected)

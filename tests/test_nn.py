@@ -217,6 +217,31 @@ class TestTransformer:
         for param in stack.parameters():
             assert param.grad is not None, "every parameter should receive gradient"
 
+    def test_training_graph_size_per_layer(self):
+        """One fine-tune step records a fixed, small graph per block.
+
+        Per block: two LayerNorm and six Linear nodes with their 16
+        parameter leaves (24); split heads, scores, scale and its constant,
+        mask, softmax, context and merge (15); GELU; two residual adds.
+        A LayerNorm or Linear composed from primitives again shows up
+        here as extra nodes.
+        """
+        from repro.autograd import cross_entropy
+        from repro.autograd.tensor import _topological_order
+        from repro.models import GPTModel, ModelConfig
+
+        ids = np.arange(1, 19).reshape(2, 9) % 40
+        counts = []
+        for layers in (2, 4):
+            config = ModelConfig(
+                vocab_size=40, max_seq_len=16, dim=48, num_layers=layers,
+                num_heads=3, ff_dim=192, causal=True,
+            )
+            logits = GPTModel(config, seed=0)(ids[:, :-1])
+            loss = cross_entropy(logits.reshape(-1, 40), ids[:, 1:].reshape(-1))
+            counts.append(len(_topological_order(loss)))
+        assert counts[1] - counts[0] == 2 * 42
+
 
 class TestQuantization:
     def test_quantize_weight_roundtrip_error_bound(self, rng):

@@ -82,6 +82,35 @@ class TestOptimizers:
         assert a.data[0] != 1.0
         assert b.data[0] == 1.0
 
+    @pytest.mark.parametrize("cls", [Adam, AdamW])
+    def test_adam_moments_match_the_textbook_formula_bit_for_bit(self, cls):
+        gen = np.random.default_rng(3)
+        start = [gen.normal(size=(4, 3)), gen.normal(size=(5,))]
+        params = [Tensor(p.copy(), requires_grad=True) for p in start]
+        optimizer = cls(params, lr=0.01)
+        b1, b2, eps, lr = optimizer.beta1, optimizer.beta2, optimizer.eps, 0.01
+        decay = getattr(optimizer, "weight_decay", 0.0)
+        data = [p.copy() for p in start]
+        m = [np.zeros_like(p) for p in start]
+        v = [np.zeros_like(p) for p in start]
+        for t in range(1, 6):
+            grads = [gen.normal(size=p.shape) for p in start]
+            for param, grad in zip(params, grads):
+                param.grad = grad.copy()
+            optimizer.step()
+            for i, grad in enumerate(grads):
+                if decay > 0:
+                    data[i] -= lr * decay * data[i]
+                m[i] = b1 * m[i] + (1 - b1) * grad
+                v[i] = b2 * v[i] + (1 - b2) * grad**2
+                m_hat = m[i] / (1.0 - b1**t)
+                v_hat = v[i] / (1.0 - b2**t)
+                data[i] -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        for param, expected in zip(params, data):
+            assert np.array_equal(param.data, expected)
+        for got, expected in zip(optimizer._m + optimizer._v, m + v):
+            assert np.array_equal(got, expected)
+
 
 class TestSchedules:
     def test_constant(self):
