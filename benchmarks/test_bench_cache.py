@@ -20,7 +20,6 @@ import numpy as np
 import pytest
 
 from repro.api import CompletionClient, bootstrap_hub
-from repro.serving import SemanticCache
 
 MAX_TOKENS = 12
 
@@ -97,7 +96,7 @@ def test_bench_cache_repeat_sweep(report_printer, bench_metrics, hub):
     )
     bench_metrics["cache/sweep_speedup"] = round(speedup, 2)
     report_printer(
-        "CACHE-i: exact-tier hit rate on a repeated few-shot sweep",
+        "CACHE: hit rate on a repeated few-shot sweep",
         [
             f"requests        : {len(schedule)} ({repeat_rate:.0%} repeats)",
             f"exact hits      : {stats.cache_exact_hits}",
@@ -105,36 +104,5 @@ def test_bench_cache_repeat_sweep(report_printer, bench_metrics, hub):
             f"tokens skipped  : {stats.cache_skipped_tokens}",
             f"sweep speedup   : {speedup:.2f}x "
             f"({cold_seconds * 1000:.0f} ms -> {warm_seconds * 1000:.0f} ms)",
-        ],
-    )
-
-
-def test_bench_cache_similarity_tier(report_printer, bench_metrics, hub):
-    """Near-duplicate sweep: the opt-in similarity tier's hit rate."""
-    cache = SemanticCache(max_bytes=4 * 1024 * 1024, similarity_threshold=0.9)
-    client = CompletionClient(hub, semantic_cache=cache)
-    # Warm with one row per template family, then sweep near-duplicates
-    # (same few-shot header, one changed row value).
-    client.complete("tiny-gpt", few_shot_prompt("row 0 of the large results"),
-                    max_tokens=MAX_TOKENS)
-    probes = [few_shot_prompt(f"row {i} of the large results") for i in range(1, 21)]
-    for prompt in probes:
-        client.complete("tiny-gpt", prompt, max_tokens=MAX_TOKENS, allow_similar=True)
-
-    stats = client.engine_stats("tiny-gpt")
-    similarity_rate = stats.cache_similarity_hits / len(probes)
-    assert stats.cache_similarity_hits > 0, (
-        "near-duplicate prompts should hit the similarity tier"
-    )
-
-    bench_metrics["cache/similarity_probes"] = len(probes)
-    bench_metrics["cache/similarity_hit_rate"] = round(similarity_rate, 3)
-    report_printer(
-        "CACHE-ii: similarity tier on near-duplicate prompts (opt-in)",
-        [
-            f"probes               : {len(probes)}",
-            f"similarity hits      : {stats.cache_similarity_hits}",
-            f"similarity hit rate  : {similarity_rate:.2f}",
-            f"threshold            : {cache.similarity_threshold}",
         ],
     )

@@ -13,6 +13,9 @@ kills a replica mid-decode with an injected fault and verifies the
 failover guarantee: every admitted request completes exactly once with
 greedy output token-identical to the direct scheduler path.
 
+Every decode step is charged a fixed, modeled service time
+(``SECONDS_PER_STEP``), not a measured one, so goodput and latency in
+the sweep are modeled figures; the report labels each such line.
 Virtual time makes the sweep both fast (a minute of simulated traffic
 runs in milliseconds of wall time) and exactly reproducible from its
 seed. Machine-readable results land in ``benchmarks/BENCH_gateway.json``
@@ -42,7 +45,10 @@ from repro.serving.loadgen import sweep
 
 NEW_TOKENS = 8
 MAX_BATCH = 8
+#: modeled (not measured) virtual seconds charged per decode step
 SECONDS_PER_STEP = 0.01
+#: the label on every report line derived from SECONDS_PER_STEP
+MODELED = f"modeled service time {SECONDS_PER_STEP} s/step"
 #: ideal throughput with full batches: MAX_BATCH requests retire every
 #: NEW_TOKENS decode steps
 NOMINAL_CAPACITY = MAX_BATCH / (NEW_TOKENS * SECONDS_PER_STEP)
@@ -107,7 +113,7 @@ def test_saturation_curve(model, prompts, bench_metrics, report_printer):
         lines.append(
             f"{mult:>8.2f}x  {report.goodput:>8.1f}  {report.shed_rate:>5.1%}"
             f"  {report.p50_latency:>7.3f}  {report.p99_latency:>7.3f}"
-            f"  {report.p99_queue_wait:>7.3f}"
+            f"  {report.p99_queue_wait:>7.3f}  ({MODELED})"
         )
         bench_metrics[f"gateway/goodput_at_{mult}x"] = report.goodput
         bench_metrics[f"gateway/shed_rate_at_{mult}x"] = report.shed_rate
@@ -123,9 +129,11 @@ def test_saturation_curve(model, prompts, bench_metrics, report_printer):
     lines.append(
         f"peak goodput {peak:.1f} req/s; at 2x offered load the gateway "
         f"sheds {overloaded.shed_rate:.1%} and holds "
-        f"{overloaded.goodput / peak:.1%} of peak goodput"
+        f"{overloaded.goodput / peak:.1%} of peak goodput ({MODELED})"
     )
-    report_printer("GATEWAY — open-loop saturation sweep (virtual time)", lines)
+    report_printer(
+        f"GATEWAY — open-loop saturation sweep (virtual time, {MODELED})", lines
+    )
 
     # Under capacity: no shedding, everything completes.
     assert light.shed == 0 and half.shed == 0

@@ -9,8 +9,7 @@ microbatch sizes 4 and 8, plus the cost of priming the KV cache
 token-at-a-time versus the chunked causal prefill, the prefix-cache
 speedup on a few-shot text-to-SQL sweep whose prompts share a long
 header, speculative decoding with a distilled 1-layer draft against
-plain batched decode on that same sweep, the int8 weight-quantization
-kernel against the fp64 matmul it replaces, prefix-cache lookup/insert
+plain batched decode on that same sweep, prefix-cache lookup/insert
 and the cached forward (decode step, prefill chunk) at the few-shot
 workload's shapes.
 Machine-readable results land in ``benchmarks/BENCH_serving.json`` via
@@ -28,7 +27,7 @@ from repro.api import CompletionClient, ModelHub
 from repro.autograd import no_grad
 from repro.generation import GenerationConfig, generate
 from repro.models import GPTModel, ModelConfig
-from repro.nn import chunk_causal_mask, quantize_weight
+from repro.nn import chunk_causal_mask
 from repro.serving import BatchRequest, BatchScheduler, PrefixCache, distill_draft
 from repro.tokenizers import WhitespaceTokenizer
 
@@ -342,80 +341,6 @@ def test_bench_speculative_sweep(report_printer, bench_metrics, sweep_setup):
     assert stats.verify_forwards > 0
     assert acceptance > 0
     assert speedup >= 1.5
-
-
-# -- int8 weight quantization: kernel throughput and output identity -------
-def test_bench_int8_matmul(report_printer, bench_metrics):
-    """Dequantize-free int8 projection vs the fp64 baseline matmul."""
-    rng = np.random.default_rng(3)
-    weight = rng.normal(size=(512, 512))
-    x = rng.normal(size=(256, 512))
-    w_q, scales = quantize_weight(weight)
-    w_q32 = w_q.astype(np.float32)
-    x32 = x.astype(np.float32)
-    repeats = 20
-
-    def _fp64_seconds():
-        start = time.perf_counter()
-        for _ in range(repeats):
-            x @ weight
-        return time.perf_counter() - start
-
-    def _int8_seconds():
-        start = time.perf_counter()
-        for _ in range(repeats):
-            (x32 @ w_q32).astype(np.float64) * scales
-        return time.perf_counter() - start
-
-    _fp64_seconds(), _int8_seconds()  # warmup
-    fp64_s = min(_fp64_seconds() for _ in range(5))
-    int8_s = min(_int8_seconds() for _ in range(5))
-    speedup = fp64_s / int8_s
-
-    report_printer(
-        "SERVING: int8 weight matmul (256x512 activations, 512x512 weight)",
-        [
-            f"{'kernel':<34}{'ms/matmul':>12}{'speedup':>10}",
-            f"{'fp64 baseline':<34}{fp64_s / repeats * 1e3:>12.3f}"
-            f"{1.0:>10.2f}x",
-            f"{'int8 weights, fp32 accumulate':<34}"
-            f"{int8_s / repeats * 1e3:>12.3f}{speedup:>10.2f}x",
-        ],
-    )
-
-    bench_metrics["int8_matmul_speedup"] = round(speedup, 2)
-
-    # The int8 path must not lose to the fp64 gemm it replaces
-    # (10% tolerance for timer noise).
-    assert int8_s <= fp64_s * 1.1
-
-
-def test_bench_int8_sweep_identity(report_printer, bench_metrics, sweep_setup):
-    """Quantized weights must keep the greedy sweep output-identical."""
-    hub, prompts = sweep_setup
-    base_client = CompletionClient(hub)
-    quant_client = CompletionClient(hub, int8_weights=True)
-    _, base_texts = _sweep_seconds(base_client, prompts, continuous=False)
-    _, quant_texts = _sweep_seconds(quant_client, prompts, continuous=False)
-    report = quant_client.quantization_report("sql-bench")
-
-    report_printer(
-        "SERVING: int8-quantized sweep vs fp64 weights",
-        [
-            f"quantized layers {len(report.layers)}, "
-            f"compression {report.compression:.2f}x",
-            f"max abs weight error {report.max_abs_error:.2e}",
-            f"greedy output identical: {quant_texts == base_texts}",
-        ],
-    )
-
-    bench_metrics["int8_max_abs_weight_error"] = round(
-        report.max_abs_error, 6
-    )
-    bench_metrics["int8_weight_compression"] = round(report.compression, 2)
-
-    assert quant_texts == base_texts
-    assert 0.0 < report.max_abs_error < 0.05
 
 
 # -- prefix-cache operations at the few-shot workload's shapes -------------

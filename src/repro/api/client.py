@@ -8,7 +8,7 @@ shape of ``openai.Completion.create``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ModelError
@@ -16,7 +16,6 @@ from repro.generation import GenerationConfig
 from repro.generation.decoding import TokenConstraint
 from repro.models import GPTModel
 from repro.api.hub import ModelHub
-from repro.nn import QuantizationReport, quantize_model
 from repro.reliability.clock import Clock, SystemClock
 from repro.serving import BatchRequest, BatchScheduler, PrefixCache, SemanticCache
 
@@ -64,7 +63,6 @@ class EngineStats:
     queue_wait_seconds: float = 0.0
     cache_lookups: int = 0
     cache_exact_hits: int = 0
-    cache_similarity_hits: int = 0
     cache_skipped_prompt_tokens: int = 0
     cache_skipped_completion_tokens: int = 0
 
@@ -73,15 +71,11 @@ class EngineStats:
         return self.prompt_tokens + self.completion_tokens
 
     @property
-    def cache_hits(self) -> int:
-        """Completions served from the semantic cache (no engine work)."""
-        return self.cache_exact_hits + self.cache_similarity_hits
-
-    @property
     def cache_hit_rate(self) -> float:
+        """Share of cache lookups served without engine work."""
         if self.cache_lookups == 0:
             return 0.0
-        return self.cache_hits / self.cache_lookups
+        return self.cache_exact_hits / self.cache_lookups
 
     @property
     def cache_skipped_tokens(self) -> int:
@@ -182,12 +176,8 @@ class CompletionClient:
     a time. The cache is invalidated automatically when the hub
     re-registers the engine with a different model.
 
-    Serving accelerations are opt-in constructor flags — all default
-    off, keeping the plain path bit-identical to previous releases:
+    Two serving options default off; neither changes a response:
 
-    * ``int8_weights`` serves each engine through an int8
-      weight-quantized copy (:func:`repro.nn.quantize_model`;
-      per-engine :meth:`quantization_report` gives the weight error).
     * ``speculative_draft`` names another hub engine to use as a
       speculative-decoding draft model for greedy requests, under
       continuous and barriered batching alike; outputs stay
@@ -197,14 +187,12 @@ class CompletionClient:
       :class:`~repro.serving.SemanticCache`: repeated requests — same
       engine, prompt, and decode parameters — return their cached
       :class:`CompletionResponse` without any prefill *or* decode.
-      Exact hits are byte-identical to re-decoding (generation is
-      seeded-deterministic); near-duplicate hits change outputs, so
-      they only run when a call passes ``allow_similar=True``. Cached
-      entries are invalidated per engine on model identity, like the
-      prefix cache. Constrained requests are never cached.
+      Hits are byte-identical to re-decoding (generation is
+      seeded-deterministic). Cached entries are invalidated per engine
+      on model identity, like the prefix cache. Constrained requests
+      are never cached.
 
-    The transformed serving copies (and their prefix caches) are cached
-    per engine and rebuilt whenever the hub re-registers the model.
+    Every engine is served by the hub's own model object, never a copy.
     """
 
     def __init__(
@@ -212,67 +200,30 @@ class CompletionClient:
         hub: ModelHub,
         prefix_cache_bytes: int = DEFAULT_PREFIX_CACHE_BYTES,
         clock: Optional[Clock] = None,
-        int8_weights: bool = False,
         speculative_draft: Optional[str] = None,
         speculative_k: int = 4,
         semantic_cache_bytes: int = 0,
-        semantic_cache: Optional[SemanticCache] = None,
     ) -> None:
         self.hub = hub
         self.prefix_cache_bytes = prefix_cache_bytes
         self.clock: Clock = clock if clock is not None else SystemClock()
-        self.int8_weights = int8_weights
         self.speculative_draft = speculative_draft
         self.speculative_k = speculative_k
-        if semantic_cache is not None:
-            self.semantic_cache: Optional[SemanticCache] = semantic_cache
-        elif semantic_cache_bytes > 0:
-            self.semantic_cache = SemanticCache(max_bytes=semantic_cache_bytes)
-        else:
-            self.semantic_cache = None
+        self.semantic_cache: Optional[SemanticCache] = (
+            SemanticCache(max_bytes=semantic_cache_bytes)
+            if semantic_cache_bytes > 0
+            else None
+        )
         self._stats: Dict[str, EngineStats] = {}
         self._prefix_caches: Dict[str, Tuple[object, PrefixCache]] = {}
         #: engine -> hub model the semantic cache's entries were decoded by
         self._semcache_models: Dict[str, object] = {}
-        # engine -> (hub model, serving copy, quantization report)
-        self._serving_models: Dict[
-            str, Tuple[object, object, Optional[QuantizationReport]]
-        ] = {}
-
-    def _serving_model(self, engine: str):
-        """The model actually served for ``engine`` (transforms applied).
-
-        Without ``int8_weights`` this is the hub's model object itself —
-        no copy, bit-identical behavior. Otherwise a cached per-engine
-        int8 copy, rebuilt whenever the hub re-registers the engine.
-        """
-        entry = self.hub.get(engine)
-        model = entry.model
-        if not isinstance(model, GPTModel) or not self.int8_weights:
-            return model
-        stored = self._serving_models.get(engine)
-        if stored is None or stored[0] is not model:
-            serving, report = quantize_model(model)
-            stored = (model, serving, report)
-            self._serving_models[engine] = stored
-        return stored[1]
-
-    def quantization_report(self, engine: str) -> Optional[QuantizationReport]:
-        """Weight-error report for the engine's int8 serving copy.
-
-        ``None`` unless the client was built with ``int8_weights=True``.
-        """
-        if not self.int8_weights:
-            return None
-        self._serving_model(engine)
-        stored = self._serving_models.get(engine)
-        return stored[2] if stored else None
 
     def _draft_model(self) -> Optional[GPTModel]:
-        """The speculative draft engine's serving model (None if unset)."""
+        """The speculative draft engine's hub model (None if unset)."""
         if self.speculative_draft is None:
             return None
-        draft = self._serving_model(self.speculative_draft)
+        draft = self.hub.get(self.speculative_draft).model
         if not isinstance(draft, GPTModel):
             raise ModelError(
                 f"speculative draft engine {self.speculative_draft!r} "
@@ -285,12 +236,11 @@ class CompletionClient:
 
         Cached K/V states are only valid for the exact model weights
         that produced them, so the cache is dropped whenever the hub
-        entry's model changes — including when an acceleration flag
-        swaps the serving copy (int8 K/V differ from float K/V).
+        entry's model changes.
         """
         if self.prefix_cache_bytes <= 0:
             return None
-        model = self._serving_model(engine)
+        model = self.hub.get(engine).model
         stored = self._prefix_caches.get(engine)
         if stored is None or stored[0] is not model:
             stored = (model, PrefixCache(max_bytes=self.prefix_cache_bytes))
@@ -329,28 +279,15 @@ class CompletionClient:
         """Exact-match key: everything that determines the response."""
         return (engine, prompt, max_tokens, temperature, top_p, n, tuple(stop), seed)
 
-    def _record_cache_hit(self, engine: str, hit) -> CompletionResponse:
-        stats = self.engine_stats(engine)
-        if hit.kind == "exact":
-            stats.cache_exact_hits += 1
-        else:
-            stats.cache_similarity_hits += 1
-        stats.cache_skipped_prompt_tokens += hit.prompt_tokens
-        stats.cache_skipped_completion_tokens += hit.completion_tokens
-        return hit.value
-
-    def _cache_insert(
-        self, cache: SemanticCache, key: Tuple, engine: str, prompt: str,
-        response: CompletionResponse,
-    ) -> None:
-        cache.insert(
-            key,
-            response,
-            group=engine,
-            text=prompt,
-            prompt_tokens=response.usage.prompt_tokens,
-            completion_tokens=response.usage.completion_tokens,
-        )
+    @staticmethod
+    def _record_cache_hit(
+        stats: EngineStats, response: CompletionResponse
+    ) -> CompletionResponse:
+        """Count a response served without decode: a hit or a duplicate."""
+        stats.cache_exact_hits += 1
+        stats.cache_skipped_prompt_tokens += response.usage.prompt_tokens
+        stats.cache_skipped_completion_tokens += response.usage.completion_tokens
+        return response
 
     def complete(
         self,
@@ -363,7 +300,6 @@ class CompletionClient:
         stop: Sequence[str] = (),
         seed: int = 0,
         constraint: Optional[TokenConstraint] = None,
-        allow_similar: bool = False,
     ) -> CompletionResponse:
         """Complete ``prompt`` with the named engine.
 
@@ -371,10 +307,9 @@ class CompletionClient:
         convention); positive temperatures sample. ``stop`` strings
         truncate each returned text at the first occurrence. With a
         semantic cache enabled, an exact repeat returns its cached
-        response without touching the engine; ``allow_similar=True``
-        additionally accepts a near-duplicate prompt's completion.
-        This is :meth:`complete_batch` with one prompt, so it shares
-        the engine's prefix cache and billing.
+        response without touching the engine. This is
+        :meth:`complete_batch` with one prompt, so it shares the
+        engine's prefix cache and billing.
         """
         (response,) = self.complete_batch(
             engine,
@@ -386,7 +321,6 @@ class CompletionClient:
             stop=stop,
             seed=seed,
             constraints=[constraint],
-            allow_similar=allow_similar,
         )
         return response
 
@@ -405,7 +339,6 @@ class CompletionClient:
         prefill_chunk: Optional[int] = None,
         prefix_caching: bool = True,
         continuous: bool = True,
-        allow_similar: bool = False,
     ) -> List[CompletionResponse]:
         """Complete many prompts in one serving pass; one response per prompt.
 
@@ -426,13 +359,12 @@ class CompletionClient:
 
         With a semantic cache enabled, cached prompts (and exact
         duplicates *within* the batch) skip the engine entirely; only
-        the remaining misses are scheduled. ``allow_similar=True``
-        additionally serves near-duplicate prompts from the cache.
+        the remaining misses are scheduled.
         """
         entry = self.hub.get(engine)
         if not isinstance(entry.model, GPTModel):
             raise ModelError(f"engine {engine!r} is not a causal (completion) model")
-        model = self._serving_model(engine)
+        model = entry.model
         tokenizer = entry.tokenizer
         if n <= 0:
             raise ModelError("n must be positive")
@@ -459,11 +391,9 @@ class CompletionClient:
                 )
                 keys[i] = key
                 stats.cache_lookups += 1
-                hit = cache.lookup(
-                    key, group=engine, text=prompt, allow_similar=allow_similar
-                )
+                hit = cache.lookup(key)
                 if hit is not None:
-                    served[i] = self._record_cache_hit(engine, hit)
+                    served[i] = self._record_cache_hit(stats, hit.value)
                 elif key in leaders:
                     # An exact duplicate earlier in this same batch will
                     # decode it; serve this copy from that result.
@@ -505,14 +435,15 @@ class CompletionClient:
         results = scheduler.run()
 
         stats = self.engine_stats(engine)
-        # The scheduler is fresh per call, so its counters are this
-        # call's deltas.
-        stats.prefix_hits += scheduler.stats.prefix_hits
-        stats.prefix_reused_tokens += scheduler.stats.prefix_reused_tokens
-        stats.batch_refills += scheduler.stats.refills
-        stats.draft_tokens += scheduler.stats.draft_tokens
-        stats.draft_accepted_tokens += scheduler.stats.draft_accepted_tokens
-        stats.verify_forwards += scheduler.stats.verify_forwards
+        # The scheduler (and its generator) is fresh per call, so its
+        # counters are this call's deltas.
+        generated = scheduler.generator.stats
+        stats.prefix_hits += generated.prefix_hits
+        stats.prefix_reused_tokens += generated.prefix_reused_tokens
+        stats.batch_refills += generated.refills
+        stats.draft_tokens += generated.draft_tokens
+        stats.draft_accepted_tokens += generated.draft_accepted_tokens
+        stats.verify_forwards += generated.verify_forwards
         stats.queue_wait_seconds += scheduler.stats.queue_wait_total
         for i, prompt_ids, ticket in zip(to_run, encoded, tickets):
             choices: List[CompletionChoice] = []
@@ -536,15 +467,17 @@ class CompletionClient:
             )
             served[i] = response
             if cache is not None and keys[i] is not None:
-                self._cache_insert(cache, keys[i], engine, prompts[i], response)
+                cache.insert(
+                    keys[i],
+                    response,
+                    group=engine,
+                    prompt_tokens=len(prompt_ids),
+                    completion_tokens=completion_tokens,
+                )
         for i, leader in duplicate_of.items():
             # Identical request, identical (deterministic) response; it
             # skipped decode, which is what the cache counters record.
-            response = served[leader]
-            stats.cache_exact_hits += 1
-            stats.cache_skipped_prompt_tokens += response.usage.prompt_tokens
-            stats.cache_skipped_completion_tokens += response.usage.completion_tokens
-            served[i] = response
+            served[i] = self._record_cache_hit(stats, served[leader])
         return [served[i] for i in range(len(prompts))]
 
     def engine_stats(self, engine: str) -> EngineStats:

@@ -14,12 +14,6 @@ from repro.nn.attention import (
     chunk_causal_mask,
     padding_mask,
 )
-from repro.nn.quant import (
-    QuantizationReport,
-    QuantizedLinear,
-    quantize_model,
-    quantize_weight,
-)
 from repro.nn.transformer import FeedForward, TransformerBlock, TransformerStack
 
 __all__ = [
@@ -30,13 +24,9 @@ __all__ = [
     "LayerNorm",
     "Dropout",
     "MultiHeadAttention",
-    "QuantizationReport",
-    "QuantizedLinear",
     "causal_mask",
     "chunk_causal_mask",
     "padding_mask",
-    "quantize_model",
-    "quantize_weight",
     "FeedForward",
     "TransformerBlock",
     "TransformerStack",

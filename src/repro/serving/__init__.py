@@ -12,9 +12,8 @@ draft model (:func:`distill_draft`) proposes runs of tokens the target
 verifies in one batched forward, token-identical to plain greedy
 decoding, under barriered and continuous batching alike.
 Above the scheduler, :class:`SemanticCache` memoizes whole
-completions — exact-match on the full request key plus an opt-in
-embedding-similarity tier — so repeated prompts skip prefill and
-decode entirely.
+completions, keyed exactly on the full request, so repeated prompts
+skip prefill and decode entirely.
 
 On top of the scheduler sits the asyncio serving tier: the multi-tenant
 :class:`Gateway` (admission control, load shedding, deadline dispatch,
@@ -47,7 +46,6 @@ from repro.serving.semcache import (
     SemanticCache,
     SemanticCacheStats,
     completion_request_key,
-    hashed_embedding,
 )
 from repro.serving.speculative import distill_draft, draft_config
 
@@ -76,7 +74,6 @@ __all__ = [
     "ServiceModel",
     "complete_many",
     "completion_request_key",
-    "hashed_embedding",
     "engine_serving_stats",
     "run_open_loop",
     "sweep",

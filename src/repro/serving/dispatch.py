@@ -11,6 +11,7 @@ never have to implement batching to stay compatible.
 
 from __future__ import annotations
 
+from dataclasses import asdict
 from typing import List, Sequence
 
 
@@ -34,8 +35,8 @@ def engine_serving_stats(client, engine: str) -> dict:
     Unwraps reliability/fault wrappers (anything holding its inner
     client as ``.client``) until it finds an object exposing
     ``engine_stats``; returns ``{}`` when no layer does. The dict is the
-    application-report shape: prompt/completion token totals plus the
-    prefix-cache and continuous-batching counters.
+    application-report shape: every :class:`~repro.api.client.EngineStats`
+    counter plus its ``acceptance_rate`` and ``cache_hit_rate``.
     """
     inner = client
     while inner is not None and getattr(inner, "engine_stats", None) is None:
@@ -43,26 +44,7 @@ def engine_serving_stats(client, engine: str) -> dict:
     if inner is None:
         return {}
     stats = inner.engine_stats(engine)
-    return {
-        "requests": float(stats.requests),
-        "prompt_tokens": float(stats.prompt_tokens),
-        "completion_tokens": float(stats.completion_tokens),
-        "prefix_hits": float(getattr(stats, "prefix_hits", 0)),
-        "prefix_reused_tokens": float(getattr(stats, "prefix_reused_tokens", 0)),
-        "batch_refills": float(getattr(stats, "batch_refills", 0)),
-        "draft_tokens": float(getattr(stats, "draft_tokens", 0)),
-        "draft_accepted_tokens": float(getattr(stats, "draft_accepted_tokens", 0)),
-        "verify_forwards": float(getattr(stats, "verify_forwards", 0)),
-        "acceptance_rate": float(getattr(stats, "acceptance_rate", 0.0)),
-        "queue_wait_seconds": float(getattr(stats, "queue_wait_seconds", 0.0)),
-        "cache_lookups": float(getattr(stats, "cache_lookups", 0)),
-        "cache_exact_hits": float(getattr(stats, "cache_exact_hits", 0)),
-        "cache_similarity_hits": float(getattr(stats, "cache_similarity_hits", 0)),
-        "cache_hit_rate": float(getattr(stats, "cache_hit_rate", 0.0)),
-        "cache_skipped_prompt_tokens": float(
-            getattr(stats, "cache_skipped_prompt_tokens", 0)
-        ),
-        "cache_skipped_completion_tokens": float(
-            getattr(stats, "cache_skipped_completion_tokens", 0)
-        ),
-    }
+    report = {name: float(value) for name, value in asdict(stats).items()}
+    report["acceptance_rate"] = stats.acceptance_rate
+    report["cache_hit_rate"] = stats.cache_hit_rate
+    return report

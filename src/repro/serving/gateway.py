@@ -421,7 +421,7 @@ class Gateway:
         key = completion_request_key(request.request)
         if key is None:
             return None
-        hit = self.completion_cache.lookup(key, group="completions")
+        hit = self.completion_cache.lookup(key)
         if hit is None:
             return None
         self.stats.cache_hits += 1

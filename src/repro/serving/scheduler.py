@@ -44,14 +44,15 @@ from repro.serving.prefix import PrefixCache
 
 @dataclass
 class SchedulerStats:
-    """Counters describing one scheduler's lifetime of work.
+    """Queue-level counters describing one scheduler's lifetime of work.
 
-    ``refills``, ``prefix_hits`` and ``prefix_reused_tokens`` mirror the
-    generator's counters after each :meth:`BatchScheduler.run` so
-    serving callers can read everything from one place.
-    ``queue_wait_total``/``queue_wait_max`` aggregate per-request
-    submission→dispatch waits in clock seconds; ``cancelled`` counts
-    requests retired mid-stream by an ``on_step`` hook.
+    Forward-pass counters (refills, prefix hits, speculative drafts)
+    live in one place only, the generator's
+    :class:`~repro.serving.engine.GeneratorStats`
+    (``scheduler.generator.stats``). ``queue_wait_total`` and
+    ``queue_wait_max`` aggregate per-request submission→dispatch waits
+    in clock seconds; ``cancelled`` counts requests retired mid-stream
+    by an ``on_step`` hook.
     """
 
     submitted: int = 0
@@ -62,21 +63,8 @@ class SchedulerStats:
     sequential_fallbacks: int = 0
     prompt_tokens: int = 0
     generated_tokens: int = 0
-    refills: int = 0
-    prefix_hits: int = 0
-    prefix_reused_tokens: int = 0
-    draft_tokens: int = 0
-    draft_accepted_tokens: int = 0
-    verify_forwards: int = 0
     queue_wait_total: float = 0.0
     queue_wait_max: float = 0.0
-
-    @property
-    def acceptance_rate(self) -> float:
-        """Fraction of draft-proposed tokens the target model accepted."""
-        if self.draft_tokens == 0:
-            return 0.0
-        return self.draft_accepted_tokens / self.draft_tokens
 
 
 class BatchScheduler:
@@ -170,7 +158,6 @@ class BatchScheduler:
             batch_results = self.generator.generate([r for _, r in batch])
             for (ticket, request), result in zip(batch, batch_results):
                 self._record(ticket, request, result, results)
-        self._mirror_generator_stats()
         return results
 
     def _run_continuous(
@@ -203,7 +190,6 @@ class BatchScheduler:
         self.stats.peak_batch = max(
             self.stats.peak_batch, self.generator.stats.peak_active
         )
-        self._mirror_generator_stats()
         return results
 
     def _record_wait(self, ticket: int, now: float) -> None:
@@ -230,15 +216,6 @@ class BatchScheduler:
         self.stats.generated_tokens += sum(len(seq) for seq in result.sequences)
         if not result.batched:
             self.stats.sequential_fallbacks += 1
-
-    def _mirror_generator_stats(self) -> None:
-        gen = self.generator.stats
-        self.stats.refills = gen.refills
-        self.stats.prefix_hits = gen.prefix_hits
-        self.stats.prefix_reused_tokens = gen.prefix_reused_tokens
-        self.stats.draft_tokens = gen.draft_tokens
-        self.stats.draft_accepted_tokens = gen.draft_accepted_tokens
-        self.stats.verify_forwards = gen.verify_forwards
 
     def _take_microbatch(self) -> List[Tuple[int, BatchRequest]]:
         """Pop a FIFO prefix of the queue within the occupancy budget."""

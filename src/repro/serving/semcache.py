@@ -1,21 +1,19 @@
-"""Semantic completion cache: skip decode for repeated (and near-duplicate) prompts.
+"""Semantic completion cache: skip prefill and decode for repeated prompts.
 
 The :class:`~repro.serving.prefix.PrefixCache` reuses KV *state* but
 every request still pays full decode. The data-management workloads
 this repo serves (few-shot text-to-SQL sweeps, imputation, NeuralDB QA)
-are dominated by repeated and near-duplicate prompts, so the layer
-above it caches whole *completions*: a byte-budgeted LRU keyed on
-``(engine, prompt, decode-params)`` with two lookup tiers —
+re-issue the same prompts, so the layer above it caches whole
+*completions*: a byte-budgeted LRU keyed on ``(engine, prompt,
+decode-params)``. A hit is a dict hit on the full key. The cached value
+was produced by the same engine under the same decoding parameters (and
+decoding is seeded-deterministic here), so returning it is
+byte-identical to re-decoding.
 
-* **exact** — a dict hit on the full key. The cached value was produced
-  by the same engine under the same decoding parameters (and decoding
-  is seeded-deterministic here), so returning it is byte-identical to
-  re-decoding; exact hits are always safe and always on.
-* **similarity** — a cosine search over normalized pooled embeddings of
-  the prompt text within the same group (engine). A hit above
-  ``similarity_threshold`` returns *another prompt's* completion, which
-  can change outputs — so similarity hits are **opt-in per call**
-  (``allow_similar=True``) and never consulted otherwise.
+The cache matches keys exactly and nothing else. Near-duplicate text
+questions differ in a literal, a column or an operator, and each of
+those changes the right SQL, so another prompt's completion is never a
+safe answer.
 
 The cache is generic over values: :class:`repro.api.CompletionClient`
 stores :class:`~repro.api.client.CompletionResponse` objects keyed by
@@ -34,42 +32,16 @@ the cache only from synchronous methods on its event loop.
 
 from __future__ import annotations
 
-import zlib
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple
-
-import numpy as np
+from typing import Any, Dict, Hashable, List, Optional
 
 from repro.errors import GenerationError
-from repro.utils.text import simple_word_tokenize
 
 #: default byte budget — completions are small; this holds thousands
 DEFAULT_MAX_BYTES = 8 * 1024 * 1024
 
-#: default cosine threshold for similarity hits (inclusive)
-DEFAULT_SIMILARITY_THRESHOLD = 0.9
-
-#: dimensionality of the model-free hashed prompt embedding
-EMBEDDING_DIM = 256
-
 #: fixed per-entry bookkeeping charge (key tuple, links, counters)
 _ENTRY_OVERHEAD = 64
-
-
-def hashed_embedding(text: str, dim: int = EMBEDDING_DIM) -> np.ndarray:
-    """Normalized hashed bag-of-words embedding of ``text``.
-
-    Deterministic and model-free (CRC32 token buckets), so the cache
-    needs no encoder to measure prompt similarity: near-duplicate
-    prompts — same few-shot header, one changed row — land within a few
-    buckets of each other and cosine close to 1. Callers needing a
-    learned notion of similarity pass their own ``embedder``.
-    """
-    vector = np.zeros(dim, dtype=np.float64)
-    for token in simple_word_tokenize(text.lower()):
-        vector[zlib.crc32(token.encode("utf-8")) % dim] += 1.0
-    norm = float(np.linalg.norm(vector))
-    return vector / norm if norm > 0.0 else vector
 
 
 def completion_request_key(request: Any) -> Optional[Hashable]:
@@ -102,8 +74,7 @@ class SemanticCacheStats:
     """Hit/miss/byte accounting for one :class:`SemanticCache`."""
 
     lookups: int = 0
-    exact_hits: int = 0
-    similarity_hits: int = 0
+    hits: int = 0
     misses: int = 0
     insertions: int = 0
     evictions: int = 0
@@ -112,10 +83,6 @@ class SemanticCacheStats:
     bytes: int = 0
     skipped_prompt_tokens: int = 0
     skipped_completion_tokens: int = 0
-
-    @property
-    def hits(self) -> int:
-        return self.exact_hits + self.similarity_hits
 
     @property
     def hit_rate(self) -> float:
@@ -129,13 +96,12 @@ class SemanticCacheStats:
 
 @dataclass(frozen=True)
 class CacheHit:
-    """One successful lookup: the value plus how it was found."""
+    """One successful lookup.
+
+    The wrapper keeps a miss (``None``) apart from any cached value.
+    """
 
     value: Any
-    kind: str  # "exact" | "similarity"
-    similarity: float
-    prompt_tokens: int
-    completion_tokens: int
 
 
 class _Entry:
@@ -145,7 +111,6 @@ class _Entry:
         "key",
         "group",
         "value",
-        "embedding",
         "nbytes",
         "prompt_tokens",
         "completion_tokens",
@@ -157,7 +122,6 @@ class _Entry:
         key: Hashable,
         group: str,
         value: Any,
-        embedding: Optional[np.ndarray],
         nbytes: int,
         prompt_tokens: int,
         completion_tokens: int,
@@ -165,7 +129,6 @@ class _Entry:
         self.key = key
         self.group = group
         self.value = value
-        self.embedding = embedding
         self.nbytes = nbytes
         self.prompt_tokens = prompt_tokens
         self.completion_tokens = completion_tokens
@@ -193,28 +156,18 @@ def _estimate_nbytes(value: Any) -> int:
 
 
 class SemanticCache:
-    """Byte-budgeted LRU cache of whole completions, in two tiers.
+    """Byte-budgeted LRU cache of whole completions, keyed exactly.
 
-    See the module docstring for the exact/similarity split. Eviction
-    is deterministic: entries age on a logical tick (every lookup that
-    touches them refreshes it) and the least-recently-used entry is
-    evicted first, with insertion order breaking ties — a seeded
-    workload always leaves the same survivors.
+    Eviction is deterministic: entries age on a logical tick (every
+    lookup that touches them refreshes it) and the least-recently-used
+    entry is evicted first, with insertion order breaking ties — a
+    seeded workload always leaves the same survivors.
     """
 
-    def __init__(
-        self,
-        max_bytes: int = DEFAULT_MAX_BYTES,
-        similarity_threshold: float = DEFAULT_SIMILARITY_THRESHOLD,
-        embedder: Optional[Callable[[str], np.ndarray]] = None,
-    ) -> None:
+    def __init__(self, max_bytes: int = DEFAULT_MAX_BYTES) -> None:
         if max_bytes <= 0:
             raise GenerationError("max_bytes must be positive")
-        if not 0.0 < similarity_threshold <= 1.0:
-            raise GenerationError("similarity_threshold must be in (0, 1]")
         self.max_bytes = max_bytes
-        self.similarity_threshold = similarity_threshold
-        self.embedder = embedder if embedder is not None else hashed_embedding
         self.stats = SemanticCacheStats()
         self._entries: Dict[Hashable, _Entry] = {}
         self._groups: Dict[str, Dict[Hashable, _Entry]] = {}
@@ -231,74 +184,19 @@ class SemanticCache:
         return list(self._entries)
 
     # -- lookup ------------------------------------------------------------
-    def lookup(
-        self,
-        key: Hashable,
-        group: str = "default",
-        text: Optional[str] = None,
-        allow_similar: bool = False,
-        embedding: Optional[np.ndarray] = None,
-    ) -> Optional[CacheHit]:
-        """Return a :class:`CacheHit` for ``key`` (or a near-duplicate).
-
-        The exact tier matches ``key`` alone. The similarity tier runs
-        only with ``allow_similar=True`` and a ``text`` (or a
-        precomputed normalized ``embedding``): the best cosine within
-        ``group`` at or above ``similarity_threshold`` wins, earliest
-        insertion breaking ties. A miss returns ``None``.
-        """
+    def lookup(self, key: Hashable) -> Optional[CacheHit]:
+        """Return a :class:`CacheHit` for ``key``, or ``None`` on a miss."""
         self.stats.lookups += 1
         self._tick += 1
         entry = self._entries.get(key)
-        if entry is not None:
-            entry.last_used = self._tick
-            self.stats.exact_hits += 1
-            self.stats.skipped_prompt_tokens += entry.prompt_tokens
-            self.stats.skipped_completion_tokens += entry.completion_tokens
-            return CacheHit(
-                value=entry.value,
-                kind="exact",
-                similarity=1.0,
-                prompt_tokens=entry.prompt_tokens,
-                completion_tokens=entry.completion_tokens,
-            )
-        if allow_similar and (text is not None or embedding is not None):
-            if embedding is None:
-                embedding = self.embedder(text)
-            best, best_sim = self._best_similar(group, embedding)
-            if best is not None:
-                best.last_used = self._tick
-                self.stats.similarity_hits += 1
-                self.stats.skipped_prompt_tokens += best.prompt_tokens
-                self.stats.skipped_completion_tokens += best.completion_tokens
-                return CacheHit(
-                    value=best.value,
-                    kind="similarity",
-                    similarity=best_sim,
-                    prompt_tokens=best.prompt_tokens,
-                    completion_tokens=best.completion_tokens,
-                )
-        self.stats.misses += 1
-        return None
-
-    def _best_similar(
-        self, group: str, embedding: np.ndarray
-    ) -> Tuple[Optional[_Entry], float]:
-        """Highest-cosine entry of ``group`` at/above the threshold.
-
-        Iterates the group in insertion order with a strict-greater
-        update, so ties resolve to the earliest-inserted entry —
-        deterministic under any workload.
-        """
-        best: Optional[_Entry] = None
-        best_sim = 0.0
-        for entry in self._groups.get(group, {}).values():
-            if entry.embedding is None:
-                continue
-            similarity = float(embedding @ entry.embedding)
-            if similarity >= self.similarity_threshold and similarity > best_sim:
-                best, best_sim = entry, similarity
-        return best, best_sim
+        if entry is None:
+            self.stats.misses += 1
+            return None
+        entry.last_used = self._tick
+        self.stats.hits += 1
+        self.stats.skipped_prompt_tokens += entry.prompt_tokens
+        self.stats.skipped_completion_tokens += entry.completion_tokens
+        return CacheHit(entry.value)
 
     # -- insert / invalidate ----------------------------------------------
     def insert(
@@ -306,26 +204,16 @@ class SemanticCache:
         key: Hashable,
         value: Any,
         group: str = "default",
-        text: Optional[str] = None,
-        embedding: Optional[np.ndarray] = None,
         prompt_tokens: int = 0,
         completion_tokens: int = 0,
-        nbytes: Optional[int] = None,
     ) -> bool:
         """Store one completion; returns False if it exceeds the budget.
 
-        ``text`` (or a precomputed normalized ``embedding``) makes the
-        entry reachable through the similarity tier; without either it
-        is exact-match only. Re-inserting an existing key replaces the
-        old entry. A value whose own footprint exceeds ``max_bytes`` is
-        rejected up front (``stats.oversized``) instead of evicting the
+        Re-inserting an existing key replaces the old entry. A value
+        whose own footprint exceeds ``max_bytes`` is rejected up front (``stats.oversized``) instead of evicting the
         whole cache for nothing — the PrefixCache oversized-prompt rule.
         """
-        if embedding is None and text is not None:
-            embedding = self.embedder(text)
-        size = nbytes if nbytes is not None else _estimate_nbytes(value)
-        size += int(embedding.nbytes) if embedding is not None else 0
-        size += _ENTRY_OVERHEAD
+        size = _estimate_nbytes(value) + _ENTRY_OVERHEAD
         if size > self.max_bytes:
             self.stats.oversized += 1
             return False
@@ -336,7 +224,6 @@ class SemanticCache:
             key=key,
             group=group,
             value=value,
-            embedding=embedding,
             nbytes=size,
             prompt_tokens=prompt_tokens,
             completion_tokens=completion_tokens,

@@ -22,12 +22,12 @@ from repro.api import CompletionClient, ModelHub
 from repro.autograd import Tensor, no_grad
 from repro.generation import GenerationConfig, generate
 from repro.models import GPTModel, ModelConfig
-from repro.nn import FeedForward, LayerNorm, Linear, QuantizedLinear
+from repro.nn import FeedForward, LayerNorm, Linear
 from repro.serving import BatchRequest, BatchScheduler
 from repro.training.adapters import LoRALinear, inject_adapters
 from repro.utils.rng import SeededRNG
 
-KINDS = ("linear", "linear_nobias", "layernorm", "feedforward", "int8", "lora")
+KINDS = ("linear", "linear_nobias", "layernorm", "feedforward", "lora")
 
 
 def _randomize(module, gen) -> None:
@@ -50,7 +50,7 @@ def _kernel_module(kind: str, dim: int, seed: int):
     _randomize(module, gen)
     if kind == "lora":
         _randomize(module.base, gen)  # frozen, so not in parameters()
-    return QuantizedLinear(module) if kind == "int8" else module.eval()
+    return module.eval()
 
 
 @settings(max_examples=120, deadline=None)

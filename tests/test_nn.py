@@ -241,85 +241,3 @@ class TestTransformer:
             loss = cross_entropy(logits.reshape(-1, 40), ids[:, 1:].reshape(-1))
             counts.append(len(_topological_order(loss)))
         assert counts[1] - counts[0] == 2 * 42
-
-
-class TestQuantization:
-    def test_quantize_weight_roundtrip_error_bound(self, rng):
-        from repro.nn import quantize_weight
-
-        weight = np.random.default_rng(0).normal(size=(16, 8))
-        w_q, scales = quantize_weight(weight)
-        assert w_q.dtype == np.int8
-        assert np.abs(w_q).max() <= 127
-        # Symmetric rounding: per-channel error is at most half a step.
-        error = np.abs(weight - w_q.astype(np.float64) * scales)
-        assert (error <= scales / 2 + 1e-12).all()
-
-    def test_zero_channel_gets_unit_scale(self):
-        from repro.nn import quantize_weight
-
-        weight = np.zeros((4, 3))
-        weight[:, 0] = [1.0, -2.0, 0.5, 0.0]
-        w_q, scales = quantize_weight(weight)
-        assert scales[1] == 1.0 and scales[2] == 1.0
-        assert (w_q[:, 1:] == 0).all()
-
-    def test_quantized_linear_close_to_float(self, rng):
-        from repro.nn import QuantizedLinear
-
-        layer = Linear(12, 6, rng)
-        qlayer = QuantizedLinear(layer)
-        x = np.random.default_rng(1).normal(size=(4, 12))
-        base = layer(Tensor(x)).data
-        quant = qlayer(Tensor(x)).data
-        # Error budget: ~in_features * (max|x| * scale/2); loose 2e-2.
-        np.testing.assert_allclose(quant, base, atol=2e-2)
-
-    def test_quantize_model_reports_and_preserves_original(self):
-        from repro.models import GPTModel, ModelConfig
-        from repro.nn import Linear, quantize_model
-        from repro.nn.quant import QuantizedLinear
-
-        model = GPTModel(ModelConfig.tiny(vocab_size=40), seed=5)
-        before = {
-            name: param.data.copy() for name, param in model.named_parameters()
-        }
-        quantized, report = quantize_model(model)
-        # One report entry per replaced Linear, all with finite error.
-        linears = sum(
-            1 for _ in filter(
-                lambda m: isinstance(m, QuantizedLinear), _walk(quantized)
-            )
-        )
-        assert linears == len(report.layers) > 0
-        assert 0 < report.max_abs_error < 0.1
-        assert report.compression > 4.0
-        # The original keeps its float Linears and exact weights.
-        assert not any(isinstance(m, QuantizedLinear) for m in _walk(model))
-        for name, param in model.named_parameters():
-            np.testing.assert_array_equal(param.data, before[name])
-
-    def test_quantize_model_greedy_decode_identical(self):
-        from repro.generation import GenerationConfig, generate
-        from repro.models import GPTModel, ModelConfig
-        from repro.nn import quantize_model
-
-        model = GPTModel(ModelConfig.tiny(vocab_size=40), seed=5)
-        quantized, _ = quantize_model(model)
-        config = GenerationConfig(max_new_tokens=10)
-        for prompt in ([3, 17, 9, 24], [1], [30, 2, 2, 8, 19]):
-            assert generate(quantized, prompt, config) == generate(
-                model, prompt, config
-            )
-
-    def test_quantize_without_linears_rejected(self):
-        from repro.nn import quantize_model
-
-        with pytest.raises(ModelError):
-            quantize_model(LayerNorm(8))
-
-
-def _walk(module):
-    yield module
-    for child in module._modules.values():
-        yield from _walk(child)

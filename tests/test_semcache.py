@@ -1,15 +1,17 @@
 """Tests for the semantic completion cache and its client wiring.
 
-The contract under test: exact hits are byte-identical to re-decoding
-(and skip the engine entirely), similarity hits are opt-in and
-threshold-gated, eviction is deterministic under a seeded workload,
-and a model-identity change flushes the stale engine's entries.
+The contract under test: hits are byte-identical to re-decoding (and
+skip the engine entirely), a near-duplicate prompt is a miss, eviction
+is deterministic under a seeded workload, and a model-identity change
+flushes the stale engine's entries.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import CompletionClient, ModelHub
 from repro.errors import GenerationError
@@ -19,8 +21,9 @@ from repro.serving import (
     BatchRequest,
     SemanticCache,
     completion_request_key,
-    hashed_embedding,
+    engine_serving_stats,
 )
+from repro.serving.semcache import _ENTRY_OVERHEAD, _estimate_nbytes
 
 
 @pytest.fixture(scope="module")
@@ -45,23 +48,6 @@ def make_client(hub, **kwargs):
     return CompletionClient(hub, **kwargs)
 
 
-class TestHashedEmbedding:
-    def test_normalized_and_deterministic(self):
-        a = hashed_embedding("the database stores rows .")
-        b = hashed_embedding("the database stores rows .")
-        assert np.allclose(a, b)
-        assert np.isclose(np.linalg.norm(a), 1.0)
-
-    def test_near_duplicates_are_close(self):
-        a = hashed_embedding("select name from users where id = 1")
-        b = hashed_embedding("select name from users where id = 2")
-        c = hashed_embedding("completely unrelated prose about weather")
-        assert float(a @ b) > float(a @ c)
-
-    def test_empty_text_is_zero_vector(self):
-        assert float(np.linalg.norm(hashed_embedding(""))) == 0.0
-
-
 class TestRequestKey:
     def test_covers_decode_params(self):
         config = GenerationConfig(max_new_tokens=4)
@@ -83,43 +69,13 @@ class TestSemanticCacheUnit:
         cache = SemanticCache(max_bytes=4096)
         cache.insert("k", "value", prompt_tokens=3, completion_tokens=5)
         hit = cache.lookup("k")
-        assert hit is not None and hit.kind == "exact"
+        assert hit is not None
         assert hit.value == "value"
-        assert cache.stats.exact_hits == 1
+        assert cache.stats.hits == 1
         assert cache.stats.skipped_prompt_tokens == 3
         assert cache.stats.skipped_completion_tokens == 5
         assert cache.lookup("missing") is None
         assert cache.stats.misses == 1
-
-    def test_similarity_threshold_boundary(self):
-        # A two-point embedder: cosine between the stored and probed
-        # prompt is exactly controllable, so the inclusive threshold
-        # can be probed just above and just below.
-        def embedder(text):
-            angle = {"stored": 0.0, "just-above": 0.3, "just-below": 0.5}[text]
-            return np.array([np.cos(angle), np.sin(angle)])
-
-        cache = SemanticCache(
-            max_bytes=4096, similarity_threshold=float(np.cos(0.4)),
-            embedder=embedder,
-        )
-        cache.insert("k-stored", "answer", text="stored")
-        above = cache.lookup("k-above", text="just-above", allow_similar=True)
-        assert above is not None and above.kind == "similarity"
-        assert above.value == "answer"
-        assert above.similarity == pytest.approx(np.cos(0.3))
-        below = cache.lookup("k-below", text="just-below", allow_similar=True)
-        assert below is None
-        assert cache.stats.similarity_hits == 1
-
-    def test_similarity_requires_opt_in(self):
-        cache = SemanticCache(max_bytes=4096, similarity_threshold=0.5)
-        cache.insert("k1", "v", text="the quick brown fox jumps")
-        assert cache.lookup("k2", text="the quick brown fox jumps .") is None
-        hit = cache.lookup(
-            "k2", text="the quick brown fox jumps .", allow_similar=True
-        )
-        assert hit is not None
 
     def test_lru_eviction_is_deterministic(self):
         def run_once():
@@ -171,8 +127,6 @@ class TestSemanticCacheUnit:
     def test_validation(self):
         with pytest.raises(GenerationError):
             SemanticCache(max_bytes=0)
-        with pytest.raises(GenerationError):
-            SemanticCache(similarity_threshold=0.0)
 
 
 class TestClientCacheWiring:
@@ -195,7 +149,7 @@ class TestClientCacheWiring:
         client = make_client(hub)
         client.complete("tiny-gpt", "the table", max_tokens=4)
         client.complete("tiny-gpt", "the table", max_tokens=5)
-        assert client.engine_stats("tiny-gpt").cache_hits == 0
+        assert client.engine_stats("tiny-gpt").cache_exact_hits == 0
         assert client.engine_stats("tiny-gpt").requests == 2
 
     def test_model_identity_invalidation_flushes(self, hub, word_tokenizer):
@@ -211,7 +165,7 @@ class TestClientCacheWiring:
         try:
             client.complete("tiny-gpt", "the index", max_tokens=4)
             stats = client.engine_stats("tiny-gpt")
-            assert stats.cache_hits == 0
+            assert stats.cache_exact_hits == 0
             assert stats.requests == 2
             assert client.semantic_cache.stats.invalidations == 1
         finally:
@@ -243,25 +197,6 @@ class TestClientCacheWiring:
         )
         assert batched is single  # same key: the batch path hit the cache
 
-    def test_similarity_opt_in_on_client(self, hub):
-        # A constant embedder makes every prompt maximally similar, so
-        # the behavior difference is purely the allow_similar flag.
-        cache = SemanticCache(
-            max_bytes=64 * 1024,
-            similarity_threshold=0.9,
-            embedder=lambda text: np.array([1.0]),
-        )
-        client = CompletionClient(hub, semantic_cache=cache)
-        first = client.complete("tiny-gpt", "the database stores", max_tokens=4)
-        strict = client.complete("tiny-gpt", "the database scans", max_tokens=4)
-        assert strict is not first
-        similar = client.complete(
-            "tiny-gpt", "the database returns", max_tokens=4, allow_similar=True
-        )
-        assert similar in (first, strict)
-        stats = client.engine_stats("tiny-gpt")
-        assert stats.cache_similarity_hits == 1
-
     def test_constrained_requests_bypass_cache(self, hub):
         class Unrestricted:
             def allowed_tokens(self, generated_ids):
@@ -279,8 +214,6 @@ class TestClientCacheWiring:
         assert len(client.semantic_cache) == 0
 
     def test_serving_stats_expose_cache_counters(self, hub):
-        from repro.serving import engine_serving_stats
-
         client = make_client(hub)
         client.complete("tiny-gpt", "cached empty records", max_tokens=4)
         client.complete("tiny-gpt", "cached empty records", max_tokens=4)
@@ -295,3 +228,105 @@ class TestClientCacheWiring:
         assert client.semantic_cache is None
         client.complete("tiny-gpt", "the model", max_tokens=4)
         assert client.engine_stats("tiny-gpt").cache_lookups == 0
+
+    def test_serving_stats_key_set(self, hub):
+        client = make_client(hub)
+        client.complete("tiny-gpt", "the table joins rows", max_tokens=4)
+        stats = engine_serving_stats(client, "tiny-gpt")
+        assert set(stats) == {
+            "requests",
+            "prompt_tokens",
+            "completion_tokens",
+            "prefix_hits",
+            "prefix_reused_tokens",
+            "batch_refills",
+            "draft_tokens",
+            "draft_accepted_tokens",
+            "verify_forwards",
+            "acceptance_rate",
+            "queue_wait_seconds",
+            "cache_lookups",
+            "cache_exact_hits",
+            "cache_hit_rate",
+            "cache_skipped_prompt_tokens",
+            "cache_skipped_completion_tokens",
+        }
+        assert all(type(value) is float for value in stats.values())
+        engine = client.engine_stats("tiny-gpt")
+        assert stats["requests"] == engine.requests == 1
+        assert stats["queue_wait_seconds"] == engine.queue_wait_seconds
+
+    def test_entry_charges_value_estimate_plus_overhead(self, hub):
+        # An entry is charged for its value alone, with no prompt
+        # embedding beside it.
+        client = make_client(hub)
+        response = client.complete("tiny-gpt", "the index scans", max_tokens=5)
+        expected = _estimate_nbytes(response) + _ENTRY_OVERHEAD
+        assert client.semantic_cache.stats.bytes == expected
+
+
+#: near-duplicate prompts behind a shared header, as in a few-shot
+#: sweep: one slot each for a literal, a column and an operator, filled
+#: from the test corpus vocabulary so that each slot changes the tokens
+#: the model sees
+HEADER = "the database stores sorted rows . the table returns cached records ."
+LITERALS = ("large", "small", "sorted")
+COLUMNS = ("rows", "records", "tuples")
+OPERATORS = ("scans", "joins", "returns")
+NEAR_DUPLICATES = [
+    f"{HEADER} the query {op} {literal} {column}"
+    for literal in LITERALS
+    for column in COLUMNS
+    for op in OPERATORS
+]
+
+
+class TestNearDuplicatePrompts:
+    """Prompts one slot apart must never share a cached completion."""
+
+    @pytest.fixture(scope="class")
+    def slot_hub(self, word_tokenizer_module):
+        # An untrained, seeded model: unlike the briefly trained
+        # fixture, its greedy output depends on every slot.
+        model = GPTModel(
+            ModelConfig.tiny(vocab_size=word_tokenizer_module.vocab_size, causal=True),
+            seed=1,
+        )
+        hub = ModelHub()
+        hub.register("slot-gpt", model, word_tokenizer_module)
+        return hub
+
+    @pytest.fixture(scope="class")
+    def uncached(self, slot_hub):
+        responses = CompletionClient(slot_hub).complete_batch(
+            "slot-gpt", NEAR_DUPLICATES, max_tokens=5
+        )
+        return dict(zip(NEAR_DUPLICATES, responses))
+
+    def test_slots_change_the_response(self, uncached):
+        # Guards the property below: were every near-duplicate answered
+        # alike, serving a neighbour's completion would go unseen.
+        assert len({r.text for r in uncached.values()}) > len(NEAR_DUPLICATES) // 3
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        calls=st.lists(
+            st.lists(
+                st.integers(0, len(NEAR_DUPLICATES) - 1), min_size=1, max_size=4
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    def test_cached_client_returns_uncached_response(self, slot_hub, uncached, calls):
+        client = make_client(slot_hub)
+        for call in calls:
+            prompts = [NEAR_DUPLICATES[i] for i in call]
+            responses = client.complete_batch("slot-gpt", prompts, max_tokens=5)
+            for prompt, response in zip(prompts, responses):
+                assert response.text == uncached[prompt].text
+                assert response.usage == uncached[prompt].usage
+        sent = [i for call in calls for i in call]
+        stats = client.engine_stats("slot-gpt")
+        assert stats.requests == len(set(sent))
+        assert stats.cache_exact_hits == len(sent) - len(set(sent))

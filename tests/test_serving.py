@@ -1071,9 +1071,9 @@ class TestContinuousBatching:
         assert [results_a[t].sequences for t in tickets_a] == [
             results_b[t].sequences for t in tickets_b
         ]
-        assert continuous.stats.refills > 0
+        assert continuous.generator.stats.refills > 0
         assert continuous.stats.microbatches == 1
-        assert barriered.stats.refills == 0
+        assert barriered.generator.stats.refills == 0
 
     def test_bad_max_active_rejected(self, model):
         with pytest.raises(GenerationError):

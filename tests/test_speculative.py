@@ -311,9 +311,10 @@ class TestSpeculativeScheduler:
         spec_results = spec.run()
         for pt, st in zip(plain_tickets, spec_tickets):
             assert spec_results[st].sequences == plain_results[pt].sequences
-        assert spec.stats.verify_forwards > 0
-        assert spec.stats.draft_tokens > 0
-        assert 0.0 < spec.stats.acceptance_rate <= 1.0
+        stats = spec.generator.stats
+        assert stats.verify_forwards > 0
+        assert stats.draft_tokens > 0
+        assert 0.0 < stats.acceptance_rate <= 1.0
 
     def test_continuous_with_draft_serves_mixed_queue(
         self, model, distilled_draft, ragged_prompts
