@@ -57,9 +57,6 @@ class EngineStats:
     prefix_hits: int = 0
     prefix_reused_tokens: int = 0
     batch_refills: int = 0
-    draft_tokens: int = 0
-    draft_accepted_tokens: int = 0
-    verify_forwards: int = 0
     queue_wait_seconds: float = 0.0
     cache_lookups: int = 0
     cache_exact_hits: int = 0
@@ -84,13 +81,6 @@ class EngineStats:
             self.cache_skipped_prompt_tokens
             + self.cache_skipped_completion_tokens
         )
-
-    @property
-    def acceptance_rate(self) -> float:
-        """Fraction of draft-proposed tokens the target model accepted."""
-        if self.draft_tokens == 0:
-            return 0.0
-        return self.draft_accepted_tokens / self.draft_tokens
 
 
 @dataclass(frozen=True)
@@ -176,21 +166,14 @@ class CompletionClient:
     a time. The cache is invalidated automatically when the hub
     re-registers the engine with a different model.
 
-    Two serving options default off; neither changes a response:
-
-    * ``speculative_draft`` names another hub engine to use as a
-      speculative-decoding draft model for greedy requests, under
-      continuous and barriered batching alike; outputs stay
-      token-identical while each target forward advances up to
-      ``speculative_k + 1`` tokens.
-    * ``semantic_cache_bytes`` enables the
-      :class:`~repro.serving.SemanticCache`: repeated requests — same
-      engine, prompt, and decode parameters — return their cached
-      :class:`CompletionResponse` without any prefill *or* decode.
-      Hits are byte-identical to re-decoding (generation is
-      seeded-deterministic). Cached entries are invalidated per engine
-      on model identity, like the prefix cache. Constrained requests
-      are never cached.
+    ``semantic_cache_bytes`` (default off) enables the
+    :class:`~repro.serving.SemanticCache`: repeated requests — same
+    engine, prompt, and decode parameters — return their cached
+    :class:`CompletionResponse` without any prefill *or* decode. Hits
+    are byte-identical to re-decoding (generation is
+    seeded-deterministic). Cached entries are invalidated per engine on
+    model identity, like the prefix cache. Constrained requests are
+    never cached.
 
     Every engine is served by the hub's own model object, never a copy.
     """
@@ -200,15 +183,11 @@ class CompletionClient:
         hub: ModelHub,
         prefix_cache_bytes: int = DEFAULT_PREFIX_CACHE_BYTES,
         clock: Optional[Clock] = None,
-        speculative_draft: Optional[str] = None,
-        speculative_k: int = 4,
         semantic_cache_bytes: int = 0,
     ) -> None:
         self.hub = hub
         self.prefix_cache_bytes = prefix_cache_bytes
         self.clock: Clock = clock if clock is not None else SystemClock()
-        self.speculative_draft = speculative_draft
-        self.speculative_k = speculative_k
         self.semantic_cache: Optional[SemanticCache] = (
             SemanticCache(max_bytes=semantic_cache_bytes)
             if semantic_cache_bytes > 0
@@ -218,18 +197,6 @@ class CompletionClient:
         self._prefix_caches: Dict[str, Tuple[object, PrefixCache]] = {}
         #: engine -> hub model the semantic cache's entries were decoded by
         self._semcache_models: Dict[str, object] = {}
-
-    def _draft_model(self) -> Optional[GPTModel]:
-        """The speculative draft engine's hub model (None if unset)."""
-        if self.speculative_draft is None:
-            return None
-        draft = self.hub.get(self.speculative_draft).model
-        if not isinstance(draft, GPTModel):
-            raise ModelError(
-                f"speculative draft engine {self.speculative_draft!r} "
-                "is not a causal (completion) model"
-            )
-        return draft
 
     def prefix_cache(self, engine: str) -> Optional[PrefixCache]:
         """The engine's prompt-prefix K/V cache (None when disabled).
@@ -403,7 +370,6 @@ class CompletionClient:
                     to_run.append(i)
             if not to_run:
                 return [served[i] for i in range(len(prompts))]
-        draft = self._draft_model()
 
         scheduler = BatchScheduler(
             model,
@@ -412,13 +378,6 @@ class CompletionClient:
             prefix_cache=self.prefix_cache(engine) if prefix_caching else None,
             continuous=continuous,
             clock=self.clock,
-            draft_model=draft,
-            speculative_k=self.speculative_k,
-            draft_prefix_cache=(
-                self.prefix_cache(self.speculative_draft)
-                if draft is not None and prefix_caching
-                else None
-            ),
         )
         config = _request_config(tokenizer, max_tokens, temperature, top_p, seed)
         tickets = []
@@ -441,9 +400,6 @@ class CompletionClient:
         stats.prefix_hits += generated.prefix_hits
         stats.prefix_reused_tokens += generated.prefix_reused_tokens
         stats.batch_refills += generated.refills
-        stats.draft_tokens += generated.draft_tokens
-        stats.draft_accepted_tokens += generated.draft_accepted_tokens
-        stats.verify_forwards += generated.verify_forwards
         stats.queue_wait_seconds += scheduler.stats.queue_wait_total
         for i, prompt_ids, ticket in zip(to_run, encoded, tickets):
             choices: List[CompletionChoice] = []

@@ -102,13 +102,14 @@ class GPTModel(Module):
         """Hidden states for a chunk of new positions, updating the caches.
 
         Inference-only. ``ids`` has shape (B, T) — a whole-prompt (or
-        chunked) causal prefill when T > 1, a decode step when T = 1.
-        ``positions`` holds each token's absolute position, broadcastable
-        to (B, T), so ragged batches can run rows at different offsets.
-        ``blocked``/``write_cols``/``kv_len`` are forwarded to
-        :meth:`repro.nn.MultiHeadAttention.incremental`. Past the
-        embeddings the blocks run graph-free on plain arrays; only the
-        returned hidden state is wrapped in a :class:`Tensor`.
+        chunked) causal prefill when T > 1, written to the column
+        ``slice`` in ``write_cols``; a decode step when T = 1, written to
+        each row's own column. ``positions`` holds each token's absolute
+        position, broadcastable to (B, T), so ragged batches can run rows
+        at different offsets. ``blocked``/``write_cols``/``kv_len`` are
+        forwarded to :meth:`repro.nn.MultiHeadAttention.incremental`.
+        Past the embeddings the blocks run graph-free on plain arrays;
+        only the returned hidden state is wrapped in a :class:`Tensor`.
         """
         ids = np.asarray(ids, dtype=np.int64)
         if ids.ndim != 2 or ids.shape[1] < 1:

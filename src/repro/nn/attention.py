@@ -172,11 +172,10 @@ class MultiHeadAttention(Module):
         * **slotted** (``write_cols`` given): ``cache["k"]``/``"v"`` are
           preallocated slabs of shape (B, H, capacity, D/H); the new K/V
           are scattered at ``write_cols`` (a ``slice`` of columns for a
-          prefill chunk, a per-row int array for ragged decode steps, or
-          a per-row (B, T) column matrix for ragged multi-token chunks —
-          the speculative verify forward) and only the first ``kv_len``
-          key columns are attended. This is the padding-aware batched
-          layout of :mod:`repro.serving`.
+          prefill chunk, or a per-row int array for a ragged decode step
+          with T = 1) and only the first ``kv_len`` key columns are
+          attended. This is the padding-aware batched layout of
+          :mod:`repro.serving`.
 
         ``blocked`` is a boolean mask broadcastable to (B, H, T, S_kv),
         True = position blocked (causal future, padding, or another
@@ -194,15 +193,8 @@ class MultiHeadAttention(Module):
             keys, values = cache["k"][:, :, :kv_len], cache["v"][:, :, :kv_len]
         else:
             rows = np.arange(batch)
-            cols = np.asarray(write_cols)
-            if cols.ndim == 2:
-                # Ragged multi-token chunk: row r's T new columns land at
-                # cols[r]. The fancy-indexed view is (B, T, H, D/H).
-                cache["k"][rows[:, None], :, cols] = k.transpose(0, 2, 1, 3)
-                cache["v"][rows[:, None], :, cols] = v.transpose(0, 2, 1, 3)
-            else:
-                cache["k"][rows, :, cols] = k[:, :, 0]
-                cache["v"][rows, :, cols] = v[:, :, 0]
+            cache["k"][rows, :, write_cols] = k[:, :, 0]
+            cache["v"][rows, :, write_cols] = v[:, :, 0]
             keys, values = cache["k"][:, :, :kv_len], cache["v"][:, :, :kv_len]
 
         scores = (q @ keys.transpose(0, 1, 3, 2)) / np.sqrt(self.head_dim)

@@ -5,13 +5,9 @@ Vectorizes decoding across sequences: preallocated KV slabs
 prefill, per-sequence stop handling, a prompt-prefix K/V cache
 (:class:`PrefixCache`), retire-and-admit continuous batching, and a
 FIFO scheduler. See :class:`BatchedGenerator` for the engine — one
-retire-and-admit decode loop — and :class:`BatchScheduler` for the
-queueing front-end.
-Speculative decoding is a per-step proposer inside that same loop: a
-draft model (:func:`distill_draft`) proposes runs of tokens the target
-verifies in one batched forward, token-identical to plain greedy
-decoding, under barriered and continuous batching alike.
-Above the scheduler, :class:`SemanticCache` memoizes whole
+retire-and-admit decode loop whose every step advances each active
+sequence by one token — and :class:`BatchScheduler` for the queueing
+front-end. Above the scheduler, :class:`SemanticCache` memoizes whole
 completions, keyed exactly on the full request, so repeated prompts
 skip prefill and decode entirely.
 
@@ -47,15 +43,12 @@ from repro.serving.semcache import (
     SemanticCacheStats,
     completion_request_key,
 )
-from repro.serving.speculative import distill_draft, draft_config
 
 __all__ = [
     "BatchedGenerator",
     "BatchRequest",
     "BatchResult",
     "BatchScheduler",
-    "distill_draft",
-    "draft_config",
     "Gateway",
     "GatewayRequest",
     "GatewayResult",

@@ -36,7 +36,7 @@ def engine_serving_stats(client, engine: str) -> dict:
     client as ``.client``) until it finds an object exposing
     ``engine_stats``; returns ``{}`` when no layer does. The dict is the
     application-report shape: every :class:`~repro.api.client.EngineStats`
-    counter plus its ``acceptance_rate`` and ``cache_hit_rate``.
+    counter plus its ``cache_hit_rate``.
     """
     inner = client
     while inner is not None and getattr(inner, "engine_stats", None) is None:
@@ -45,6 +45,5 @@ def engine_serving_stats(client, engine: str) -> dict:
         return {}
     stats = inner.engine_stats(engine)
     report = {name: float(value) for name, value in asdict(stats).items()}
-    report["acceptance_rate"] = stats.acceptance_rate
     report["cache_hit_rate"] = stats.cache_hit_rate
     return report

@@ -22,23 +22,6 @@ instead of draining to the slowest request.
 :meth:`BatchedGenerator.generate` is the same loop with every request
 admitted at once.
 
-Speculative decoding is a per-step *proposer* inside that loop (the
-draft-and-verify rung of the implementation survey, arXiv 2403.18969).
-With a ``draft`` model, admission also prefills the draft's own slotted
-caches, and at each step every greedy row that fits both context
-windows has the draft propose up to ``k`` tokens. One target forward
-over ``[last token, proposals]`` scores them all; the accept scan emits
-the matching run, then the target's own pick at the first mismatch (or
-a bonus token when every proposal matched). Every emitted token is the
-target's pick given exactly the tokens before it, so output is
-token-identical to plain decoding — the draft only decides how many
-tokens a forward advances. Sampled rows, rows outside the draft's
-window, and every row when no draft is set propose nothing; a step in
-which no row proposes is the plain one-token decode step. Rejected
-proposals cost no rollback: a row's valid prefix is its length, the
-blocked mask hides stale columns beyond it, and later writes overwrite
-them.
-
 A :class:`~repro.serving.prefix.PrefixCache` per model lets prompts that
 share a prefix (the few-shot header of a text2sql sweep, an imputation
 shot block) skip re-prefilling it — the engine preloads the cached K/V
@@ -73,9 +56,6 @@ from repro.utils.rng import SeededRNG
 #: request indexes currently decoding and those still queued; returning
 #: indexes cancels them mid-stream, raising aborts the whole run.
 StepHook = Callable[[List[int], List[int]], Optional[Iterable[int]]]
-
-#: default number of tokens the draft proposes per verify forward
-DEFAULT_DRAFT_K = 4
 
 
 @dataclass
@@ -118,14 +98,8 @@ class GeneratorStats:
     model; tokens served from the prefix cache instead are counted in
     ``prefix_reused_tokens``. ``refills`` counts requests admitted into
     freed slots mid-decode (continuous batching); ``peak_active`` is
-    the widest decode batch observed. ``decode_steps`` counts plain
-    one-token steps.
-
-    The speculative counters stay zero without a draft model:
-    ``draft_tokens`` counts tokens proposed by the draft model,
-    ``draft_accepted_tokens`` the subset the target model verified, and
-    ``verify_forwards`` the batched target forwards that did the
-    verification (one per step in which some row proposed).
+    the widest decode batch observed. ``decode_steps`` counts decode
+    forwards, each advancing every active sequence by one token.
     """
 
     prefill_chunks: int = 0
@@ -141,16 +115,6 @@ class GeneratorStats:
     peak_active: int = 0
     cancelled_sequences: int = 0
     cancelled_tokens: int = 0
-    draft_tokens: int = 0
-    draft_accepted_tokens: int = 0
-    verify_forwards: int = 0
-
-    @property
-    def acceptance_rate(self) -> float:
-        """Fraction of draft-proposed tokens the target model accepted."""
-        if self.draft_tokens == 0:
-            return 0.0
-        return self.draft_accepted_tokens / self.draft_tokens
 
 
 @dataclass
@@ -162,19 +126,14 @@ class _ChoiceState:
     config: GenerationConfig
     constraint: Optional[TokenConstraint]
     rng: SeededRNG
-    speculative: bool = False
     generated: List[int] = field(default_factory=list)
 
 
 class _Batch:
     """The active rows of the decode loop and the arrays aligned with them.
 
-    Between steps, row ``r``'s target cache holds its first
-    ``lengths[r]`` tokens, and ``logits[r, j]`` is the target's
-    next-token distribution after them plus ``proposals[r, :j]``
-    (``-1`` = no proposal; a plain step has width 1 and no proposals).
-    With a draft model, ``dcaches`` hold each row's first ``d_lens[r]``
-    tokens.
+    Between steps, row ``r``'s cache holds its first ``lengths[r]``
+    tokens and ``logits[r]`` is the next-token distribution after them.
     """
 
     def __init__(
@@ -188,34 +147,19 @@ class _Batch:
         self.caches = caches
         self.lengths = lengths
         self.logits = logits
-        self.proposals = np.zeros((len(states), 0), dtype=np.int64)
-        self.dcaches: list = []
-        self.d_lens: Optional[np.ndarray] = None
 
     def select(self, keep: np.ndarray) -> None:
         """Drop the rows whose ``keep`` entry is False."""
         self.states = [s for s, k in zip(self.states, keep) if k]
         self.lengths = self.lengths[keep]
         self.logits = self.logits[keep]
-        self.proposals = self.proposals[keep]
-        for cache in self.caches + self.dcaches:
+        for cache in self.caches:
             cache["k"] = cache["k"][keep]
             cache["v"] = cache["v"][keep]
-        if self.d_lens is not None:
-            self.d_lens = self.d_lens[keep]
 
     def extend(self, wave: "_Batch") -> "_Batch":
-        """Append a freshly admitted wave's rows (logits of width 1)."""
-        width = self.logits.shape[1]
-        logits, proposals = wave.logits, wave.proposals
-        if width > 1:
-            # Pad the wave to this step's verify width; with no
-            # proposals its scan stops at position 0.
-            logits = np.pad(logits, ((0, 0), (0, width - 1), (0, 0)))
-            proposals = np.full((len(wave.states), width - 1), -1, dtype=np.int64)
-        for cache, addition in zip(
-            self.caches + self.dcaches, wave.caches + wave.dcaches
-        ):
+        """Append a freshly admitted wave's rows."""
+        for cache, addition in zip(self.caches, wave.caches):
             # Row-axis splice, once per admission wave (amortized over
             # the wave's whole decode, not per token).
             cache["k"] = np.concatenate(  # repro: noqa[concat-in-loop]
@@ -226,10 +170,7 @@ class _Batch:
             )
         self.states = self.states + wave.states
         self.lengths = np.concatenate([self.lengths, wave.lengths])
-        self.logits = np.concatenate([self.logits, logits])
-        self.proposals = np.concatenate([self.proposals, proposals])
-        if self.d_lens is not None:
-            self.d_lens = np.concatenate([self.d_lens, wave.d_lens])
+        self.logits = np.concatenate([self.logits, wave.logits])
         return self
 
 
@@ -246,13 +187,6 @@ class BatchedGenerator:
     the sequential path does (choice ``j`` of a request samples with
     ``config.seed + j``).
 
-    A ``draft`` model (same vocabulary) turns on the speculative
-    proposer: greedy rows that fit both context windows advance up to
-    ``k + 1`` tokens per target forward, with unchanged output.
-    ``draft_prefix_cache`` gives the draft its own prompt K/V reuse
-    (draft and target states differ in shape and must never share a
-    cache); the draft's prefill work is not counted in ``stats``.
-
     Shared state: ``stats`` (and the prefix caches, when attached) are
     plain mutable attributes updated on every generate call with no
     synchronization — safe only while one caller drives the generator
@@ -267,30 +201,13 @@ class BatchedGenerator:
         model: GPTModel,
         prefill_chunk: Optional[int] = None,
         prefix_cache: Optional[PrefixCache] = None,
-        draft: Optional[GPTModel] = None,
-        k: int = DEFAULT_DRAFT_K,
-        draft_prefix_cache: Optional[PrefixCache] = None,
     ) -> None:
         if prefill_chunk is not None and prefill_chunk <= 0:
             raise GenerationError("prefill_chunk must be positive")
         self.model = model
         self.prefill_chunk = prefill_chunk
         self.prefix_cache = prefix_cache
-        self.draft = draft
-        self.k = k
         self.stats = GeneratorStats()
-        if draft is not None:
-            if k <= 0:
-                raise GenerationError("speculative k must be positive")
-            if draft.config.vocab_size != model.config.vocab_size:
-                raise GenerationError(
-                    f"draft vocab {draft.config.vocab_size} != "
-                    f"target vocab {model.config.vocab_size}"
-                )
-            # Prefills the draft's caches through its own prefix cache.
-            self._draft_engine = BatchedGenerator(
-                draft, prefill_chunk=prefill_chunk, prefix_cache=draft_prefix_cache
-            )
 
     def generate(self, requests: Sequence[BatchRequest]) -> List[BatchResult]:
         """Serve ``requests`` in one batch; order follows the input.
@@ -347,11 +264,6 @@ class BatchedGenerator:
                 )
             )
             self.model.eval()
-            if self.draft is not None:
-                self.draft.eval()
-                # Verify chunks of rows near retirement may overshoot
-                # their own end by up to k - 1 columns.
-                capacity = min(capacity + self.k, self.model.config.max_seq_len)
             with no_grad():
                 self._run_continuous(
                     pending, capacity, max_active, results, on_step, on_admit
@@ -361,15 +273,6 @@ class BatchedGenerator:
     def _fits(self, request: BatchRequest) -> bool:
         max_len = self.model.config.max_seq_len
         return len(request.prompt_ids) + request.config.max_new_tokens <= max_len
-
-    def _speculates(self, request: BatchRequest) -> bool:
-        """Whether ``request``'s rows get draft proposals."""
-        return (
-            self.draft is not None
-            and request.config.strategy == "greedy"
-            and len(request.prompt_ids) + request.config.max_new_tokens
-            <= self.draft.config.max_seq_len
-        )
 
     def _sequential_fallback(self, request: BatchRequest) -> BatchResult:
         """Serve one non-fitting request with sliding-window decoding."""
@@ -396,7 +299,7 @@ class BatchedGenerator:
         on_admit: Optional[Callable[[int], None]] = None,
     ) -> None:
         queue = list(pending)
-        batch = _Batch([], [], np.zeros(0, dtype=np.int64), np.zeros((0, 1, 0)))
+        batch = _Batch([], [], np.zeros(0, dtype=np.int64), np.zeros((0, 0)))
         admitted_any = False
 
         while queue or batch.states:
@@ -430,7 +333,7 @@ class BatchedGenerator:
             if not keep.all():
                 batch.select(keep)
             if batch.states:  # else freed slots may admit queued work next turn
-                self._step(batch, capacity)
+                self._decode_step(batch)
 
         for result in results:
             if result is not None and result.batched:
@@ -515,7 +418,6 @@ class BatchedGenerator:
         states = []
         for index, request in wave:
             results[index] = BatchResult(sequences=[])
-            speculative = self._speculates(request)
             states.extend(
                 _ChoiceState(
                     request_index=index,
@@ -523,51 +425,15 @@ class BatchedGenerator:
                     config=_choice_config(request.config, j),
                     constraint=request.constraint,
                     rng=SeededRNG(request.config.seed + j),
-                    speculative=speculative,
                 )
                 for j in range(request.n)
             )
-        lengths = np.repeat(prompt_lengths, repeats)
-        batch = _Batch(
+        return _Batch(
             states,
             _fork(caches, repeats),
-            lengths,
-            np.repeat(logits, repeats, axis=0)[:, None],
+            np.repeat(prompt_lengths, repeats),
+            np.repeat(logits, repeats, axis=0),
         )
-        if self.draft is not None:
-            dcaches = self._draft_prefill(requests, prompt_lengths, capacity)
-            batch.dcaches = _fork(dcaches, repeats)
-            batch.d_lens = lengths.copy()
-        return batch
-
-    def _draft_prefill(
-        self,
-        requests: Sequence[BatchRequest],
-        prompt_lengths: np.ndarray,
-        capacity: int,
-    ) -> list:
-        """The draft's slotted caches, prefilled for the rows that speculate.
-
-        Rows that never propose keep zero K/V; their draft outputs are
-        discarded.
-        """
-        dcaches = self.draft.init_cache(batch_size=len(requests), capacity=capacity)
-        chosen = [i for i, r in enumerate(requests) if self._speculates(r)]
-        if not chosen:
-            return dcaches
-        subset = [requests[i] for i in chosen]
-        part = (
-            dcaches
-            if len(chosen) == len(requests)
-            else self.draft.init_cache(batch_size=len(chosen), capacity=capacity)
-        )
-        self._draft_engine._seed_shared_prefix(subset)
-        self._draft_engine._prefill(subset, prompt_lengths[chosen], part)
-        if part is not dcaches:
-            for cache, piece in zip(dcaches, part):
-                cache["k"][chosen] = piece["k"]
-                cache["v"][chosen] = piece["v"]
-        return dcaches
 
     # -- prefill with prefix reuse -----------------------------------------
     def _seed_shared_prefix(self, requests: Sequence[BatchRequest]) -> None:
@@ -682,203 +548,56 @@ class BatchedGenerator:
         self._store_prefixes(requests, prompt_lengths, caches)
         return next_logits
 
-    # -- one step: pick tokens, then one target forward ---------------------
+    # -- one step: pick a token per row, then one forward ------------------
     def _advance(self, batch: _Batch, results: List[BatchResult]) -> np.ndarray:
-        """Pick each row's tokens from its logits; retire finished rows.
+        """Pick each row's next token from its logits; retire finished rows.
 
-        Position ``j`` of a row's logits is the target's distribution
-        after the committed tokens plus proposals ``0..j-1``, so its
-        pick is the true next token: a pick that matches proposal ``j``
-        extends the run, and the first pick that does not — or the pick
-        after the last proposal — is emitted and ends it. Accepted
-        proposals already sit in the target cache, so they advance
-        ``lengths``; the draft keeps the ones it forwarded (all but the
-        last). Returns the keep-mask.
+        Returns the keep-mask.
         """
-        states, logits, proposals = batch.states, batch.logits, batch.proposals
-        width = logits.shape[1]
+        states, logits = batch.states, batch.logits
         keep = np.ones(len(states), dtype=bool)
-        accepted = np.zeros(len(states), dtype=np.int64)
         plain_greedy = all(
             s.config.strategy == "greedy" and s.constraint is None for s in states
         )
         greedy_ids = np.argmax(logits, axis=-1) if plain_greedy else None
         for r, state in enumerate(states):
-            for j in range(width):
-                if greedy_ids is not None:
-                    token: Optional[int] = int(greedy_ids[r, j])
-                else:
-                    token = _next_token(
-                        logits[r, j], state.generated, state.config,
-                        state.constraint, state.rng,
-                    )
-                if token is None or token in state.config.stop_ids:
-                    keep[r] = False
-                    break
+            if greedy_ids is not None:
+                token: Optional[int] = int(greedy_ids[r])
+            else:
+                token = _next_token(
+                    logits[r], state.generated, state.config,
+                    state.constraint, state.rng,
+                )
+            if token is None or token in state.config.stop_ids:
+                keep[r] = False
+            else:
                 state.generated.append(token)
                 self.stats.generated_tokens += 1
-                if len(state.generated) >= state.config.max_new_tokens:
-                    keep[r] = False
-                if j == width - 1 or token != proposals[r, j]:
-                    break
-                accepted[r] += 1
-                if not keep[r]:
-                    break
+                keep[r] = len(state.generated) < state.config.max_new_tokens
             if not keep[r]:
                 self.stats.retired_sequences += 1
                 results[state.request_index].sequences.append(
                     (state.choice_index, state.generated)
                 )
-        if width > 1:
-            self.stats.draft_accepted_tokens += int(accepted.sum())
-            batch.d_lens = batch.lengths + np.minimum(accepted, width - 2)
-            batch.lengths = batch.lengths + accepted
         return keep
 
-    def _step(self, batch: _Batch, capacity: int) -> None:
-        """Verify this step's proposals, or take a plain decode step."""
-        k_eff = self._proposal_length(batch, capacity)
-        if k_eff:
-            batch.proposals = self._propose(batch, k_eff)
-            batch.logits = self._verify(batch)
-        else:
-            if batch.proposals.shape[1]:
-                batch.proposals = batch.proposals[:, :0]
-            batch.logits = self._decode_step(
-                batch.states, batch.lengths, batch.caches
-            )[:, None]
-        batch.lengths += 1
-
-    def _proposal_length(self, batch: _Batch, capacity: int) -> int:
-        """Draft tokens per row this step; 0 when no row speculates.
-
-        Bounded by ``k``, by the largest remaining token budget among
-        speculating rows, and by the room the verify chunk has left in
-        the caches and in the draft's context window.
-        """
-        if self.draft is None:
-            return 0
-        spec = [r for r, s in enumerate(batch.states) if s.speculative]
-        if not spec:
-            return 0
-        committed = batch.lengths + 1
-        budget = max(
-            batch.states[r].config.max_new_tokens - len(batch.states[r].generated)
-            for r in spec
-        )
-        room = min(
-            capacity - int(committed.max()),
-            self.draft.config.max_seq_len - int(committed[spec].max()),
-        )
-        return max(0, min(self.k, budget - 1, room))
-
-    def _propose(self, batch: _Batch, k_eff: int) -> np.ndarray:
-        """Draft up to ``k_eff`` ids per speculating row; ``-1`` marks none.
-
-        The draft first catches up on committed tokens it has not seen
-        (the last step's emitted tokens, and any plain steps since):
-        each row's chunk starts at its ``d_lens`` column, and rows that
-        need fewer columns repeat their last committed one, rewriting
-        that column with the same token. Proposals are then decoded one
-        draft forward at a time; a constraint that allows nothing ends a
-        row's run early. Rows that do not speculate ride along on column
-        0 of their unused draft rows.
-        """
-        states = batch.states
-        rows = len(states)
-        spec = np.fromiter((s.speculative for s in states), dtype=bool, count=rows)
-        committed = batch.lengths + 1
-        width = int((committed - batch.d_lens)[spec].max())
-        positions = np.minimum(
-            batch.d_lens[:, None] + np.arange(width), committed[:, None] - 1
-        )
-        positions[~spec] = 0
-        ids = np.zeros((rows, width), dtype=np.int64)
-        for r in np.flatnonzero(spec):
-            # Every column from d_lens on holds a generated token.
-            generated = states[r].generated
-            ids[r] = [generated[p - committed[r]] for p in positions[r]]
-        hidden = _ragged_forward(self.draft, ids, positions, batch.dcaches)
-        d_next = self.draft.logits_from_hidden(Tensor(hidden[:, -1])).data
-
-        proposals = np.full((rows, k_eff), -1, dtype=np.int64)
-        # A row proposes at most its remaining budget minus the token
-        # the verify forward always yields.
-        room = np.array(
-            [s.config.max_new_tokens - len(s.generated) - 1 for s in states]
-        )
-        alive = spec.copy()
-        unconstrained = all(s.constraint is None for s in states)
-        for j in range(k_eff):
-            alive &= room > j
-            if not alive.any():
-                break
-            if unconstrained:
-                proposals[alive, j] = np.argmax(d_next, axis=-1)[alive]
-            else:
-                for r in np.flatnonzero(alive):
-                    state = states[r]
-                    pick = _next_token(
-                        d_next[r], state.generated + proposals[r, :j].tolist(),
-                        state.config, state.constraint, state.rng,
-                    )
-                    if pick is None:
-                        alive[r] = False
-                    else:
-                        proposals[r, j] = pick
-            if j == k_eff - 1:
-                break
-            cols = np.where(spec, committed + j, 0)[:, None]
-            step_ids = np.maximum(proposals[:, j : j + 1], 0)
-            hidden = _ragged_forward(self.draft, step_ids, cols, batch.dcaches)
-            d_next = self.draft.logits_from_hidden(Tensor(hidden[:, 0])).data
-        self.stats.draft_tokens += int((proposals >= 0).sum())
-        return proposals
-
-    def _verify(self, batch: _Batch) -> np.ndarray:
-        """One target forward over each row's last token and proposals."""
-        width = batch.proposals.shape[1] + 1
-        ids = np.empty((len(batch.states), width), dtype=np.int64)
-        ids[:, 0] = [s.generated[-1] for s in batch.states]
-        ids[:, 1:] = np.maximum(batch.proposals, 0)
-        positions = batch.lengths[:, None] + np.arange(width)
-        hidden = _ragged_forward(self.model, ids, positions, batch.caches)
-        self.stats.verify_forwards += 1
-        return self.model.logits_from_hidden(Tensor(hidden)).data
-
-    def _decode_step(
-        self, states: List[_ChoiceState], lengths: np.ndarray, caches: list
-    ) -> np.ndarray:
+    def _decode_step(self, batch: _Batch) -> None:
         """One vectorized forward advancing every active sequence."""
-        step_ids = np.array([[s.generated[-1]] for s in states], dtype=np.int64)
+        lengths = batch.lengths
+        step_ids = np.array([[s.generated[-1]] for s in batch.states], dtype=np.int64)
         kv_len = int(lengths.max()) + 1
         blocked = (np.arange(kv_len)[None, :] > lengths[:, None])[:, None, None, :]
         hidden = self.model.encode_chunk(
             step_ids,
             lengths[:, None],
-            caches,
+            batch.caches,
             blocked=blocked,
             write_cols=lengths,
             kv_len=kv_len,
         )
-        logits = self.model.logits_from_hidden(Tensor(hidden.data[:, 0]))
+        batch.logits = self.model.logits_from_hidden(Tensor(hidden.data[:, 0])).data
+        batch.lengths = lengths + 1
         self.stats.decode_steps += 1
-        return logits.data
-
-
-def _ragged_forward(
-    model: GPTModel, ids: np.ndarray, positions: np.ndarray, caches: list
-) -> np.ndarray:
-    """Hidden states for per-row runs of tokens at ``positions`` (B, T).
-
-    Each run is written to the slotted caches at its own columns and
-    attends every column up to its own position.
-    """
-    kv_len = int(positions.max()) + 1
-    blocked = np.arange(kv_len)[None, None, None, :] > positions[:, None, :, None]
-    return model.encode_chunk(
-        ids, positions, caches, blocked=blocked, write_cols=positions, kv_len=kv_len
-    ).data
 
 
 def _fork(caches: list, repeats: np.ndarray) -> list:

@@ -9,11 +9,11 @@ mid-decode. The barriered mode (``continuous=False``) is only a queue
 rule: it packs FIFO microbatches bounded by ``max_batch_size``
 *sequences* (a request with ``n`` choices occupies ``n`` slots) and
 hands each to the same loop, so no request joins a batch once it has
-started. A ``draft_model`` adds speculative draft-and-verify steps in
-either mode. This is the serving-layer shape of the
-paper's hosted-API deployments: many callers' prompts share one model,
-and throughput comes from batching, not from making any single request
-faster. A shared :class:`~repro.serving.prefix.PrefixCache` additionally
+started. Either way, each decode step advances every active sequence
+by one token. This is the serving-layer shape of the paper's hosted-API
+deployments: many callers' prompts share one model, and throughput
+comes from batching, not from making any single request faster. A
+shared :class:`~repro.serving.prefix.PrefixCache` additionally
 lets requests that repeat a prompt header (few-shot sweeps) skip
 re-prefilling it.
 
@@ -46,8 +46,8 @@ from repro.serving.prefix import PrefixCache
 class SchedulerStats:
     """Queue-level counters describing one scheduler's lifetime of work.
 
-    Forward-pass counters (refills, prefix hits, speculative drafts)
-    live in one place only, the generator's
+    Forward-pass counters (refills, prefix hits, decode steps) live in
+    one place only, the generator's
     :class:`~repro.serving.engine.GeneratorStats`
     (``scheduler.generator.stats``). ``queue_wait_total`` and
     ``queue_wait_max`` aggregate per-request submission→dispatch waits
@@ -77,11 +77,7 @@ class BatchScheduler:
     switches :meth:`run` from barriered microbatches to the generator's
     retire-and-admit loop; ``prefix_cache`` threads a shared prompt
     K/V cache through every request; ``clock`` timestamps queue waits
-    (defaults to real time). A ``draft_model`` turns on the generator's
-    speculative proposer in either mode — greedy requests then advance
-    up to ``speculative_k + 1`` tokens per target forward with
-    token-identical output (``draft_prefix_cache`` gives the draft its
-    own prompt K/V reuse).
+    (defaults to real time).
 
     Shared state: the pending queue, ticket counter, submission stamps,
     and ``stats`` are unsynchronized instance attributes (see the
@@ -99,19 +95,11 @@ class BatchScheduler:
         prefix_cache: Optional[PrefixCache] = None,
         continuous: bool = False,
         clock: Optional[Clock] = None,
-        draft_model: Optional[GPTModel] = None,
-        speculative_k: int = 4,
-        draft_prefix_cache: Optional[PrefixCache] = None,
     ) -> None:
         if max_batch_size <= 0:
             raise GenerationError("max_batch_size must be positive")
         self.generator = BatchedGenerator(
-            model,
-            prefill_chunk=prefill_chunk,
-            prefix_cache=prefix_cache,
-            draft=draft_model,
-            k=speculative_k,
-            draft_prefix_cache=draft_prefix_cache,
+            model, prefill_chunk=prefill_chunk, prefix_cache=prefix_cache
         )
         self.max_batch_size = max_batch_size
         self.continuous = continuous

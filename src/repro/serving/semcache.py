@@ -136,7 +136,7 @@ class _Entry:
 
 
 def _estimate_nbytes(value: Any) -> int:
-    """Byte-size estimate for a cached value.
+    """Byte-size estimate for a cached value, without entry overhead.
 
     Understands the two value shapes the serving stack stores —
     response-like objects (``.choices`` with ``.text``) and token
@@ -145,14 +145,14 @@ def _estimate_nbytes(value: Any) -> int:
     """
     choices = getattr(value, "choices", None)
     if choices is not None:
-        return sum(len(choice.text) for choice in choices) + _ENTRY_OVERHEAD
+        return sum(len(choice.text) for choice in choices)
     if isinstance(value, (list, tuple)) and all(
         isinstance(item, (list, tuple)) for item in value
     ):
-        return sum(8 * len(item) for item in value) + _ENTRY_OVERHEAD
+        return sum(8 * len(item) for item in value)
     if isinstance(value, str):
-        return len(value) + _ENTRY_OVERHEAD
-    return len(repr(value)) + _ENTRY_OVERHEAD
+        return len(value)
+    return len(repr(value))
 
 
 class SemanticCache:
@@ -209,9 +209,11 @@ class SemanticCache:
     ) -> bool:
         """Store one completion; returns False if it exceeds the budget.
 
-        Re-inserting an existing key replaces the old entry. A value
-        whose own footprint exceeds ``max_bytes`` is rejected up front (``stats.oversized``) instead of evicting the
-        whole cache for nothing — the PrefixCache oversized-prompt rule.
+        An entry costs its value's estimate plus ``_ENTRY_OVERHEAD``.
+        Re-inserting an existing key replaces the old entry. An entry
+        whose own footprint exceeds ``max_bytes`` is rejected up front
+        (``stats.oversized``) instead of evicting the whole cache for
+        nothing — the PrefixCache oversized-prompt rule.
         """
         size = _estimate_nbytes(value) + _ENTRY_OVERHEAD
         if size > self.max_bytes:

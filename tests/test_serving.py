@@ -30,9 +30,6 @@ from repro.serving import (
     KVCache,
     PrefixCache,
     complete_many,
-    distill_draft,
-    draft_config,
-    engine_serving_stats,
 )
 from repro.sql import Database
 from repro.text2sql import (
@@ -942,34 +939,6 @@ class TestPrefixEquivalence:
             (result,) = generator.generate([BatchRequest(prompt, config, n=3)])
             assert result.sequences == expected
 
-    def test_speculative_client_with_draft_prefix_cache(
-        self, tiny_gpt, word_tokenizer
-    ):
-        from repro.serving import draft_config, engine_serving_stats
-
-        hub = ModelHub()
-        hub.register("tiny-gpt", tiny_gpt, word_tokenizer)
-        draft = GPTModel(draft_config(tiny_gpt.config, num_layers=1), seed=99)
-        hub.register("tiny-draft", draft, word_tokenizer)
-        header = "the cat sat on the mat and the dog ran after the bird ;"
-        tails = ["a dog", "the cat sat", "cats and dogs", "the bird flew over"]
-        prompts = [f"{header} {tail}" for tail in tails]
-        prompts += ["the cat sat on the mat and", f"{header} a dog"]
-        client = CompletionClient(
-            hub, speculative_draft="tiny-draft", speculative_k=3
-        )
-        config = GenerationConfig(
-            max_new_tokens=6, stop_ids=(word_tokenizer.vocab.eos_id,)
-        )
-        for prompt in prompts:
-            (response,) = client.complete_batch("tiny-gpt", [prompt], max_tokens=6)
-            ids = word_tokenizer.encode(prompt, add_bos=True).ids
-            oracle = word_tokenizer.decode(generate(tiny_gpt, ids, config))
-            assert response.text == oracle.strip()
-        assert engine_serving_stats(client, "tiny-gpt")["verify_forwards"] > 0
-        assert client.prefix_cache("tiny-gpt").stats.hits > 0
-        assert client.prefix_cache("tiny-draft").stats.hits > 0
-
     def test_client_prefix_cache_persists_and_invalidates(self, hub):
         client = CompletionClient(hub)
         client.complete_batch("tiny-gpt", PROMPTS, max_tokens=4)
@@ -1420,22 +1389,17 @@ class TestConcatInLoopLint:
 
 @pytest.fixture(scope="module")
 def matrix_setup(word_tokenizer, corpus):
-    """Ragged prompts, a stop id that lands mid-run, and two drafts.
+    """Ragged prompts and a stop id that lands mid-run.
 
-    The target has random weights: a trained model's repetitive output
+    The model has random weights: a trained model's repetitive output
     can hide a token written at the wrong position."""
     words = " ".join(corpus[:4]).split()
     prompts = [" ".join(words[:n]) for n in (1, 6, 3, 11, 4, 8)]
     ids = [word_tokenizer.encode(p, add_bos=True).ids for p in prompts]
-    vocab = word_tokenizer.vocab_size
-    target = GPTModel(ModelConfig.tiny(vocab_size=vocab), seed=7)
+    model = GPTModel(ModelConfig.tiny(vocab_size=word_tokenizer.vocab_size), seed=7)
     hub = ModelHub()
-    hub.register("tiny-gpt", target, word_tokenizer)
-    wrong = GPTModel(draft_config(target.config, num_layers=1), seed=99)
-    hub.register("wrong", wrong, word_tokenizer)
-    distilled = distill_draft(target, ids, steps=40, max_new_tokens=12)
-    hub.register("distilled", distilled, word_tokenizer)
-    stop = generate(target, ids[1], GenerationConfig(max_new_tokens=10))[2]
+    hub.register("tiny-gpt", model, word_tokenizer)
+    stop = generate(model, ids[1], GenerationConfig(max_new_tokens=10))[2]
     return hub, prompts, ids, stop
 
 
@@ -1457,19 +1421,18 @@ def _matrix_requests(ids, stop, vocab):
 class TestServingEquivalenceMatrix:
     """Every serving configuration against the sequential oracle.
 
-    Scheduling (barriered, continuous) x draft (none, always wrong,
-    distilled) x prefix caching (off, on): each cell serves the same
-    mixed batch twice — the second pass hits the prefix caches when
-    they are on — and must match :func:`repro.generation.generate`
-    token for token.
+    Scheduling (barriered, continuous) x prefix caching (off, on): each
+    cell serves the same mixed batch twice — the second pass hits the
+    prefix cache when it is on — and must match
+    :func:`repro.generation.generate` token for token. Each cell also
+    checks that the client's per-prompt path is a one-prompt batch.
     """
 
     @pytest.mark.parametrize("prefix", [False, True], ids=["noprefix", "prefix"])
-    @pytest.mark.parametrize("draft", [None, "wrong", "distilled"])
     @pytest.mark.parametrize(
         "continuous", [False, True], ids=["barriered", "continuous"]
     )
-    def test_matches_generate_oracle(self, matrix_setup, continuous, draft, prefix):
+    def test_matches_generate_oracle(self, matrix_setup, continuous, prefix):
         hub, prompts, ids, stop = matrix_setup
         model = hub.get("tiny-gpt").model
         requests = _matrix_requests(ids, stop, model.config.vocab_size)
@@ -1489,9 +1452,6 @@ class TestServingEquivalenceMatrix:
             max_batch_size=4,
             continuous=continuous,
             prefix_cache=PrefixCache() if prefix else None,
-            draft_model=hub.get(draft).model if draft else None,
-            speculative_k=3,
-            draft_prefix_cache=PrefixCache() if prefix and draft else None,
         )
         for _ in range(2):
             tickets = [scheduler.submit(r) for r in requests]
@@ -1499,25 +1459,15 @@ class TestServingEquivalenceMatrix:
             assert [results[t].sequences for t in tickets] == expected
         stats = scheduler.generator.stats
         assert (stats.prefix_hits > 0) == prefix
-        assert (stats.verify_forwards > 0) == (draft is not None)
         assert (stats.refills > 0) == continuous
 
-        if draft is None:
-            return
         # The client's per-prompt path is a one-prompt batch: same texts
-        # and usage as one complete_batch call, speculation included.
+        # and usage as one complete_batch call.
         budget = 2**20 if prefix else 0
-
-        def client():
-            return CompletionClient(
-                hub, prefix_cache_bytes=budget, speculative_draft=draft,
-                speculative_k=3,
-            )
-
-        batch = client().complete_batch(
+        batch = CompletionClient(hub, prefix_cache_bytes=budget).complete_batch(
             "tiny-gpt", prompts, max_tokens=8, n=2, continuous=continuous
         )
-        single_client = client()
+        single_client = CompletionClient(hub, prefix_cache_bytes=budget)
         single = [
             single_client.complete("tiny-gpt", p, max_tokens=8, n=2) for p in prompts
         ]
@@ -1525,4 +1475,3 @@ class TestServingEquivalenceMatrix:
             [c.text for c in r.choices] for r in single
         ]
         assert [r.usage for r in batch] == [r.usage for r in single]
-        assert engine_serving_stats(single_client, "tiny-gpt")["verify_forwards"] > 0
