@@ -8,9 +8,8 @@ vetted per second (flow-sensitive pycheck over generated plans) and
 queries checked per second (sqlcheck against the catalog), next to the
 cost of actually running the same artifacts.
 
-It also scores the flow-sensitive vetter against the labeled golden
-corpus (:mod:`repro.analysis.corpus`) — precision/recall for the new
-pipeline and for the PR-1 mention-ban rules it replaced — times the
+It also scores the flow-sensitive vetter's precision/recall against
+the labeled golden corpus (:mod:`repro.analysis.corpus`), times the
 repo linter over ``src/``, and enforces the ``# repro: noqa``
 suppression budget (the repo must not accumulate more suppressions
 than the seed baseline). Everything lands in
@@ -27,7 +26,7 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import check_python, check_sql, error_findings
-from repro.analysis.corpus import FIXTURES, legacy_rejects
+from repro.analysis.corpus import FIXTURES
 from repro.analysis.lint import _NOQA_PATTERN, lint_paths
 from repro.codexdb import CodeGenOptions, generate_python, plan_query
 from repro.codexdb.sandbox import run_generated_code
@@ -121,7 +120,6 @@ def test_bench_vet_precision_recall(report_printer, bench_metrics):
     flow_p, flow_r, flow_fp = _score(
         lambda code: bool(error_findings(check_python(code)))
     )
-    old_p, old_r, old_fp = _score(legacy_rejects)
 
     report_printer(
         "ANALYSIS: vet precision/recall on the golden corpus "
@@ -130,21 +128,15 @@ def test_bench_vet_precision_recall(report_printer, bench_metrics):
             f"{'pipeline':<28}{'precision':>10}{'recall':>10}{'false pos':>10}",
             f"{'flow-sensitive (dataflow)':<28}{flow_p:>10.2f}{flow_r:>10.2f}"
             f"{flow_fp:>10}",
-            f"{'PR-1 mention-ban (legacy)':<28}{old_p:>10.2f}{old_r:>10.2f}"
-            f"{old_fp:>10}",
         ],
     )
     bench_metrics["analysis/corpus_fixtures"] = len(FIXTURES)
     bench_metrics["analysis/vet_precision"] = round(flow_p, 3)
     bench_metrics["analysis/vet_recall"] = round(flow_r, 3)
-    bench_metrics["analysis/legacy_precision"] = round(old_p, 3)
-    bench_metrics["analysis/legacy_recall"] = round(old_r, 3)
 
     # the flow-sensitive vetter blocks every escape/unbounded fixture
-    # and accepts every benign one ...
+    # and accepts every benign one
     assert flow_p == 1.0 and flow_r == 1.0
-    # ... strictly dominating the mention-ban rules on both axes
-    assert old_p < 1.0 and old_r < 1.0
 
 
 def test_bench_lint_walltime(report_printer, bench_metrics):

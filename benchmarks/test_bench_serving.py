@@ -98,11 +98,15 @@ def test_bench_batch_throughput(benchmark, report_printer, bench_metrics, setup)
 
 def _token_at_a_time_prefill(model, prompt):
     """The pre-serving priming loop: one forward per prompt token."""
-    caches = model.init_cache()
+    caches = model.init_cache(1, len(prompt))
     with no_grad():
         for position, token in enumerate(prompt):
-            logits = model.forward_incremental(
-                np.array([[token]], dtype=np.int64), position, caches
+            logits = model.forward_chunk(
+                np.array([[token]], dtype=np.int64),
+                np.array([[position]]),
+                caches,
+                write_cols=slice(position, position + 1),
+                kv_len=position + 1,
             )
     return logits
 
@@ -111,14 +115,16 @@ def _chunked_prefill(model, prompt):
     """One causal forward over the whole prompt."""
     from repro.nn.attention import causal_mask
 
-    caches = model.init_cache()
     length = len(prompt)
+    caches = model.init_cache(1, length)
     with no_grad():
         return model.forward_chunk(
             np.array([prompt], dtype=np.int64),
             np.arange(length)[None, :],
             caches,
             blocked=causal_mask(length)[None, None, :, :],
+            write_cols=slice(0, length),
+            kv_len=length,
         )
 
 

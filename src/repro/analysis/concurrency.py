@@ -1,12 +1,12 @@
 """Concurrency-safety audit for the serving subsystem.
 
 The upcoming multi-tenant async gateway will multiplex one
-:class:`~repro.serving.engine.BatchedGenerator`, one
-:class:`~repro.serving.prefix.PrefixCache`, and preallocated KV slabs
-across concurrent requests. Every one of those classes mutates plain
-instance attributes with no synchronization — fine today (the serving
-loop is single-threaded), a data race the moment two request handlers
-interleave. This module makes that surface auditable *before* the
+:class:`~repro.serving.engine.BatchedGenerator` (with the K/V caches
+it preallocates per batch) and one
+:class:`~repro.serving.prefix.PrefixCache` across concurrent requests.
+Both classes mutate plain instance attributes with no
+synchronization — fine today (the serving loop is single-threaded), a
+data race the moment two request handlers interleave. This module makes that surface auditable *before* the
 gateway lands:
 
 * :func:`shared_state_report` walks source trees and inventories, per

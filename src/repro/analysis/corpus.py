@@ -5,35 +5,20 @@ generator (or a model behind it) might emit, labeled with the ground
 truth — ``safe=True`` programs must be accepted by
 :func:`repro.analysis.pycheck.check_python` (no error-severity
 findings), ``safe=False`` programs must be rejected with exactly the
-error rules in ``expect_rules``. Fixtures with
-``legacy_false_positive=True`` are benign programs the PR-1
-mention-ban checker wrongly rejected; the flow-sensitive pipeline must
-accept them (that regression is asserted in ``tests/test_dataflow.py``
-and measured in ``benchmarks/test_bench_analysis.py``).
+error rules in ``expect_rules``. Several benign fixtures (dead
+branches, shadowed builtins, a contract assigned on both ``try``
+arms) are there because a flow-insensitive mention-ban checker once
+rejected them; the flow-sensitive pipeline must accept them.
 
 The fixtures live as string constants rather than ``.py`` files on
 purpose: several deliberately contain ``eval``/``open``/infinite loops,
 and the repo-wide lint gate must not see them as first-class source.
-
-:func:`legacy_rejects` is a compact, faithful re-implementation of the
-PR-1 flow-*insensitive* rules (mention bans, flat bound-name set,
-literal ``while True`` check, ``finally``-only try contract). It exists
-so tests and benchmarks can demonstrate the precision/recall gap
-between the two pipelines without keeping the old module alive.
 """
 
 from __future__ import annotations
 
-import ast
 from dataclasses import dataclass
-from typing import List, Set, Tuple
-
-from repro.analysis.pycheck import (
-    BANNED_ATTRIBUTES,
-    BANNED_NAMES,
-    IMPORT_ALLOWLIST,
-    OUTPUT_CONTRACT,
-)
+from typing import List, Tuple
 
 
 @dataclass(frozen=True)
@@ -45,8 +30,6 @@ class Fixture:
     safe: bool
     #: error rules the new pipeline must report (exactly); empty for safe
     expect_rules: Tuple[str, ...] = ()
-    #: benign program the PR-1 mention-ban checker wrongly rejected
-    legacy_false_positive: bool = False
 
 
 FIXTURES: Tuple[Fixture, ...] = (
@@ -230,7 +213,6 @@ FIXTURES: Tuple[Fixture, ...] = (
             'columns = ["a"]\n'
         ),
         safe=True,
-        legacy_false_positive=True,
     ),
     Fixture(
         name="shadowed-open",
@@ -242,7 +224,6 @@ FIXTURES: Tuple[Fixture, ...] = (
             'columns = ["n"]\n'
         ),
         safe=True,
-        legacy_false_positive=True,
     ),
     Fixture(
         name="contract-try-both-arms",
@@ -254,7 +235,6 @@ FIXTURES: Tuple[Fixture, ...] = (
             'columns = ["a"]\n'
         ),
         safe=True,
-        legacy_false_positive=True,
     ),
     Fixture(
         name="dead-while-banned",
@@ -265,7 +245,6 @@ FIXTURES: Tuple[Fixture, ...] = (
             'columns = ["a"]\n'
         ),
         safe=True,
-        legacy_false_positive=True,
     ),
     Fixture(
         name="string-mention-of-banned",
@@ -318,105 +297,3 @@ def safe_fixtures() -> List[Fixture]:
 
 def unsafe_fixtures() -> List[Fixture]:
     return [f for f in FIXTURES if not f.safe]
-
-
-def legacy_false_positives() -> List[Fixture]:
-    return [f for f in FIXTURES if f.legacy_false_positive]
-
-
-# -- the PR-1 flow-insensitive rules, for comparison ------------------------
-def legacy_rejects(code: str) -> bool:
-    """Would the PR-1 mention-ban checker have rejected ``code``?
-
-    Re-implements its four rules verbatim-in-spirit: any *mention* of a
-    banned name or attribute anywhere (dead code and shadows included),
-    any disallowed import, a literal ``while True`` with no
-    break/return/raise, and an output contract that only credited
-    ``finally`` blocks inside ``try``.
-    """
-    tree = ast.parse(code, mode="exec")
-    for node in ast.walk(tree):
-        if (
-            isinstance(node, ast.Name)
-            and isinstance(node.ctx, ast.Load)
-            and node.id in BANNED_NAMES
-        ):
-            return True
-        if isinstance(node, ast.Attribute) and node.attr in BANNED_ATTRIBUTES:
-            return True
-        if isinstance(node, ast.Import):
-            if any(
-                alias.name.split(".")[0] not in IMPORT_ALLOWLIST
-                for alias in node.names
-            ):
-                return True
-        if isinstance(node, ast.ImportFrom):
-            if node.level or (node.module or "").split(".")[0] not in IMPORT_ALLOWLIST:
-                return True
-        if isinstance(node, ast.While):
-            constant_true = isinstance(node.test, ast.Constant) and bool(
-                node.test.value
-            )
-            if constant_true and not _legacy_loop_can_exit(node.body):
-                return True
-    assigned = _legacy_definitely_assigned(tree.body)
-    return any(name not in assigned for name in OUTPUT_CONTRACT)
-
-
-def _legacy_loop_can_exit(body) -> bool:
-    for stmt in body:
-        if isinstance(stmt, (ast.Break, ast.Return, ast.Raise)):
-            return True
-        if isinstance(stmt, ast.If):
-            if _legacy_loop_can_exit(stmt.body) or _legacy_loop_can_exit(stmt.orelse):
-                return True
-        elif isinstance(stmt, ast.Try):
-            blocks = [stmt.body, stmt.orelse, stmt.finalbody]
-            blocks += [handler.body for handler in stmt.handlers]
-            if any(_legacy_loop_can_exit(block) for block in blocks):
-                return True
-        elif isinstance(stmt, ast.With):
-            if _legacy_loop_can_exit(stmt.body):
-                return True
-    return False
-
-
-def _legacy_definitely_assigned(stmts) -> Set[str]:
-    assigned: Set[str] = set()
-    for stmt in stmts:
-        if isinstance(stmt, ast.Assign):
-            for target in stmt.targets:
-                assigned |= _legacy_target_names(target)
-        elif isinstance(stmt, ast.AnnAssign):
-            if stmt.value is not None and isinstance(stmt.target, ast.Name):
-                assigned.add(stmt.target.id)
-        elif isinstance(stmt, ast.If):
-            if stmt.orelse:
-                assigned |= _legacy_definitely_assigned(
-                    stmt.body
-                ) & _legacy_definitely_assigned(stmt.orelse)
-        elif isinstance(stmt, ast.With):
-            assigned |= _legacy_definitely_assigned(stmt.body)
-        elif isinstance(stmt, ast.Try):
-            assigned |= _legacy_definitely_assigned(stmt.finalbody)
-        elif isinstance(stmt, (ast.Import, ast.ImportFrom)):
-            for alias in stmt.names:
-                assigned.add(alias.asname or alias.name.split(".")[0])
-        elif isinstance(
-            stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-        ):
-            assigned.add(stmt.name)
-    return assigned
-
-
-def _legacy_target_names(target) -> Set[str]:
-    if isinstance(target, ast.Name):
-        return {target.id}
-    if isinstance(target, (ast.Tuple, ast.List)):
-        names: Set[str] = set()
-        for element in target.elts:
-            names |= _legacy_target_names(element)
-        return names
-    if isinstance(target, ast.Starred):
-        return _legacy_target_names(target.value)
-    return set()

@@ -37,9 +37,9 @@ the offending line):
 * ``concat-in-loop``       — ``np.concatenate`` inside a loop (or
   comprehension) in the model/serving hot paths (``nn``,
   ``generation``, ``serving``, ``models``); growing an array by
-  concatenation per iteration is O(n²) traffic — write into a
-  preallocated slab (:class:`repro.serving.KVCache`-style) and
-  suppress the rare amortized concat explicitly;
+  concatenation per iteration is O(n²) traffic — write into an array
+  preallocated at its final size (as :meth:`repro.models.GPTModel.init_cache`
+  does for K/V) and suppress the rare amortized concat explicitly;
 * ``slow-pow``             — ``x ** n`` with an integer literal ``n >= 3``
   in the numeric hot paths (``autograd``, ``nn``, ``models``,
   ``serving``, ``training``); numpy squares ``** 2`` in a fast path but
@@ -540,9 +540,8 @@ def _check_concat_in_loop(tree: ast.Module, path: str) -> List[Finding]:
                 Finding(
                     rule="concat-in-loop",
                     message="np.concatenate inside a loop copies the whole "
-                    "array per iteration (O(n²) traffic); write into a "
-                    "preallocated slab (repro.serving.KVCache-style) "
-                    "instead",
+                    "array per iteration (O(n²) traffic); write into an "
+                    "array preallocated at its final size instead",
                     line=node.lineno,
                     source=path,
                 )

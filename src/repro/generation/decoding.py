@@ -85,12 +85,15 @@ def generate(
     ``max_seq_len``.
 
     ``use_cache=True`` (the default) reuses per-layer key/value caches
-    (the standard incremental-decoding optimization): the prompt is
-    primed with one chunked causal forward and each step then costs
-    O(context) attention instead of a full O(context^2) re-encode,
-    producing the same greedy token sequences. The cached path requires
-    the whole sequence to fit the context window; otherwise it falls
-    back to the sliding-window re-encode automatically.
+    (the standard incremental-decoding optimization): one cache row
+    sized for the prompt plus ``max_new_tokens`` is primed with one
+    chunked causal forward, and each step then costs O(context)
+    attention instead of a full O(context^2) re-encode, producing the
+    same token sequences. The cached path requires the whole sequence
+    to fit the context window; otherwise it falls back to the
+    sliding-window re-encode automatically. ``use_cache=False`` always
+    re-encodes; tests use it as the full-recompute reference for this
+    single-row loop and for the batched engine of :mod:`repro.serving`.
     """
     config = config or GenerationConfig()
     if not prompt_ids:
@@ -133,30 +136,38 @@ def _generate_cached(
 ) -> List[int]:
     rng = SeededRNG(config.seed)
     model.eval()
-    caches = model.init_cache()
+    length = len(prompt_ids)
+    # One cache row holding the prompt and every new token; the caller
+    # checked that this fits the context window.
+    caches = model.init_cache(1, length + config.max_new_tokens)
     generated: List[int] = []
 
     with no_grad():
         # Chunked causal prefill: one forward over the whole prompt with
         # an in-chunk causal mask, instead of priming one token at a time.
-        length = len(prompt_ids)
-        prompt = np.array([prompt_ids], dtype=np.int64)
-        positions = np.arange(length)[None, :]
-        blocked = causal_mask(length)[None, None, :, :]
-        logits = model.forward_chunk(prompt, positions, caches, blocked=blocked)
+        logits = model.forward_chunk(
+            np.array([prompt_ids], dtype=np.int64),
+            np.arange(length)[None, :],
+            caches,
+            blocked=causal_mask(length)[None, None, :, :],
+            write_cols=slice(0, length),
+            kv_len=length,
+        )
         next_logits = logits.data[0, -1].copy()
 
-        position = length
-        for _ in range(config.max_new_tokens):
+        for position in range(length, length + config.max_new_tokens):
             next_id = _next_token(next_logits, generated, config, constraint, rng)
             if next_id is None or next_id in config.stop_ids:
                 break
             generated.append(next_id)
-            logits = model.forward_incremental(
-                np.array([[next_id]], dtype=np.int64), position, caches
+            logits = model.forward_chunk(
+                np.array([[next_id]], dtype=np.int64),
+                np.array([[position]]),
+                caches,
+                write_cols=slice(position, position + 1),
+                kv_len=position + 1,
             )
             next_logits = logits.data[0, -1].copy()
-            position += 1
     return generated
 
 

@@ -75,20 +75,13 @@ class GPTModel(Module):
         return F.linear(hidden, self.token_emb.weight.transpose(1, 0))
 
     # -- incremental decoding (KV cache) -----------------------------------
-    def init_cache(
-        self,
-        batch_size: Optional[int] = None,
-        capacity: Optional[int] = None,
-    ) -> list:
-        """Fresh per-layer K/V caches for cached decoding.
+    def init_cache(self, batch_size: int, capacity: int) -> list:
+        """Fresh per-layer K/V caches of ``capacity`` columns per row.
 
-        With no arguments: in-place :class:`~repro.serving.kvcache.KVCache`
-        slabs for the single-sequence :meth:`forward_incremental` path.
-        With ``batch_size`` and ``capacity``: preallocated
-        slotted caches for the padding-aware batched path of
-        :mod:`repro.serving`.
+        Used by the single-row cached :func:`repro.generation.generate`
+        and by the padding-aware batched path of :mod:`repro.serving`.
         """
-        return self.stack.init_cache(batch_size=batch_size, capacity=capacity)
+        return self.stack.init_cache(batch_size, capacity)
 
     def encode_chunk(
         self,
@@ -96,20 +89,26 @@ class GPTModel(Module):
         positions: np.ndarray,
         caches: list,
         blocked: Optional[np.ndarray] = None,
-        write_cols: Optional[object] = None,
-        kv_len: Optional[int] = None,
+        *,
+        write_cols: object,
+        kv_len: int,
     ) -> Tensor:
         """Hidden states for a chunk of new positions, updating the caches.
 
         Inference-only. ``ids`` has shape (B, T) — a whole-prompt (or
         chunked) causal prefill when T > 1, written to the column
         ``slice`` in ``write_cols``; a decode step when T = 1, written to
-        each row's own column. ``positions`` holds each token's absolute
+        one column shared by every row (a ``slice``) or to each row's own
+        column (an int array). ``positions`` holds each token's absolute
         position, broadcastable to (B, T), so ragged batches can run rows
-        at different offsets. ``blocked``/``write_cols``/``kv_len`` are
-        forwarded to :meth:`repro.nn.MultiHeadAttention.incremental`.
-        Past the embeddings the blocks run graph-free on plain arrays;
-        only the returned hidden state is wrapped in a :class:`Tensor`.
+        at different offsets. Attention reads the first ``kv_len`` cache
+        columns; ``blocked``/``write_cols``/``kv_len`` are forwarded to
+        :meth:`repro.nn.MultiHeadAttention.incremental`. A ``kv_len``
+        past the caches' capacity, or a write column outside
+        ``[0, kv_len)``, raises :class:`ModelError` before any column is
+        written. Past the embeddings the blocks run graph-free on plain
+        arrays; only the returned hidden state is wrapped in a
+        :class:`Tensor`.
         """
         ids = np.asarray(ids, dtype=np.int64)
         if ids.ndim != 2 or ids.shape[1] < 1:
@@ -120,6 +119,7 @@ class GPTModel(Module):
                 f"position {int(positions.max())} exceeds max_seq_len "
                 f"{self.config.max_seq_len}"
             )
+        _check_cache_bounds(caches, ids.shape[1], write_cols, kv_len)
         x = (self.token_emb(ids) + self.pos_emb(positions)).data
         return Tensor(self.stack.incremental(
             x, caches, blocked=blocked, write_cols=write_cols, kv_len=kv_len
@@ -131,8 +131,9 @@ class GPTModel(Module):
         positions: np.ndarray,
         caches: list,
         blocked: Optional[np.ndarray] = None,
-        write_cols: Optional[object] = None,
-        kv_len: Optional[int] = None,
+        *,
+        write_cols: object,
+        kv_len: int,
     ) -> Tensor:
         """Logits for a chunk of new positions (see :meth:`encode_chunk`)."""
         hidden = self.encode_chunk(
@@ -141,22 +142,27 @@ class GPTModel(Module):
         )
         return self.logits_from_hidden(hidden)
 
-    def forward_incremental(
-        self, ids_step: np.ndarray, position: int, caches: list
-    ) -> Tensor:
-        """Logits for one new position, reusing cached keys/values.
 
-        Inference-only. ``ids_step`` has shape (B, 1); ``position`` is
-        the absolute position of that token. Produces logits identical
-        to a full :meth:`forward` over the whole prefix.
-        """
-        ids_step = np.asarray(ids_step, dtype=np.int64)
-        if ids_step.ndim != 2 or ids_step.shape[1] != 1:
-            raise ModelError(f"ids_step must be (batch, 1), got {ids_step.shape}")
-        if position >= self.config.max_seq_len:
-            raise ModelError(
-                f"position {position} exceeds max_seq_len {self.config.max_seq_len}"
-            )
-        return self.forward_chunk(
-            ids_step, np.full_like(ids_step, position), caches
+def _check_cache_bounds(caches: list, width: int, write_cols: object, kv_len: int) -> None:
+    """Reject a chunk whose K/V writes or reads fall outside the caches.
+
+    numpy would clip an out-of-range column ``slice`` (silently dropping
+    the new K/V) and wrap a negative column index, so both are checked
+    here, once per chunk rather than once per layer.
+    """
+    capacity = caches[0]["k"].shape[2]
+    if kv_len > capacity:
+        raise ModelError(f"kv_len {kv_len} exceeds the caches' capacity {capacity}")
+    if isinstance(write_cols, slice):
+        low, high, _ = write_cols.indices(capacity)
+        if high - low != width:
+            raise ModelError(f"write columns {low}:{high} do not fit a chunk of {width}")
+    else:
+        cols = np.asarray(write_cols)
+        low, high = int(cols.min()), int(cols.max()) + 1
+        if width != 1:
+            raise ModelError(f"per-row write columns need a chunk of 1, got {width}")
+    if low < 0 or high > kv_len:
+        raise ModelError(
+            f"write columns {low}..{high - 1} fall outside the {kv_len} attended columns"
         )

@@ -144,8 +144,9 @@ class MultiHeadAttention(Module):
         x: np.ndarray,
         cache: dict,
         blocked: Optional[np.ndarray] = None,
-        write_cols: Optional[object] = None,
-        kv_len: Optional[int] = None,
+        *,
+        write_cols: object,
+        kv_len: int,
     ) -> np.ndarray:
         """Attend new positions against cached keys/values.
 
@@ -156,28 +157,15 @@ class MultiHeadAttention(Module):
         is a plain (B, T, D) array. No autograd graph is built and
         attention dropout is not applied. The projections run through
         each Linear's ``infer`` kernel, so the output is bit-identical
-        to the Tensor ops of :meth:`forward`'s projections. The cache
-        accumulates this layer's K/V across steps so earlier positions
-        are never recomputed.
+        to the Tensor ops of :meth:`forward`'s projections.
 
-        Two cache layouts are supported:
-
-        * **slab** (``write_cols is None``, cache is a
-          :class:`repro.serving.kvcache.KVCache`): the new K/V columns
-          are written in place into a preallocated slab with amortized
-          capacity doubling — the single-sequence layout of
-          :func:`repro.generation.generate` (used through its
-          ``append`` method so ``repro.nn`` never imports
-          ``repro.serving``).
-        * **slotted** (``write_cols`` given): ``cache["k"]``/``"v"`` are
-          preallocated slabs of shape (B, H, capacity, D/H); the new K/V
-          are scattered at ``write_cols`` (a ``slice`` of columns for a
-          prefill chunk, or a per-row int array for a ragged decode step
-          with T = 1) and only the first ``kv_len`` key columns are
-          attended. This is the padding-aware batched layout of
-          :mod:`repro.serving`.
-
-        ``blocked`` is a boolean mask broadcastable to (B, H, T, S_kv),
+        ``cache["k"]``/``"v"`` are preallocated slabs of shape
+        (B, H, capacity, D/H) that accumulate this layer's K/V across
+        steps, so earlier positions are never recomputed. The new K/V
+        are written at ``write_cols`` (a ``slice`` of columns shared by
+        every row, or a per-row int array for a ragged decode step with
+        T = 1) and only the first ``kv_len`` key columns are attended.
+        ``blocked`` is a boolean mask broadcastable to (B, H, T, kv_len),
         True = position blocked (causal future, padding, or another
         row's slots).
         """
@@ -185,17 +173,14 @@ class MultiHeadAttention(Module):
         q = self._split_heads(self.query.infer(x), batch, seq)
         k = self._split_heads(self.key.infer(x), batch, seq)
         v = self._split_heads(self.value.infer(x), batch, seq)
-        if write_cols is None:
-            keys, values = cache.append(k, v)
-        elif isinstance(write_cols, slice):
+        if isinstance(write_cols, slice):
             cache["k"][:, :, write_cols] = k
             cache["v"][:, :, write_cols] = v
-            keys, values = cache["k"][:, :, :kv_len], cache["v"][:, :, :kv_len]
         else:
             rows = np.arange(batch)
             cache["k"][rows, :, write_cols] = k[:, :, 0]
             cache["v"][rows, :, write_cols] = v[:, :, 0]
-            keys, values = cache["k"][:, :, :kv_len], cache["v"][:, :, :kv_len]
+        keys, values = cache["k"][:, :, :kv_len], cache["v"][:, :, :kv_len]
 
         scores = (q @ keys.transpose(0, 1, 3, 2)) / np.sqrt(self.head_dim)
         if blocked is not None:

@@ -8,6 +8,7 @@ import numpy as np
 
 from repro.autograd import Tensor
 from repro.autograd import functional as F
+from repro.errors import ModelError
 from repro.nn.attention import MultiHeadAttention
 from repro.nn.layers import Dropout, LayerNorm, Linear
 from repro.nn.module import Module
@@ -64,8 +65,9 @@ class TransformerBlock(Module):
         x: np.ndarray,
         cache: dict,
         blocked: Optional[np.ndarray] = None,
-        write_cols: Optional[object] = None,
-        kv_len: Optional[int] = None,
+        *,
+        write_cols: object,
+        kv_len: int,
     ) -> np.ndarray:
         """Graph-free cached forward over new positions (B, T, D) arrays."""
         x = x + self.attn.incremental(
@@ -107,28 +109,18 @@ class TransformerStack(Module):
             x = block(x, attention_mask)
         return self.final_norm(x)
 
-    def init_cache(
-        self,
-        batch_size: Optional[int] = None,
-        capacity: Optional[int] = None,
-    ) -> List[object]:
+    def init_cache(self, batch_size: int, capacity: int) -> List[dict]:
         """Fresh per-block K/V caches for incremental decoding.
 
-        With no arguments the caches are preallocated
-        :class:`~repro.serving.kvcache.KVCache` slabs that append in
-        place with amortized capacity doubling. With ``batch_size`` and
-        ``capacity`` they are preallocated slotted slabs
-        (B, H, capacity, D/H) for the padding-aware batched layout (see
-        :meth:`MultiHeadAttention.incremental`).
+        Each cache is a pair of preallocated slabs of shape
+        (batch_size, H, capacity, D/H), written in place by
+        :meth:`MultiHeadAttention.incremental`.
         """
-        if batch_size is None:
-            # Imported here (not at module top) because repro.serving
-            # imports repro.nn; at call time both are fully loaded.
-            from repro.serving.kvcache import KVCache
-
-            return [KVCache() for _ in self.blocks]
-        if capacity is None or capacity <= 0 or batch_size <= 0:
-            raise ValueError("slotted caches need positive batch_size and capacity")
+        if batch_size <= 0 or capacity <= 0:
+            raise ModelError(
+                f"caches need a positive batch_size and capacity, got "
+                f"{batch_size} and {capacity}"
+            )
         caches = []
         for block in self.blocks:
             attn = block.attn
@@ -141,8 +133,9 @@ class TransformerStack(Module):
         x: np.ndarray,
         caches: List[dict],
         blocked: Optional[np.ndarray] = None,
-        write_cols: Optional[object] = None,
-        kv_len: Optional[int] = None,
+        *,
+        write_cols: object,
+        kv_len: int,
     ) -> np.ndarray:
         """Graph-free cached forward over new positions through all blocks."""
         for block, cache in zip(self.blocks, caches):

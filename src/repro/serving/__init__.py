@@ -1,7 +1,7 @@
 """Batched inference serving for the numpy Transformer.
 
-Vectorizes decoding across sequences: preallocated KV slabs
-(:class:`KVCache`), padding-aware batched KV caches, chunked causal
+Vectorizes decoding across sequences: padding-aware batched KV caches
+(one preallocated slab per layer, one row per sequence), chunked causal
 prefill, per-sequence stop handling, a prompt-prefix K/V cache
 (:class:`PrefixCache`), retire-and-admit continuous batching, and a
 FIFO scheduler. See :class:`BatchedGenerator` for the engine — one
@@ -33,7 +33,6 @@ from repro.serving.gateway import (
     Replica,
     ServiceModel,
 )
-from repro.serving.kvcache import KVCache
 from repro.serving.loadgen import LoadReport, OpenLoopLoad, run_open_loop, sweep
 from repro.serving.prefix import PrefixCache, PrefixCacheStats
 from repro.serving.scheduler import BatchScheduler, SchedulerStats
@@ -54,7 +53,6 @@ __all__ = [
     "GatewayResult",
     "GatewayStats",
     "GeneratorStats",
-    "KVCache",
     "LoadReport",
     "OpenLoopLoad",
     "PrefixCache",

@@ -60,9 +60,6 @@ class SchedulerStats:
     cancelled: int = 0
     microbatches: int = 0
     peak_batch: int = 0
-    sequential_fallbacks: int = 0
-    prompt_tokens: int = 0
-    generated_tokens: int = 0
     queue_wait_total: float = 0.0
     queue_wait_max: float = 0.0
 
@@ -144,8 +141,8 @@ class BatchScheduler:
             occupancy = sum(request.n for _, request in batch)
             self.stats.peak_batch = max(self.stats.peak_batch, occupancy)
             batch_results = self.generator.generate([r for _, r in batch])
-            for (ticket, request), result in zip(batch, batch_results):
-                self._record(ticket, request, result, results)
+            for (ticket, _), result in zip(batch, batch_results):
+                self._record(ticket, result, results)
         return results
 
     def _run_continuous(
@@ -173,8 +170,8 @@ class BatchScheduler:
             # drop their stamps so a reused scheduler doesn't leak them.
             for ticket, _ in batch:
                 self._submitted_at.pop(ticket, None)
-        for (ticket, request), result in zip(batch, batch_results):
-            self._record(ticket, request, result, results)
+        for (ticket, _), result in zip(batch, batch_results):
+            self._record(ticket, result, results)
         self.stats.peak_batch = max(
             self.stats.peak_batch, self.generator.stats.peak_active
         )
@@ -189,21 +186,13 @@ class BatchScheduler:
         self.stats.queue_wait_max = max(self.stats.queue_wait_max, wait)
 
     def _record(
-        self,
-        ticket: int,
-        request: BatchRequest,
-        result: BatchResult,
-        results: Dict[int, BatchResult],
+        self, ticket: int, result: BatchResult, results: Dict[int, BatchResult]
     ) -> None:
         results[ticket] = result
         if result.cancelled:
             self.stats.cancelled += 1
             return
         self.stats.completed += 1
-        self.stats.prompt_tokens += len(request.prompt_ids)
-        self.stats.generated_tokens += sum(len(seq) for seq in result.sequences)
-        if not result.batched:
-            self.stats.sequential_fallbacks += 1
 
     def _take_microbatch(self) -> List[Tuple[int, BatchRequest]]:
         """Pop a FIFO prefix of the queue within the occupancy budget."""

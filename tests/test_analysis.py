@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import os
 import subprocess
 import sys
@@ -780,6 +781,29 @@ class TestLintGate:
         from repro.analysis.lint import main
 
         assert main(["/no/such/dir"]) == 2
+
+    def test_core_layers_do_not_import_serving_or_api(self):
+        # autograd/nn/models/generation sit below the serving stack: an
+        # import upward (even one deferred into a function body) makes
+        # the core depend on the layer built on it.
+        upper = ("repro.serving", "repro.api")
+        offenders = []
+        for layer in ("autograd", "nn", "models", "generation"):
+            for path in sorted((REPO_ROOT / "src" / "repro" / layer).rglob("*.py")):
+                for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                    if isinstance(node, ast.Import):
+                        names = [alias.name for alias in node.names]
+                    elif isinstance(node, ast.ImportFrom) and node.module:
+                        # ``from repro import serving`` names it as an alias
+                        names = [f"{node.module}.{alias.name}" for alias in node.names]
+                    else:
+                        continue
+                    offenders += [
+                        f"{path.relative_to(REPO_ROOT)}:{node.lineno} {name}"
+                        for name in names
+                        if any(name == u or name.startswith(u + ".") for u in upper)
+                    ]
+        assert offenders == []
 
 
 class TestFindingRendering:

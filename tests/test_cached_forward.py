@@ -117,12 +117,15 @@ class TestStructure:
             original(self, *args, **kwargs)
 
         model.eval()
-        caches = model.init_cache()
+        caches = model.init_cache(1, 8)
         ids = np.arange(1, 9)[None, :]
         blocked = np.triu(np.ones((8, 8), dtype=bool), k=1)[None, None]
         monkeypatch.setattr(Tensor, "__init__", counting)
         try:
-            hidden = model.encode_chunk(ids, np.arange(8)[None, :], caches, blocked=blocked)
+            hidden = model.encode_chunk(
+                ids, np.arange(8)[None, :], caches, blocked=blocked,
+                write_cols=slice(0, 8), kv_len=8,
+            )
         finally:
             monkeypatch.undo()
         assert isinstance(hidden, Tensor) and hidden.shape == (1, 8, model.config.dim)

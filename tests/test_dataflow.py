@@ -6,13 +6,7 @@ import ast
 
 import pytest
 
-from repro.analysis.corpus import (
-    FIXTURES,
-    legacy_false_positives,
-    legacy_rejects,
-    safe_fixtures,
-    unsafe_fixtures,
-)
+from repro.analysis.corpus import FIXTURES, safe_fixtures, unsafe_fixtures
 from repro.analysis.dataflow import (
     analyze_program,
     build_cfg,
@@ -157,26 +151,6 @@ class TestGoldenCorpus:
         assert len(FIXTURES) >= 20
         assert len(unsafe_fixtures()) >= 10
         assert len(safe_fixtures()) >= 5
-
-    def test_at_least_three_legacy_false_positives_fixed(self):
-        fixed = legacy_false_positives()
-        assert len(fixed) >= 3
-        for fixture in fixed:
-            assert legacy_rejects(fixture.code), (
-                f"{fixture.name} should be rejected by the legacy rules"
-            )
-            assert error_findings(check_python(fixture.code)) == [], (
-                f"{fixture.name} must be accepted by the flow-sensitive rules"
-            )
-
-    def test_legacy_misses_flow_bugs_the_new_pass_catches(self):
-        # recall also improves: these escapes/bugs slipped past PR-1
-        caught_only_by_new = [
-            f
-            for f in unsafe_fixtures()
-            if not legacy_rejects(f.code)
-        ]
-        assert len(caught_only_by_new) >= 3
 
 
 class TestSandboxFuel:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import GenerationError
+from repro.errors import GenerationError, ModelError
 from repro.generation import GenerationConfig, beam_search, generate, generate_text
 from repro.models import GPTModel, ModelConfig
 
@@ -186,7 +186,7 @@ class TestBeamSearch:
         assert first not in out
 
 
-class TestKVCache:
+class TestCachedDecoding:
     def test_cached_greedy_matches_uncached(self, model):
         config = GenerationConfig(max_new_tokens=10)
         plain = generate(model, [1, 2, 3], config, use_cache=False)
@@ -219,38 +219,79 @@ class TestKVCache:
         assert len(out) <= 12
 
     def test_incremental_logits_match_full_forward(self, model):
-        import numpy as np
-
         from repro.autograd import no_grad
 
         ids = [1, 2, 3, 4, 5]
         with no_grad():
             full = model(np.array([ids]))
-        caches = model.init_cache()
-        with no_grad():
-            for position, token in enumerate(ids):
-                step = model.forward_incremental(
-                    np.array([[token]]), position, caches
-                )
+        caches = model.init_cache(1, len(ids))
+        for position, token in enumerate(ids):
+            step = _decode_step(model, token, position, caches)
         np.testing.assert_allclose(step.data[0, 0], full.data[0, -1], atol=1e-9)
 
     def test_incremental_bad_shape_raises(self, model):
-        import numpy as np
-
-        from repro.errors import ModelError
-
         with pytest.raises(ModelError):
-            model.forward_incremental(np.array([[1, 2]]), 0, model.init_cache())
+            model.encode_chunk(
+                np.array([1, 2]), np.arange(2), model.init_cache(1, 2),
+                write_cols=slice(0, 2), kv_len=2,
+            )
 
     def test_incremental_position_overflow_raises(self, model):
-        import numpy as np
-
-        from repro.errors import ModelError
-
         with pytest.raises(ModelError):
-            model.forward_incremental(
-                np.array([[1]]), model.config.max_seq_len, model.init_cache()
+            _decode_step(model, 1, model.config.max_seq_len, model.init_cache(1, 1))
+
+
+class TestCacheBounds:
+    """A mis-sized cache or write column raises instead of corrupting output."""
+
+    @staticmethod
+    def _encode(model, caches, position, write_cols, kv_len):
+        return model.encode_chunk(
+            np.array([[1]]), np.array([[position]]), caches,
+            write_cols=write_cols, kv_len=kv_len,
+        )
+
+    def test_kv_len_past_capacity_raises(self, model):
+        # numpy would clip the slice, drop the new K/V and attend 4 columns.
+        caches = model.init_cache(1, 4)
+        with pytest.raises(ModelError, match="capacity"):
+            self._encode(model, caches, 4, slice(4, 5), 5)
+        with pytest.raises(ModelError, match="capacity"):
+            self._encode(model, caches, 4, np.array([4]), 5)
+
+    def test_write_column_outside_attended_columns_raises(self, model):
+        caches = model.init_cache(1, 8)
+        with pytest.raises(ModelError, match="attended"):
+            self._encode(model, caches, 3, slice(3, 4), 3)
+        with pytest.raises(ModelError, match="attended"):
+            self._encode(model, caches, 3, np.array([5]), 3)
+        with pytest.raises(ModelError, match="attended"):
+            self._encode(model, caches, 3, np.array([-1]), 3)
+        # Rejected before any layer writes a column.
+        assert not any(cache["k"].any() for cache in caches)
+
+    def test_slice_width_must_match_chunk(self, model):
+        with pytest.raises(ModelError, match="chunk"):
+            model.encode_chunk(
+                np.array([[1, 2]]), np.arange(2)[None, :], model.init_cache(1, 4),
+                write_cols=slice(0, 3), kv_len=3,
             )
+
+    def test_init_cache_rejects_non_positive_sizes(self, model):
+        for batch_size, capacity in ((0, 4), (1, 0), (-1, 4)):
+            with pytest.raises(ModelError):
+                model.init_cache(batch_size, capacity)
+
+
+def _decode_step(model, token, position, caches):
+    """One single-row cached decode step at ``position``."""
+    from repro.autograd import no_grad
+
+    with no_grad():
+        return model.forward_chunk(
+            np.array([[token]]), np.array([[position]]), caches,
+            write_cols=slice(position, position + 1), kv_len=position + 1,
+        )
 
 
 class TestTrainedModelGeneration:
@@ -364,16 +405,13 @@ class TestDecodingEdgeCases:
         )
 
     def test_incremental_records_last_attention(self, model):
-        from repro.autograd import no_grad
-
         attn = model.stack.blocks[0].attn
-        caches = model.init_cache()
-        with no_grad():
-            model.forward_incremental(np.array([[1]]), 0, caches)
-            first = attn.last_attention
-            assert first is not None and first.shape[-1] == 1
-            model.forward_incremental(np.array([[2]]), 1, caches)
-            second = attn.last_attention
+        caches = model.init_cache(1, 2)
+        _decode_step(model, 1, 0, caches)
+        first = attn.last_attention
+        assert first is not None and first.shape[-1] == 1
+        _decode_step(model, 2, 1, caches)
+        second = attn.last_attention
         # The cached step must refresh the recorded weights, never leave
         # stale introspection from an earlier call.
         assert second is not None and second.shape[-1] == 2

@@ -27,7 +27,6 @@ from repro.serving import (
     BatchedGenerator,
     BatchRequest,
     BatchScheduler,
-    KVCache,
     PrefixCache,
     complete_many,
 )
@@ -660,37 +659,6 @@ class TestPerPromptLoopLint:
             if f.rule == "per-prompt-loop"
         ]
         assert findings == []
-
-class TestKVCacheSlab:
-    def test_append_returns_live_views(self):
-        cache = KVCache()
-        k = np.ones((2, 3, 4, 5))
-        keys, values = cache.append(k, k * 2)
-        assert keys.shape == (2, 3, 4, 5)
-        assert len(cache) == 4
-        keys, values = cache.append(k[:, :, :1], k[:, :, :1])
-        assert keys.shape == (2, 3, 5, 5)
-        np.testing.assert_array_equal(keys[:, :, :4], np.ones((2, 3, 4, 5)))
-
-    def test_capacity_doubles_amortized(self):
-        cache = KVCache()
-        step = np.zeros((1, 2, 1, 4))
-        cache.append(step, step)
-        first_capacity = cache.capacity
-        for _ in range(first_capacity + 1):
-            cache.append(step, step)
-        assert cache.capacity == 2 * first_capacity
-        assert len(cache) == first_capacity + 2
-
-    def test_batch_size_change_rejected(self):
-        cache = KVCache()
-        cache.append(np.zeros((2, 2, 1, 4)), np.zeros((2, 2, 1, 4)))
-        with pytest.raises(ValueError):
-            cache.append(np.zeros((3, 2, 1, 4)), np.zeros((3, 2, 1, 4)))
-
-    def test_generate_uses_slab_by_default(self, model):
-        caches = model.init_cache()
-        assert isinstance(caches[0], KVCache)
 
 
 def _toy_layers(tokens: int, fill: float = 1.0):
