@@ -377,7 +377,7 @@ def test_bench_cached_forward(report_printer, bench_metrics):
             ff_dim=FORWARD_FF,
         ),
         seed=0,
-    ).eval()
+    )
     prompt = np.random.default_rng(4).integers(1, 256, size=(1, length))
     chunk_blocked = chunk_causal_mask(FORWARD_CACHED, length)[None, None]
     step_blocked = np.zeros((1, 1, 1, length + 1), dtype=bool)

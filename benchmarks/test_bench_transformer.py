@@ -25,7 +25,6 @@ from repro.utils.rng import SeededRNG
 def train_lm(model, rows, steps, seed, lr=3e-3):
     rng = SeededRNG(seed)
     optimizer = AdamW(model.parameters(), lr=lr)
-    model.train()
     for _ in range(steps):
         idx = rng.generator.choice(rows.shape[0], size=16, replace=False)
         inputs, targets = rows[idx, :-1], rows[idx, 1:]
@@ -37,7 +36,6 @@ def train_lm(model, rows, steps, seed, lr=3e-3):
         loss.backward()
         optimizer.clip_grad_norm(1.0)
         optimizer.step()
-    model.eval()
     return model
 
 

@@ -303,7 +303,6 @@ class CompletionClient:
         seed: int = 0,
         constraints: Optional[Sequence[Optional[TokenConstraint]]] = None,
         max_batch_size: int = 8,
-        prefill_chunk: Optional[int] = None,
         prefix_caching: bool = True,
         continuous: bool = True,
     ) -> List[CompletionResponse]:
@@ -374,7 +373,6 @@ class CompletionClient:
         scheduler = BatchScheduler(
             model,
             max_batch_size=max_batch_size,
-            prefill_chunk=prefill_chunk,
             prefix_cache=self.prefix_cache(engine) if prefix_caching else None,
             continuous=continuous,
             clock=self.clock,

@@ -11,7 +11,6 @@ validated against finite differences in the test suite.
 from repro.autograd.tensor import Tensor, no_grad, tensor
 from repro.autograd.functional import (
     cross_entropy,
-    dropout,
     embedding,
     gelu,
     layer_norm,
@@ -38,6 +37,5 @@ __all__ = [
     "relu",
     "tanh",
     "sigmoid",
-    "dropout",
     "concat",
 ]

@@ -224,16 +224,6 @@ def gelu(x: Tensor) -> Tensor:
     return x._make(out_data, (x,), backward)
 
 
-def dropout(x: Tensor, p: float, rng: np.random.Generator, training: bool) -> Tensor:
-    """Inverted dropout: zero elements with probability ``p`` during training."""
-    if not training or p <= 0.0:
-        return x
-    if not 0.0 <= p < 1.0:
-        raise ShapeError(f"dropout probability must be in [0, 1), got {p}")
-    keep = (rng.random(x.shape) >= p).astype(np.float64) / (1.0 - p)
-    return x * Tensor(keep)
-
-
 def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
     """Concatenate tensors along ``axis``."""
     if not tensors:

@@ -122,7 +122,6 @@ def train_lm_ranker(
 
     rng = SeededRNG(seed)
     optimizer = AdamW(model.parameters(), lr=lr)
-    model.train()
     n = data.shape[0]
     pad = tokenizer.vocab.pad_id
     for _ in range(steps):
@@ -140,5 +139,4 @@ def train_lm_ranker(
         loss.backward()
         optimizer.clip_grad_norm(1.0)
         optimizer.step()
-    model.eval()
     return LMRanker(model=model, tokenizer=tokenizer)

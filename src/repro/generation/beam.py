@@ -42,7 +42,6 @@ def beam_search(
         raise GenerationError("num_beams must be positive")
     if not prompt_ids:
         raise GenerationError("prompt must contain at least one token")
-    model.eval()
     stop_set = set(stop_ids)
     beams = [_Beam(ids=[], log_prob=0.0)]
 

@@ -113,7 +113,6 @@ def _generate_recompute(
     rng = SeededRNG(config.seed)
     ids = list(prompt_ids)
     generated: List[int] = []
-    model.eval()
 
     for _ in range(config.max_new_tokens):
         window = ids[-model.config.max_seq_len:]
@@ -135,7 +134,6 @@ def _generate_cached(
     constraint: Optional[TokenConstraint],
 ) -> List[int]:
     rng = SeededRNG(config.seed)
-    model.eval()
     length = len(prompt_ids)
     # One cache row holding the prompt and every new token; the caller
     # checked that this fits the context window.
@@ -160,6 +158,8 @@ def _generate_cached(
             if next_id is None or next_id in config.stop_ids:
                 break
             generated.append(next_id)
+            if len(generated) == config.max_new_tokens:
+                break  # nothing reads the logits of a last step
             logits = model.forward_chunk(
                 np.array([[next_id]], dtype=np.int64),
                 np.array([[position]]),

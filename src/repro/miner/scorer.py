@@ -109,7 +109,6 @@ def train_relevance_scorer(
     pad = tokenizer.vocab.pad_id
 
     optimizer = AdamW(model.parameters(), lr=3e-3)
-    model.train()
     for _ in range(steps):
         idx = rng.generator.choice(data.shape[0], size=min(16, data.shape[0]), replace=False)
         inputs = data[idx, :-1]
@@ -124,5 +123,4 @@ def train_relevance_scorer(
         loss.backward()
         optimizer.clip_grad_norm(1.0)
         optimizer.step()
-    model.eval()
     return LMRelevanceScorer(model=model, tokenizer=tokenizer)

@@ -14,58 +14,23 @@ import numpy as np
 
 from repro.autograd import Tensor
 from repro.errors import ModelError
+from repro.models.body import TransformerLM
 from repro.models.config import ModelConfig
-from repro.nn import Embedding, Linear, Module, TransformerStack
-from repro.utils.rng import SeededRNG
 
 
-class BERTModel(Module):
+class BERTModel(TransformerLM):
     """Encoder-only MLM: ids (B, T) -> per-position vocab logits (B, T, V)."""
 
     def __init__(self, config: ModelConfig, seed: int = 0) -> None:
-        super().__init__()
         if config.causal:
             raise ModelError("BERTModel requires a non-causal config")
-        self.config = config
-        rng = SeededRNG(seed)
-        self.token_emb = Embedding(config.vocab_size, config.dim, rng.spawn("tok"))
-        self.pos_emb = Embedding(config.max_seq_len, config.dim, rng.spawn("pos"))
-        self.stack = TransformerStack(
-            num_layers=config.num_layers,
-            dim=config.dim,
-            num_heads=config.num_heads,
-            ff_dim=config.ff_dim,
-            rng=rng.spawn("stack"),
-            causal=False,
-            dropout=config.dropout,
-        )
-        self.mlm_head: Optional[Linear] = None
-        if not config.tie_embeddings:
-            self.mlm_head = Linear(config.dim, config.vocab_size, rng.spawn("head"))
-
-    def encode(
-        self, ids: np.ndarray, attention_mask: Optional[np.ndarray] = None
-    ) -> Tensor:
-        """Return contextual hidden states of shape (B, T, dim)."""
-        ids = np.asarray(ids, dtype=np.int64)
-        if ids.ndim != 2:
-            raise ModelError(f"ids must be 2-D (batch, seq), got shape {ids.shape}")
-        _, seq = ids.shape
-        if seq > self.config.max_seq_len:
-            raise ModelError(
-                f"sequence length {seq} exceeds max_seq_len {self.config.max_seq_len}"
-            )
-        positions = np.broadcast_to(np.arange(seq), ids.shape)
-        x = self.token_emb(ids) + self.pos_emb(positions)
-        return self.stack(x, attention_mask)
+        super().__init__(config, seed)
 
     def forward(
         self, ids: np.ndarray, attention_mask: Optional[np.ndarray] = None
     ) -> Tensor:
-        """Return MLM logits of shape (B, T, vocab)."""
+        """Return MLM logits of shape (B, T, vocab) (the tied embedding)."""
         hidden = self.encode(ids, attention_mask)
-        if self.mlm_head is not None:
-            return self.mlm_head(hidden)
         return hidden @ self.token_emb.weight.transpose(1, 0)
 
     def pooled(

@@ -24,9 +24,9 @@ class ModelConfig:
         num_layers: number of Transformer blocks.
         num_heads: attention heads per block.
         ff_dim: feed-forward hidden dimension (commonly ``4 * dim``).
-        dropout: dropout probability used during training.
         causal: True for decoder-only (GPT-style), False for encoder-only.
-        tie_embeddings: share the input embedding with the LM head.
+
+    The LM head of both model classes is tied to the token embedding.
     """
 
     vocab_size: int
@@ -35,9 +35,7 @@ class ModelConfig:
     num_layers: int = 2
     num_heads: int = 4
     ff_dim: int = 256
-    dropout: float = 0.0
     causal: bool = True
-    tie_embeddings: bool = True
 
     def __post_init__(self) -> None:
         if self.dim % self.num_heads != 0:
@@ -70,14 +68,14 @@ def transformer_param_count(
     dim: int,
     num_layers: int,
     ff_dim: int,
-    tie_embeddings: bool = True,
 ) -> int:
     """Exact trainable-parameter count of our Transformer LM.
 
     Composition per block: two layer norms (2 * 2 * dim), four attention
     projections (4 * (dim^2 + dim)), and the feed-forward pair
     (dim * ff + ff) + (ff * dim + dim). On top: token and position
-    embeddings, a final layer norm, and (if untied) the LM head.
+    embeddings and a final layer norm; the LM head is tied to the token
+    embedding, so it adds nothing.
     """
     per_block = (
         2 * (2 * dim)
@@ -87,8 +85,7 @@ def transformer_param_count(
     )
     embeddings = vocab_size * dim + max_seq_len * dim
     final_norm = 2 * dim
-    head = 0 if tie_embeddings else vocab_size * dim + vocab_size
-    return embeddings + num_layers * per_block + final_norm + head
+    return embeddings + num_layers * per_block + final_norm
 
 
 def config_param_count(config: ModelConfig) -> int:
@@ -99,5 +96,4 @@ def config_param_count(config: ModelConfig) -> int:
         dim=config.dim,
         num_layers=config.num_layers,
         ff_dim=config.ff_dim,
-        tie_embeddings=config.tie_embeddings,
     )

@@ -114,7 +114,6 @@ def train_reader(
     rng = SeededRNG(seed)
     optimizer = AdamW(model.parameters(), lr=lr)
     pad = tokenizer.vocab.pad_id
-    model.train()
     for _ in range(steps):
         idx = rng.generator.choice(data.shape[0], size=min(16, data.shape[0]), replace=False)
         inputs = data[idx, :-1]
@@ -130,5 +129,4 @@ def train_reader(
         loss.backward()
         optimizer.clip_grad_norm(1.0)
         optimizer.step()
-    model.eval()
     return NeuralReader(model=model, tokenizer=tokenizer)

@@ -294,7 +294,6 @@ class EmbeddingRetriever:
         optimizer = AdamW(self.encoder.parameters(), lr=lr)
         rng = SeededRNG(seed)
         n = len(qa_pairs)
-        self.encoder.train()
         for _ in range(steps):
             idx = rng.generator.choice(n, size=min(batch_size, n), replace=False)
             q_vec = self._pooled_normalized(q_ids[idx], q_mask[idx])
@@ -306,7 +305,6 @@ class EmbeddingRetriever:
             loss.backward()
             optimizer.clip_grad_norm(1.0)
             optimizer.step()
-        self.encoder.eval()
         self._rebuild_index()
         return self
 

@@ -68,7 +68,7 @@ class NeuralDatabase:
 
         Readers exposing ``read_batch`` decode all prompts in one
         scheduler pass; stub readers without it fall back to a
-        per-pair loop — mirroring :func:`repro.serving.complete_many`.
+        per-pair loop.
         """
         batch = getattr(self.reader, "read_batch", None)
         if batch is not None:

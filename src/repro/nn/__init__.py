@@ -1,13 +1,13 @@
 """Neural-network layers built on the autograd substrate.
 
 Provides the standard Transformer building blocks: linear projections,
-embeddings, layer norm, dropout, multi-head attention, feed-forward
+embeddings, layer norm, multi-head attention, feed-forward
 blocks, and the full pre-norm Transformer block used by both the
 BERT-style encoder and the GPT-style decoder.
 """
 
 from repro.nn.module import Module, ParameterDict
-from repro.nn.layers import Dropout, Embedding, LayerNorm, Linear
+from repro.nn.layers import Embedding, LayerNorm, Linear
 from repro.nn.attention import (
     MultiHeadAttention,
     causal_mask,
@@ -22,7 +22,6 @@ __all__ = [
     "Linear",
     "Embedding",
     "LayerNorm",
-    "Dropout",
     "MultiHeadAttention",
     "causal_mask",
     "chunk_causal_mask",

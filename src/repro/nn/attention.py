@@ -15,7 +15,7 @@ import numpy as np
 from repro.autograd import Tensor
 from repro.autograd import functional as F
 from repro.errors import ModelError
-from repro.nn.layers import Dropout, Linear
+from repro.nn.layers import Linear
 from repro.nn.module import Module
 from repro.utils.rng import SeededRNG
 
@@ -77,7 +77,6 @@ class MultiHeadAttention(Module):
         num_heads: int,
         rng: SeededRNG,
         causal: bool = False,
-        dropout: float = 0.0,
     ) -> None:
         super().__init__()
         if dim % num_heads != 0:
@@ -90,7 +89,6 @@ class MultiHeadAttention(Module):
         self.key = Linear(dim, dim, rng.spawn("k"))
         self.value = Linear(dim, dim, rng.spawn("v"))
         self.out = Linear(dim, dim, rng.spawn("o"))
-        self.attn_dropout = Dropout(dropout, rng.spawn("attn_drop"))
         self._last_attention: Optional[np.ndarray] = None
 
     def forward(
@@ -118,7 +116,6 @@ class MultiHeadAttention(Module):
 
         weights = F.softmax(scores, axis=-1)
         self._last_attention = weights.data
-        weights = self.attn_dropout(weights)
         context = weights @ v
         merged = context.transpose(0, 2, 1, 3).reshape(batch, seq, self.dim)
         return self.out(merged)
@@ -154,10 +151,10 @@ class MultiHeadAttention(Module):
         ``x`` is a plain (B, T, D) array of the new positions — a single
         decode step (T = 1) or a prompt-prefill chunk (T > 1, with
         ``blocked`` carrying the in-chunk causal mask) — and the result
-        is a plain (B, T, D) array. No autograd graph is built and
-        attention dropout is not applied. The projections run through
-        each Linear's ``infer`` kernel, so the output is bit-identical
-        to the Tensor ops of :meth:`forward`'s projections.
+        is a plain (B, T, D) array. No autograd graph is built. The
+        projections run through each Linear's ``infer`` kernel, so the
+        output is bit-identical to the Tensor ops of :meth:`forward`'s
+        projections.
 
         ``cache["k"]``/``"v"`` are preallocated slabs of shape
         (B, H, capacity, D/H) that accumulate this layer's K/V across

@@ -1,4 +1,4 @@
-"""Elementary layers: Linear, Embedding, LayerNorm, Dropout."""
+"""Elementary layers: Linear, Embedding, LayerNorm."""
 
 from __future__ import annotations
 
@@ -80,16 +80,3 @@ class LayerNorm(Module):
         """Graph-free :meth:`forward`: the same :func:`F.layer_norm_parts`."""
         return F.layer_norm_parts(x, self.weight.data, self.bias.data, self.eps)[0]
 
-
-class Dropout(Module):
-    """Inverted dropout; a no-op in eval mode."""
-
-    def __init__(self, p: float, rng: SeededRNG) -> None:
-        super().__init__()
-        if not 0.0 <= p < 1.0:
-            raise ModelError(f"dropout probability must be in [0, 1), got {p}")
-        self.p = p
-        self._rng = rng.generator
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.dropout(x, self.p, self._rng, training=self.training)

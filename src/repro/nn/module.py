@@ -1,4 +1,4 @@
-"""Base class for neural-network modules (parameter registry, modes)."""
+"""Base class for neural-network modules (parameter registry)."""
 
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ ParameterDict = Dict[str, np.ndarray]
 
 
 class Module:
-    """Base class providing parameter registration and train/eval modes.
+    """Base class providing parameter registration and serialization.
 
     Assigning a :class:`Tensor` with ``requires_grad=True`` or another
     :class:`Module` to an attribute registers it automatically, so
@@ -24,7 +24,6 @@ class Module:
     def __init__(self) -> None:
         object.__setattr__(self, "_parameters", {})
         object.__setattr__(self, "_modules", {})
-        object.__setattr__(self, "training", True)
 
     def __setattr__(self, name: str, value: object) -> None:
         if isinstance(value, Tensor) and value.requires_grad:
@@ -53,21 +52,6 @@ class Module:
         """Clear gradients of every parameter."""
         for param in self.parameters():
             param.zero_grad()
-
-    # -- modes ----------------------------------------------------------------
-    def train(self) -> "Module":
-        """Put this module and all submodules into training mode."""
-        return self._set_mode(True)
-
-    def eval(self) -> "Module":
-        """Put this module and all submodules into inference mode."""
-        return self._set_mode(False)
-
-    def _set_mode(self, training: bool) -> "Module":
-        object.__setattr__(self, "training", training)
-        for module in self._modules.values():
-            module._set_mode(training)
-        return self
 
     # -- serialization ----------------------------------------------------------
     def state_dict(self) -> ParameterDict:

@@ -10,7 +10,7 @@ from repro.autograd import Tensor
 from repro.autograd import functional as F
 from repro.errors import ModelError
 from repro.nn.attention import MultiHeadAttention
-from repro.nn.layers import Dropout, LayerNorm, Linear
+from repro.nn.layers import LayerNorm, Linear
 from repro.nn.module import Module
 from repro.utils.rng import SeededRNG
 
@@ -18,17 +18,16 @@ from repro.utils.rng import SeededRNG
 class FeedForward(Module):
     """Position-wise feed-forward network with GELU activation."""
 
-    def __init__(self, dim: int, hidden_dim: int, rng: SeededRNG, dropout: float = 0.0) -> None:
+    def __init__(self, dim: int, hidden_dim: int, rng: SeededRNG) -> None:
         super().__init__()
         self.up = Linear(dim, hidden_dim, rng.spawn("up"))
         self.down = Linear(hidden_dim, dim, rng.spawn("down"))
-        self.drop = Dropout(dropout, rng.spawn("drop"))
 
     def forward(self, x: Tensor) -> Tensor:
-        return self.drop(self.down(F.gelu(self.up(x))))
+        return self.down(F.gelu(self.up(x)))
 
     def infer(self, x: np.ndarray) -> np.ndarray:
-        """Graph-free inference :meth:`forward` (no dropout)."""
+        """Graph-free :meth:`forward` on a plain array (same float ops)."""
         return self.down.infer(F.gelu_array(self.up.infer(x)))
 
 
@@ -42,21 +41,17 @@ class TransformerBlock(Module):
         ff_dim: int,
         rng: SeededRNG,
         causal: bool = False,
-        dropout: float = 0.0,
     ) -> None:
         super().__init__()
         self.attn_norm = LayerNorm(dim)
-        self.attn = MultiHeadAttention(
-            dim, num_heads, rng.spawn("attn"), causal=causal, dropout=dropout
-        )
+        self.attn = MultiHeadAttention(dim, num_heads, rng.spawn("attn"), causal=causal)
         self.ff_norm = LayerNorm(dim)
-        self.ff = FeedForward(dim, ff_dim, rng.spawn("ff"), dropout=dropout)
-        self.resid_drop = Dropout(dropout, rng.spawn("resid"))
+        self.ff = FeedForward(dim, ff_dim, rng.spawn("ff"))
 
     def forward(
         self, x: Tensor, attention_mask: Optional[np.ndarray] = None
     ) -> Tensor:
-        x = x + self.resid_drop(self.attn(self.attn_norm(x), attention_mask))
+        x = x + self.attn(self.attn_norm(x), attention_mask)
         x = x + self.ff(self.ff_norm(x))
         return x
 
@@ -88,14 +83,12 @@ class TransformerStack(Module):
         ff_dim: int,
         rng: SeededRNG,
         causal: bool = False,
-        dropout: float = 0.0,
     ) -> None:
         super().__init__()
         self.blocks: List[TransformerBlock] = []
         for i in range(num_layers):
             block = TransformerBlock(
-                dim, num_heads, ff_dim, rng.spawn(f"block{i}"),
-                causal=causal, dropout=dropout,
+                dim, num_heads, ff_dim, rng.spawn(f"block{i}"), causal=causal
             )
             self.blocks.append(block)
             # Register via attribute assignment so parameters are tracked.

@@ -127,7 +127,6 @@ def train_name_pair_classifier(
 
     rng = RNG(seed)
     optimizer = AdamW(head.parameters(), lr=lr)
-    head.train()
     steps_per_epoch = max(len(train_pairs) // 16, 1)
     for _ in range(epochs):
         for _ in range(steps_per_epoch):
@@ -140,7 +139,6 @@ def train_name_pair_classifier(
             loss.backward()
             optimizer.clip_grad_norm(1.0)
             optimizer.step()
-    head.eval()
     return classifier
 
 

@@ -1,15 +1,15 @@
 """Batched inference serving for the numpy Transformer.
 
 Vectorizes decoding across sequences: padding-aware batched KV caches
-(one preallocated slab per layer, one row per sequence), chunked causal
-prefill, per-sequence stop handling, a prompt-prefix K/V cache
-(:class:`PrefixCache`), retire-and-admit continuous batching, and a
-FIFO scheduler. See :class:`BatchedGenerator` for the engine — one
-retire-and-admit decode loop whose every step advances each active
-sequence by one token — and :class:`BatchScheduler` for the queueing
-front-end. Above the scheduler, :class:`SemanticCache` memoizes whole
-completions, keyed exactly on the full request, so repeated prompts
-skip prefill and decode entirely.
+(one preallocated slab per layer, one row per sequence), one causal
+prefill forward per admission wave, per-sequence stop handling, a
+prompt-prefix K/V cache (:class:`PrefixCache`), retire-and-admit
+continuous batching, and a FIFO scheduler. See :class:`BatchedGenerator`
+for the engine — one retire-and-admit decode loop whose every step
+advances each active sequence by one token — and :class:`BatchScheduler`
+for the queueing front-end. Above the scheduler, :class:`SemanticCache`
+memoizes whole completions, keyed exactly on the full request, so
+repeated prompts skip prefill and decode entirely.
 
 On top of the scheduler sits the asyncio serving tier: the multi-tenant
 :class:`Gateway` (admission control, load shedding, deadline dispatch,

@@ -2,11 +2,9 @@
 
 The application layers (CodexDB, text-to-SQL, data wrangling) talk to a
 completion *client* — sometimes the real :class:`repro.api.CompletionClient`,
-sometimes a reliability or fault-injection wrapper. :func:`complete_many`
-lets them batch per-prompt hot loops opportunistically: clients that
-expose ``complete_batch`` serve all prompts through the batched engine,
-anything else transparently falls back to a per-prompt loop, so wrappers
-never have to implement batching to stay compatible.
+sometimes a reliability or fault-injection wrapper. Every one of them
+has ``complete_batch``, and :func:`complete_many` sends a per-prompt hot
+loop through it, so all prompts share the batched engine.
 """
 
 from __future__ import annotations
@@ -16,17 +14,13 @@ from typing import List, Sequence
 
 
 def complete_many(client, engine: str, prompts: Sequence[str], **kwargs) -> List:
-    """Complete every prompt, batched when the client supports it.
+    """Complete every prompt in one ``client.complete_batch`` call.
 
     Returns one :class:`~repro.api.client.CompletionResponse` per prompt,
-    in prompt order. ``kwargs`` are forwarded unchanged to the client's
-    ``complete_batch`` (or per-prompt ``complete``) call.
+    in prompt order. ``kwargs`` are forwarded unchanged to
+    ``complete_batch``.
     """
-    batch = getattr(client, "complete_batch", None)
-    if batch is not None:
-        return list(batch(engine, list(prompts), **kwargs))
-    # repro: noqa[per-prompt-loop] — this IS the designated fallback loop.
-    return [client.complete(engine, prompt, **kwargs) for prompt in prompts]
+    return list(client.complete_batch(engine, list(prompts), **kwargs))
 
 
 def engine_serving_stats(client, engine: str) -> dict:

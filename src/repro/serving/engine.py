@@ -1,15 +1,15 @@
 """Vectorized batched decoding over the numpy Transformer: one decode loop.
 
 One :class:`BatchedGenerator` serves every batched request through a
-single retire-and-admit loop. Admitting requests runs a *chunked causal
-prefill* (one forward over each prompt chunk with an in-chunk causal
-mask, instead of priming the cache one token at a time) and splices the
-new rows into the active batch; each step then advances every active
-sequence with one model forward. Ragged prompt lengths are handled with
-padding-aware slotted KV caches — each row's keys occupy columns
-``0..len-1`` of a preallocated slab and a per-row mask blocks everything
-beyond — so sequences of different lengths share the same batch without
-influencing each other.
+single retire-and-admit loop. Admitting requests runs one *causal
+prefill* forward per admission wave (every prompt at once, with an
+in-chunk causal mask, instead of priming the cache one token at a time)
+and splices the new rows into the active batch; each step then advances
+every active sequence with one model forward. Ragged prompt lengths are
+handled with padding-aware slotted KV caches — each row's keys occupy
+columns ``0..len-1`` of a preallocated slab and a per-row mask blocks
+everything beyond — so sequences of different lengths share the same
+batch without influencing each other.
 
 Requests with ``n > 1`` choices prefill the prompt **once** and fork the
 cache afterwards (the choices share the prompt's K/V), which is what
@@ -177,11 +177,10 @@ class _Batch:
 class BatchedGenerator:
     """Decode many sequences per model forward (inference only).
 
-    ``prefill_chunk`` bounds the width of each prefill forward; ``None``
-    primes every prompt in a single chunk. With a ``prefix_cache``,
-    prompt prefixes already seen by the cache are loaded instead of
-    recomputed and every prefilled prompt is stored back. Greedy
-    decoding produces the same token sequences as per-prompt
+    Each admission wave is prefilled in one forward. With a
+    ``prefix_cache``, prompt prefixes already seen by the cache are
+    loaded instead of recomputed and every prefilled prompt is stored
+    back. Greedy decoding produces the same token sequences as per-prompt
     :func:`repro.generation.generate` — with or without the prefix
     cache — and sampling draws from per-sequence seeded RNGs exactly as
     the sequential path does (choice ``j`` of a request samples with
@@ -199,13 +198,9 @@ class BatchedGenerator:
     def __init__(
         self,
         model: GPTModel,
-        prefill_chunk: Optional[int] = None,
         prefix_cache: Optional[PrefixCache] = None,
     ) -> None:
-        if prefill_chunk is not None and prefill_chunk <= 0:
-            raise GenerationError("prefill_chunk must be positive")
         self.model = model
-        self.prefill_chunk = prefill_chunk
         self.prefix_cache = prefix_cache
         self.stats = GeneratorStats()
 
@@ -263,7 +258,6 @@ class BatchedGenerator:
                     for _, r in pending
                 )
             )
-            self.model.eval()
             with no_grad():
                 self._run_continuous(
                     pending, capacity, max_active, results, on_step, on_admit
@@ -505,12 +499,14 @@ class BatchedGenerator:
         prompt_lengths: np.ndarray,
         caches: list,
     ) -> np.ndarray:
-        """Chunked causal prefill; returns each row's next-token logits.
+        """One causal prefill forward; returns each row's next-token logits.
 
-        Rows whose prompt prefix is cached start from the shortest
-        uncached column instead of zero: the cached K/V columns are
-        preloaded into the slab and attention sees them through the
-        chunk mask exactly as if they had been computed this call.
+        The forward covers the columns from the shortest uncached prefix
+        to the longest prompt: rows whose prompt prefix is cached have
+        those K/V columns preloaded into the slab, and attention sees
+        them through the chunk mask exactly as if they had been computed
+        this call. Every row's last prompt token lies in the chunk,
+        because a cached prefix always leaves at least that token out.
         """
         rows = len(requests)
         longest = int(prompt_lengths.max())
@@ -519,31 +515,21 @@ class BatchedGenerator:
             prompts[i, : prompt_lengths[i]] = request.prompt_ids
         reused = self._load_prefixes(requests, prompt_lengths, caches)
         first = int(reused.min())
-        next_logits = np.zeros((rows, self.model.config.vocab_size))
-        chunk = self.prefill_chunk or (longest - first)
-        for start in range(first, longest, chunk):
-            stop = min(start + chunk, longest)
-            # In-chunk causal mask over absolute columns: query at column
-            # start+t may see keys 0..start+t (preloaded prefix columns
-            # included). Rows already past their prompt produce padding
-            # garbage that is never read.
-            blocked = chunk_causal_mask(start, stop)
-            hidden = self.model.encode_chunk(
-                prompts[:, start:stop],
-                np.arange(start, stop)[None, :],
-                caches,
-                blocked=blocked[None, None],
-                write_cols=slice(start, stop),
-                kv_len=stop,
-            )
-            self.stats.prefill_chunks += 1
-            # Harvest logits for rows whose last prompt token is here.
-            last = prompt_lengths - 1
-            sel = (last >= start) & (last < stop)
-            if sel.any():
-                picked = hidden.data[np.where(sel)[0], last[sel] - start]
-                logits = self.model.logits_from_hidden(Tensor(picked))
-                next_logits[sel] = logits.data
+        # Causal mask over absolute columns: the query at column first+t
+        # may see keys 0..first+t (preloaded prefix columns included).
+        # Rows already past their prompt produce padding garbage that is
+        # never read.
+        hidden = self.model.encode_chunk(
+            prompts[:, first:],
+            np.arange(first, longest)[None, :],
+            caches,
+            blocked=chunk_causal_mask(first, longest)[None, None],
+            write_cols=slice(first, longest),
+            kv_len=longest,
+        )
+        self.stats.prefill_chunks += 1
+        last = hidden.data[np.arange(rows), prompt_lengths - 1 - first]
+        next_logits = self.model.logits_from_hidden(Tensor(last)).data
         self.stats.prefill_tokens += int((prompt_lengths - reused).sum())
         self._store_prefixes(requests, prompt_lengths, caches)
         return next_logits

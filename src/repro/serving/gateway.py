@@ -88,23 +88,17 @@ class ServiceModel:
     Under an :class:`~repro.reliability.aclock.AsyncVirtualClock` the
     forward passes themselves are instantaneous events, so the cost of
     decoding is modelled explicitly: a batch that ran ``decode_steps``
-    vectorized decode forwards and ``prefill_chunks`` prefill forwards
-    charges ``overhead + steps * seconds_per_decode_step + chunks *
-    seconds_per_prefill_chunk`` seconds of virtual time. All zeros (the
+    vectorized decode forwards charges ``overhead + steps *
+    seconds_per_decode_step`` seconds of virtual time. All zeros (the
     default) charges nothing — appropriate on a real clock, where the
     decode thread already spent the wall time.
     """
 
     seconds_per_decode_step: float = 0.0
-    seconds_per_prefill_chunk: float = 0.0
     overhead: float = 0.0
 
-    def batch_seconds(self, decode_steps: int, prefill_chunks: int) -> float:
-        charged = (
-            self.overhead
-            + decode_steps * self.seconds_per_decode_step
-            + prefill_chunks * self.seconds_per_prefill_chunk
-        )
+    def batch_seconds(self, decode_steps: int) -> float:
+        charged = self.overhead + decode_steps * self.seconds_per_decode_step
         return charged if charged > 0 else 0.0
 
 
@@ -129,7 +123,6 @@ class Replica:
         name: str,
         model: GPTModel,
         max_batch: int = 8,
-        prefill_chunk: Optional[int] = None,
         prefix_cache: Optional[PrefixCache] = None,
         breaker: Optional[CircuitBreaker] = None,
         injector: Optional[FaultInjector] = None,
@@ -141,7 +134,6 @@ class Replica:
         self.scheduler = BatchScheduler(
             model,
             max_batch_size=max_batch,
-            prefill_chunk=prefill_chunk,
             prefix_cache=prefix_cache,
             continuous=True,
             clock=clock,
@@ -167,13 +159,9 @@ class Replica:
         """
         stats = self.scheduler.generator.stats
         steps_before = stats.decode_steps
-        chunks_before = stats.prefill_chunks
         tickets = [self.scheduler.submit(request) for request in requests]
         results = self.scheduler.run(on_step=on_step)
-        service = self.service.batch_seconds(
-            stats.decode_steps - steps_before,
-            stats.prefill_chunks - chunks_before,
-        )
+        service = self.service.batch_seconds(stats.decode_steps - steps_before)
         return [results[ticket] for ticket in tickets], service
 
 
@@ -283,7 +271,6 @@ class Gateway:
         quotas: Optional[Dict[str, TokenBucket]] = None,
         max_attempts: int = 3,
         probe_interval: float = 1.0,
-        decode_in_thread: bool = True,
         completion_cache: Optional[SemanticCache] = None,
     ) -> None:
         if not replicas:
@@ -298,7 +285,6 @@ class Gateway:
         self.quotas: Dict[str, TokenBucket] = dict(quotas or {})
         self.max_attempts = max_attempts
         self.probe_interval = probe_interval
-        self.decode_in_thread = decode_in_thread
         self.completion_cache = completion_cache
         self.stats = GatewayStats()
         self._heap: List[Tuple[int, int, _Ticket]] = []
@@ -335,7 +321,7 @@ class Gateway:
 
     def _mark_started(self) -> None:
         self._running = True
-        if self.decode_in_thread and self._executor is None:
+        if self._executor is None:
             self._executor = ThreadPoolExecutor(
                 max_workers=len(self.replicas),
                 thread_name_prefix="gateway-decode",
@@ -566,10 +552,6 @@ class Gateway:
         requests: List[BatchRequest],
         hook,
     ) -> Tuple[List[BatchResult], float]:
-        if self._executor is None:
-            # Inline mode (decode_in_thread=False): simplest possible
-            # wiring for debugging; blocks the loop for the batch.
-            return replica.decode(requests, hook)
         loop = asyncio.get_running_loop()
         return await self.clock.wait_external(
             loop.run_in_executor(self._executor, replica.decode, requests, hook)

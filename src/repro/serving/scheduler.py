@@ -88,16 +88,13 @@ class BatchScheduler:
         self,
         model: GPTModel,
         max_batch_size: int = 8,
-        prefill_chunk: Optional[int] = None,
         prefix_cache: Optional[PrefixCache] = None,
         continuous: bool = False,
         clock: Optional[Clock] = None,
     ) -> None:
         if max_batch_size <= 0:
             raise GenerationError("max_batch_size must be positive")
-        self.generator = BatchedGenerator(
-            model, prefill_chunk=prefill_chunk, prefix_cache=prefix_cache
-        )
+        self.generator = BatchedGenerator(model, prefix_cache=prefix_cache)
         self.max_batch_size = max_batch_size
         self.continuous = continuous
         self.clock: Clock = clock if clock is not None else SystemClock()

@@ -241,7 +241,6 @@ def train_translator(
     optimizer = AdamW(model.parameters(), lr=lr)
     schedule = CosineSchedule(warmup_steps=min(20, steps // 10 + 1), total_steps=steps)
 
-    model.train()
     n = rows.shape[0]
     for step in range(steps):
         idx = rng.generator.choice(n, size=min(batch_size, n), replace=False)
@@ -260,7 +259,6 @@ def train_translator(
         optimizer.clip_grad_norm(1.0)
         optimizer.lr = schedule.lr_at(step, lr)
         optimizer.step()
-    model.eval()
     return LMTranslator(model=model, tokenizer=tokenizer, workload=workload)
 
 

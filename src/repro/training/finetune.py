@@ -66,7 +66,6 @@ def finetune_classifier(
     optimizer = AdamW(classifier.parameters(), lr=lr)
     report = FinetuneReport(epochs=epochs)
 
-    classifier.train()
     n = len(examples)
     for _ in range(epochs):
         order = rng.permutation(n)
@@ -80,7 +79,6 @@ def finetune_classifier(
             optimizer.step()
             report.losses.append(loss.item())
 
-    classifier.eval()
     predictions = classifier.predict(ids, mask)
     report.train_accuracy = accuracy(predictions, labels)
     return report
@@ -95,6 +93,5 @@ def evaluate_classifier(
     """Return held-out accuracy of a fine-tuned classifier."""
     max_length = max_length or classifier.backbone.config.max_seq_len
     ids, mask, labels = encode_examples(tokenizer, examples, max_length)
-    classifier.eval()
     predictions = classifier.predict(ids, mask)
     return accuracy(predictions, labels)

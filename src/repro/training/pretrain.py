@@ -67,7 +67,6 @@ def pretrain_mlm(
     schedule = CosineSchedule(warmup_steps=min(10, steps // 10 + 1), total_steps=steps)
     report = PretrainReport(steps=steps)
 
-    model.train()
     batches = iterate_minibatches(rows, batch_size, rng.spawn("batches"))
     mask_rng = rng.spawn("mask")
     for step in range(steps):
@@ -83,7 +82,6 @@ def pretrain_mlm(
         optimizer.step()
         report.losses.append(loss.item())
 
-    model.eval()
     report.final_loss = evaluate_mlm(model, tokenizer, rows, rng.spawn("eval"))
     report.final_perplexity = perplexity(report.final_loss)
     return report
@@ -127,7 +125,6 @@ def pretrain_clm(
     schedule = CosineSchedule(warmup_steps=min(10, steps // 10 + 1), total_steps=steps)
     report = PretrainReport(steps=steps)
 
-    model.train()
     batches = iterate_minibatches(rows, batch_size, rng.spawn("batches"))
     for step in range(steps):
         inputs, targets = make_clm_batch(next(batches))
@@ -142,7 +139,6 @@ def pretrain_clm(
         optimizer.step()
         report.losses.append(loss.item())
 
-    model.eval()
     report.final_loss = evaluate_clm(model, rows)
     report.final_perplexity = perplexity(report.final_loss)
     return report

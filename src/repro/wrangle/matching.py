@@ -187,7 +187,6 @@ class FinetunedMatcher:
         optimizer = AdamW(self._head.parameters(), lr=lr)
         rng = SeededRNG(self.seed)
 
-        self._head.train()
         n = len(pairs)
         for _ in range(epochs):
             order = rng.permutation(n)
@@ -201,7 +200,6 @@ class FinetunedMatcher:
                 loss.backward()
                 optimizer.clip_grad_norm(1.0)
                 optimizer.step()
-        self._head.eval()
 
     def _encode_side(self, records: Sequence[Dict[str, str]]):
         import numpy as np

@@ -9,7 +9,6 @@ from repro.autograd import (
     Tensor,
     concat,
     cross_entropy,
-    dropout,
     embedding,
     gelu,
     layer_norm,
@@ -316,21 +315,6 @@ class TestFunctional:
     @pytest.mark.parametrize("fn", [tanh, sigmoid, relu, gelu])
     def test_activation_grads(self, fn):
         check_gradient(lambda t: (fn(t) ** 2).sum(), (4, 3))
-
-    def test_dropout_eval_is_identity(self):
-        x = Tensor(np.ones((10, 10)))
-        rng = np.random.default_rng(0)
-        out = dropout(x, 0.5, rng, training=False)
-        np.testing.assert_array_equal(out.data, x.data)
-
-    def test_dropout_training_scales(self):
-        x = Tensor(np.ones((200, 200)))
-        rng = np.random.default_rng(0)
-        out = dropout(x, 0.25, rng, training=True)
-        # Inverted dropout keeps the expectation ~1.
-        assert abs(out.data.mean() - 1.0) < 0.02
-        kept = out.data != 0
-        assert abs(kept.mean() - 0.75) < 0.02
 
     def test_concat_grad(self):
         rng = np.random.default_rng(10)

@@ -206,6 +206,22 @@ class TestCachedDecoding:
         )
         assert out and set(out) <= {4, 5}
 
+    def test_full_length_generation_runs_no_forward_after_the_last_token(
+        self, model, monkeypatch
+    ):
+        calls = []
+        encode_chunk = model.encode_chunk
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return encode_chunk(*args, **kwargs)
+
+        monkeypatch.setattr(model, "encode_chunk", counting)
+        out = generate(model, [1, 2, 3], GenerationConfig(max_new_tokens=6))
+        assert len(out) == 6
+        # One prefill, then one step for every token but the last.
+        assert len(calls) == 6
+
     def test_cache_falls_back_when_context_exceeded(self):
         small = GPTModel(
             ModelConfig(vocab_size=16, max_seq_len=8, dim=16, num_layers=1,

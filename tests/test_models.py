@@ -15,7 +15,6 @@ from repro.models import (
     named_config,
     registry_names,
     save_model,
-    transformer_param_count,
 )
 from repro.models.config import config_param_count
 
@@ -38,19 +37,6 @@ class TestConfig:
         config = ModelConfig.tiny(vocab_size=50, causal=False)
         model = BERTModel(config)
         assert model.num_parameters() == config_param_count(config)
-
-    def test_param_count_untied(self):
-        config = ModelConfig(
-            vocab_size=50, max_seq_len=16, dim=16, num_layers=1,
-            num_heads=2, ff_dim=32, tie_embeddings=False,
-        )
-        model = GPTModel(config)
-        assert model.num_parameters() == config_param_count(config)
-
-    def test_untied_has_more_params(self):
-        tied = transformer_param_count(100, 32, 16, 2, 64, tie_embeddings=True)
-        untied = transformer_param_count(100, 32, 16, 2, 64, tie_embeddings=False)
-        assert untied == tied + 100 * 16 + 100
 
 
 class TestGPT:

@@ -6,7 +6,6 @@ import pytest
 from repro.autograd import Tensor
 from repro.errors import ModelError
 from repro.nn import (
-    Dropout,
     Embedding,
     LayerNorm,
     Linear,
@@ -61,13 +60,6 @@ class TestModule:
         with pytest.raises(ModelError):
             a.load_state_dict(state)
 
-    def test_train_eval_propagates(self, rng):
-        block = TransformerBlock(8, 2, 16, rng, dropout=0.5)
-        block.eval()
-        assert not block.attn.attn_dropout.training
-        block.train()
-        assert block.attn.attn_dropout.training
-
     def test_zero_grad(self, rng):
         layer = Linear(2, 2, rng)
         out = layer(Tensor(np.ones((1, 2))))
@@ -102,10 +94,6 @@ class TestLayers:
         x = Tensor(np.random.default_rng(0).normal(3.0, 2.0, (4, 6)))
         out = ln(x)
         np.testing.assert_allclose(out.data.mean(axis=-1), 0.0, atol=1e-9)
-
-    def test_dropout_bad_p(self, rng):
-        with pytest.raises(ModelError):
-            Dropout(1.0, rng)
 
 
 class TestMasks:

@@ -73,18 +73,6 @@ class TestBatchedGenerator:
         assert [r.sequences[0] for r in results] == expected
         assert all(r.batched for r in results)
 
-    def test_chunked_prefill_matches_whole_prompt_prefill(
-        self, model, ragged_prompts
-    ):
-        config = GenerationConfig(max_new_tokens=8)
-        whole = BatchedGenerator(model).generate(
-            [BatchRequest(p, config) for p in ragged_prompts]
-        )
-        chunked = BatchedGenerator(model, prefill_chunk=4).generate(
-            [BatchRequest(p, config) for p in ragged_prompts]
-        )
-        assert [r.sequences for r in whole] == [r.sequences for r in chunked]
-
     def test_sampling_matches_sequential_seeds(self, model, ragged_prompts):
         config = GenerationConfig(
             max_new_tokens=8, strategy="sample", temperature=0.8, top_k=6, seed=13
@@ -159,10 +147,6 @@ class TestBatchedGenerator:
     def test_empty_prompt_rejected(self):
         with pytest.raises(GenerationError):
             BatchRequest([], GenerationConfig())
-
-    def test_bad_prefill_chunk_rejected(self, model):
-        with pytest.raises(GenerationError):
-            BatchedGenerator(model, prefill_chunk=0)
 
 
 class TestBatchScheduler:
@@ -342,21 +326,6 @@ class TestCompleteMany:
             r.text
             for r in client.complete_batch("tiny-gpt", PROMPTS, max_tokens=6)
         ]
-
-    def test_falls_back_to_per_prompt_loop(self, hub):
-        class Bare:
-            def __init__(self, inner):
-                self.inner = inner
-                self.calls = 0
-
-            def complete(self, engine, prompt, **kwargs):
-                self.calls += 1
-                return self.inner.complete(engine, prompt, **kwargs)
-
-        bare = Bare(CompletionClient(hub))
-        responses = complete_many(bare, "tiny-gpt", PROMPTS, max_tokens=6)
-        assert bare.calls == len(PROMPTS)
-        assert len(responses) == len(PROMPTS)
 
 
 class TestResilientBatch:
