@@ -22,6 +22,7 @@ import io
 import time
 import tokenize
 from pathlib import Path
+from statistics import median
 
 import pytest
 
@@ -35,11 +36,15 @@ from repro.text2sql.workload import sql_to_engine_dialect
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
-#: real ``# repro: noqa`` comment suppressions in the tree at the seed
-#: of this benchmark (engine.py amortized concats + dispatch.py); the
-#: budget check fails when the count grows past this without the
-#: baseline being consciously re-set here
-NOQA_BUDGET = 3
+#: real ``# repro: noqa`` comment suppressions in the tree (the two
+#: amortized concats in serving/engine.py); the budget check fails when
+#: the count grows past this without the baseline being consciously
+#: re-set here
+NOQA_BUDGET = 2
+#: alternating timings of vetting and of vetting + executing; the
+#: assertion uses the median per-repetition ratio, so one slow stretch
+#: of the host cannot decide it
+REPETITIONS = 7
 
 
 @pytest.fixture(scope="module")
@@ -71,13 +76,21 @@ def test_bench_analysis_throughput(
     db, queries, programs = setup
     tables = {name: db.table(name) for name in db.table_names()}
 
-    pycheck_rate = benchmark.pedantic(
-        throughput, args=(check_python, programs), rounds=1, iterations=1
-    )
+    def alternate():
+        rates = []
+        for _ in range(REPETITIONS):
+            rates.append((
+                throughput(check_python, programs, repeats=3),
+                throughput(
+                    lambda code: run_generated_code(code, tables), programs, repeats=1
+                ),
+            ))
+        return rates
+
+    rates = benchmark.pedantic(alternate, rounds=1, iterations=1)
+    pycheck_rate, exec_rate = (median(path) for path in zip(*rates))
+    vet_speedup = median(vet / run for vet, run in rates)
     sqlcheck_rate = throughput(lambda q: check_sql(q, db.catalog), queries)
-    exec_rate = throughput(
-        lambda code: run_generated_code(code, tables), programs, repeats=3
-    )
 
     report_printer(
         "ANALYSIS: static analysis throughput",
@@ -95,7 +108,7 @@ def test_bench_analysis_throughput(
     assert all(not error_findings(check_python(code)) for code in programs)
     assert all(not check_sql(sql, db.catalog) for sql in queries)
     # Vetting alone must not be slower than vetting + executing.
-    assert pycheck_rate > exec_rate
+    assert vet_speedup > 1.0
     assert pycheck_rate > 50
     assert sqlcheck_rate > 50
 

@@ -39,7 +39,6 @@ from repro.serving import (
     Gateway,
     GatewayRequest,
     Replica,
-    ServiceModel,
 )
 from repro.serving.loadgen import sweep
 
@@ -78,7 +77,7 @@ def make_replica(name, model, clock, injector=None):
         model,
         max_batch=MAX_BATCH,
         clock=clock.virtual,
-        service=ServiceModel(seconds_per_decode_step=SECONDS_PER_STEP),
+        seconds_per_decode_step=SECONDS_PER_STEP,
         injector=injector,
     )
 

@@ -17,6 +17,7 @@ the ``bench_metrics`` fixture.
 from __future__ import annotations
 
 import time
+from statistics import median
 
 import numpy as np
 import pytest
@@ -32,6 +33,10 @@ from repro.tokenizers import WhitespaceTokenizer
 PROMPT_LEN = 16
 NEW_TOKENS = 24
 N_PROMPTS = 8
+#: alternating timings of every decode path; the assertions use the
+#: median per-repetition ratio, so one slow stretch of the host cannot
+#: decide them
+REPETITIONS = 7
 
 
 @pytest.fixture(scope="module")
@@ -66,34 +71,41 @@ def test_bench_batch_throughput(benchmark, report_printer, bench_metrics, setup)
     model, prompts = setup
     config = GenerationConfig(max_new_tokens=NEW_TOKENS)
 
-    sequential = _sequential_tokens_per_sec(model, prompts, config)
-    batch4 = _batched_tokens_per_sec(model, prompts, config, 4)
-    batch8 = benchmark.pedantic(
-        _batched_tokens_per_sec,
-        args=(model, prompts, config, 8),
-        rounds=1,
-        iterations=1,
-    )
+    def alternate():
+        rates = []
+        for _ in range(REPETITIONS):
+            rates.append((
+                _sequential_tokens_per_sec(model, prompts, config),
+                _batched_tokens_per_sec(model, prompts, config, 4),
+                _batched_tokens_per_sec(model, prompts, config, 8),
+            ))
+        return rates
+
+    rates = benchmark.pedantic(alternate, rounds=1, iterations=1)
+    sequential, batch4, batch8 = (median(path) for path in zip(*rates))
+    speedup4 = median(b4 / seq for seq, b4, _ in rates)
+    speedup8 = median(b8 / seq for seq, _, b8 in rates)
 
     report_printer(
         "SERVING: decode throughput vs batch size "
-        f"({N_PROMPTS} prompts x {NEW_TOKENS} tokens)",
+        f"({N_PROMPTS} prompts x {NEW_TOKENS} tokens, median of {REPETITIONS} "
+        "alternating repetitions)",
         [
             f"{'path':<28}{'tokens/s':>12}{'speedup':>10}",
             f"{'sequential (batch 1)':<28}{sequential:>12.0f}{1.0:>10.1f}x",
-            f"{'batched (batch 4)':<28}{batch4:>12.0f}{batch4 / sequential:>10.1f}x",
-            f"{'batched (batch 8)':<28}{batch8:>12.0f}{batch8 / sequential:>10.1f}x",
+            f"{'batched (batch 4)':<28}{batch4:>12.0f}{speedup4:>10.1f}x",
+            f"{'batched (batch 8)':<28}{batch8:>12.0f}{speedup8:>10.1f}x",
         ],
     )
 
     bench_metrics["decode_tokens_per_sec_sequential"] = round(sequential, 1)
     bench_metrics["decode_tokens_per_sec_batch8"] = round(batch8, 1)
-    bench_metrics["decode_batch8_speedup"] = round(batch8 / sequential, 2)
+    bench_metrics["decode_batch8_speedup"] = round(speedup8, 2)
 
     # Batched greedy decoding is output-identical to the per-prompt loop,
     # so the speedup is free: require >= 3x at microbatch 8.
-    assert batch8 >= 3.0 * sequential
-    assert batch4 > sequential
+    assert speedup8 >= 3.0
+    assert speedup4 > 1.0
 
 
 def _token_at_a_time_prefill(model, prompt):

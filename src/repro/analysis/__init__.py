@@ -19,7 +19,11 @@ makes sure nothing generated runs unvetted:
   the catalog (text-to-SQL reports it as the ``static_valid`` metric,
   the semantic operator uses it to reject bad rewrites early);
 * :mod:`~repro.analysis.lint` — project-specific lint rules over our
-  own source tree (``python -m repro.analysis.lint src/ tests/``).
+  own source tree (``python -m repro.analysis.lint src/ tests/``);
+* :mod:`~repro.analysis.settings` — settings (defaulted parameters and
+  dataclass fields) that no caller outside the tests sets
+  (``python -m repro.analysis.settings``), checked in tier-1 against a
+  list of justified exceptions.
 """
 
 from repro.analysis.concurrency import shared_state_report
@@ -44,11 +48,12 @@ from repro.analysis.pycheck import (
 )
 from repro.analysis.sqlcheck import check_query, check_sql, check_statement
 
-# NOTE: repro.analysis.lint is intentionally *not* imported here — it is
-# the ``python -m repro.analysis.lint`` entry point, and importing it
-# from the package __init__ would trigger runpy's double-import warning.
-# (repro.analysis.concurrency backs two of its rules but does not import
-# it, so the guarantee holds.)
+# NOTE: repro.analysis.lint and repro.analysis.settings are
+# intentionally *not* imported here — they are ``python -m`` entry
+# points, and importing them from the package __init__ would trigger
+# runpy's double-import warning.
+# (repro.analysis.concurrency backs two lint rules but imports neither
+# module, so the guarantee holds.)
 
 __all__ = [
     "Finding",

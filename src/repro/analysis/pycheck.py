@@ -111,8 +111,6 @@ OUTPUT_CONTRACT = ("result", "columns")
 def check_python(
     code: str,
     known_names: Iterable[str] = DEFAULT_KNOWN_NAMES,
-    allowed_imports: FrozenSet[str] = IMPORT_ALLOWLIST,
-    require_contract: bool = True,
 ) -> List[Finding]:
     """Analyze ``code`` and return all findings (no errors means safe).
 
@@ -138,25 +136,22 @@ def check_python(
         taint_sinks=TAINT_SINKS,
     )
     findings = list(report.findings)
-    findings.extend(_check_imports(tree, allowed_imports, report.reachable_lines))
+    findings.extend(_check_imports(tree, report.reachable_lines))
     findings.extend(_check_attributes(tree, report.reachable_lines))
-    if require_contract:
-        findings.extend(_check_contract(report))
+    findings.extend(_check_contract(report))
     return sorted(findings, key=lambda f: (f.line, f.rule, f.message))
 
 
 def assert_safe(
     code: str,
     known_names: Iterable[str] = DEFAULT_KNOWN_NAMES,
-    allowed_imports: FrozenSet[str] = IMPORT_ALLOWLIST,
-    require_contract: bool = True,
 ) -> List[Finding]:
     """Raise :class:`StaticAnalysisError` if ``code`` has error findings.
 
     Warning-severity findings do not block; they are returned so callers
     (e.g. the sandbox's fuel policy) can act on them.
     """
-    findings = check_python(code, known_names, allowed_imports, require_contract)
+    findings = check_python(code, known_names)
     errors = error_findings(findings)
     if errors:
         raise StaticAnalysisError(
@@ -168,9 +163,7 @@ def assert_safe(
 
 
 # -- syntactic passes, gated by CFG reachability ---------------------------
-def _check_imports(
-    tree: ast.Module, allowed: FrozenSet[str], reachable_lines: Set[int]
-) -> List[Finding]:
+def _check_imports(tree: ast.Module, reachable_lines: Set[int]) -> List[Finding]:
     findings = []
     for node in ast.walk(tree):
         if getattr(node, "lineno", None) not in reachable_lines:
@@ -178,23 +171,23 @@ def _check_imports(
         if isinstance(node, ast.Import):
             for alias in node.names:
                 root = alias.name.split(".")[0]
-                if root not in allowed:
+                if root not in IMPORT_ALLOWLIST:
                     findings.append(
                         Finding(
                             rule="banned-import",
                             message=f"import of {alias.name!r} is not allowed "
-                            f"(allowlist: {sorted(allowed)})",
+                            f"(allowlist: {sorted(IMPORT_ALLOWLIST)})",
                             line=node.lineno,
                         )
                     )
         elif isinstance(node, ast.ImportFrom):
             root = (node.module or "").split(".")[0]
-            if node.level or root not in allowed:
+            if node.level or root not in IMPORT_ALLOWLIST:
                 findings.append(
                     Finding(
                         rule="banned-import",
                         message=f"import from {node.module or '.'!r} is not "
-                        f"allowed (allowlist: {sorted(allowed)})",
+                        f"allowed (allowlist: {sorted(IMPORT_ALLOWLIST)})",
                         line=node.lineno,
                     )
                 )

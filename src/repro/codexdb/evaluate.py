@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.errors import StaticAnalysisError
-from repro.reliability.clock import Clock, VirtualClock
+from repro.reliability.clock import VirtualClock
 from repro.reliability.faults import FaultInjector, FaultProfile, FaultyCodex
 from repro.reliability.retry import Retrier, RetryPolicy
 from repro.sql import Database
@@ -56,12 +56,10 @@ def evaluate_codexdb(
     queries: Sequence[str],
     max_attempts: int = 4,
     error_rate: float = 0.3,
-    options: CodeGenOptions = CodeGenOptions(),
     seed: int = 0,
     unsafe_rate: float = 0.0,
     fault_profile: Optional[FaultProfile] = None,
     retry_policy: Optional[RetryPolicy] = None,
-    clock: Optional[Clock] = None,
     speculative: int = 1,
     codex: Optional[object] = None,
 ) -> CodexDBReport:
@@ -71,8 +69,8 @@ def evaluate_codexdb(
     column, type mismatch) are counted in ``rejected_queries`` and never
     reach synthesis. With a ``fault_profile``, the Codex channel is
     wrapped in a seeded :class:`FaultInjector` and every request runs
-    under retry/backoff on a deterministic virtual clock (pass ``clock``
-    to override); the report then carries a ``reliability`` section.
+    under retry/backoff on a deterministic virtual clock; the report
+    then carries a ``reliability`` section.
     ``speculative > 1`` draws that many candidates per Codex request (a
     batched wave covering several attempts) instead of one at a time.
     ``codex`` overrides the model channel entirely (e.g. a
@@ -87,7 +85,7 @@ def evaluate_codexdb(
     retrier = None
     injector = None
     if fault_profile is not None:
-        clock = clock if clock is not None else VirtualClock()
+        clock = VirtualClock()
         injector = FaultInjector(fault_profile, seed=seed, clock=clock)
         codex = FaultyCodex(codex, injector)
         retrier = Retrier(
@@ -95,7 +93,9 @@ def evaluate_codexdb(
             clock=clock,
             seed=seed,
         )
-    system = CodexDB(db, codex, options, retrier=retrier, speculative=speculative)
+    system = CodexDB(
+        db, codex, CodeGenOptions(), retrier=retrier, speculative=speculative
+    )
     report = CodexDBReport()
     for sql in queries:
         report.total += 1

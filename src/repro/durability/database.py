@@ -216,7 +216,6 @@ class DurableDatabase:
         clock: Optional[Clock] = None,
         fsync_latency: float = 0.0,
         durable: bool = True,
-        options=None,
     ) -> None:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
@@ -224,7 +223,6 @@ class DurableDatabase:
         self.clock = clock
         self.fsync_latency = fsync_latency
         self.durable = durable
-        self.options = options
         self._txn: Optional[int] = None
         self._txn_tags: List[str] = []
         self._next_txn = 1
@@ -282,7 +280,7 @@ class DurableDatabase:
         return db
 
     def _load_snapshot(self, stats: RecoveryStats, tags: Optional[set] = None):
-        db = Database(self.options)
+        db = Database()
         data, last_lsn = read_snapshot(self.snapshot_path)
         if data is None:
             return db, 0

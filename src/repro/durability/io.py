@@ -99,16 +99,8 @@ def atomic_write_text(
     crash: Optional[CrashInjector] = None,
     label: str = "file",
     durable: bool = True,
-    clock: Optional[Clock] = None,
-    fsync_latency: float = 0.0,
 ) -> Path:
     """Atomically replace ``path`` with UTF-8 encoded ``text``."""
     return atomic_write_bytes(
-        path,
-        text.encode("utf-8"),
-        crash=crash,
-        label=label,
-        durable=durable,
-        clock=clock,
-        fsync_latency=fsync_latency,
+        path, text.encode("utf-8"), crash=crash, label=label, durable=durable
     )

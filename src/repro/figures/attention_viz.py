@@ -50,7 +50,6 @@ def render_attention(
     text: str,
     layer: int = -1,
     head: int = 0,
-    cell_width: int = 2,
 ) -> str:
     """Render the attention heatmap as an ASCII grid.
 
@@ -62,14 +61,14 @@ def render_attention(
     label_width = max(len(t) for t in tokens) + 1
     lines = [f"attention (layer {layer}, head {head}) for: {text!r}", ""]
     header = " " * label_width + "".join(
-        t[:cell_width].ljust(cell_width) for t in tokens
+        t[:2].ljust(2) for t in tokens
     )
     lines.append(header)
     for token, row in zip(tokens, weights):
         cells = []
         for weight in row:
             shade = _SHADES[min(int(weight * (len(_SHADES) - 1) * 2), len(_SHADES) - 1)]
-            cells.append(shade * 1 + " " * (cell_width - 1))
+            cells.append(shade + " ")
         lines.append(token.ljust(label_width) + "".join(cells))
     lines.append("")
     lines.append("scale: ' ' = 0  ...  '@' = high attention")

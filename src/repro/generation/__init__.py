@@ -6,12 +6,10 @@ from repro.generation.decoding import (
     generate,
     generate_text,
 )
-from repro.generation.beam import beam_search
 
 __all__ = [
     "GenerationConfig",
     "TokenConstraint",
     "generate",
     "generate_text",
-    "beam_search",
 ]

@@ -249,13 +249,11 @@ def generate_text(
     tokenizer: Tokenizer,
     prompt: str,
     config: Optional[GenerationConfig] = None,
-    constraint: Optional[TokenConstraint] = None,
-    use_cache: bool = True,
 ) -> str:
     """Convenience wrapper: text in, text out, stopping at ``[EOS]``.
 
-    Decodes with the KV cache by default (sequences that do not fit the
-    context window fall back to the sliding-window re-encode).
+    Decodes with the KV cache (sequences that do not fit the context
+    window fall back to the sliding-window re-encode).
     """
     config = config or GenerationConfig()
     if not config.stop_ids:
@@ -269,5 +267,5 @@ def generate_text(
             seed=config.seed,
         )
     prompt_ids = tokenizer.encode(prompt, add_bos=True).ids
-    out_ids = generate(model, prompt_ids, config, constraint, use_cache=use_cache)
+    out_ids = generate(model, prompt_ids, config)
     return tokenizer.decode(out_ids)

@@ -12,7 +12,7 @@ that fact's own tokens.
 Candidate scoring is idf-weighted token overlap,
 ``idf = log(1 + N / df)``, so a query term appearing in three facts
 out-votes one appearing in thousands. Query tokens whose document
-frequency exceeds ``max_df_fraction`` of the corpus (the "works",
+frequency exceeds :data:`MAX_DF_FRACTION` of the corpus (the "works",
 "where", "the" class) are skipped as stopwords — unless *every* query
 token is that common, in which case they are all kept rather than
 returning nothing. Ordering is deterministic: ``(-score, doc_id)``.
@@ -26,14 +26,14 @@ from typing import Dict, List, Optional, Set, Tuple
 from repro.errors import NeuralDBError
 from repro.utils.text import simple_word_tokenize
 
+#: query tokens in more than this share of the documents are stopwords
+MAX_DF_FRACTION = 0.25
+
 
 class InvertedIndex:
     """Token postings over documents keyed by integer ids."""
 
-    def __init__(self, max_df_fraction: float = 0.25) -> None:
-        if not 0.0 < max_df_fraction <= 1.0:
-            raise NeuralDBError("max_df_fraction must be in (0, 1]")
-        self.max_df_fraction = max_df_fraction
+    def __init__(self) -> None:
         self._postings: Dict[str, Set[int]] = {}
         self._tokens: Dict[int, Tuple[str, ...]] = {}
 
@@ -87,7 +87,7 @@ class InvertedIndex:
                 matched.append((token, postings))
         if not matched:
             return []
-        max_df = self.max_df_fraction * total
+        max_df = MAX_DF_FRACTION * total
         selective = [pair for pair in matched if len(pair[1]) <= max_df]
         # All-stopword queries keep every matched token: a weak
         # candidate set beats an empty one.

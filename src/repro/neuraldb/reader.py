@@ -28,19 +28,14 @@ class NeuralReader:
         self.model = model
         self.tokenizer = tokenizer
 
-    def read(self, fact: str, question: str, max_tokens: int = 4) -> str:
+    def read(self, fact: str, question: str) -> str:
         prompt_ids = self.tokenizer.encode(
             _linearize(fact, question), add_bos=True
         ).ids
-        out_ids = generate(self.model, prompt_ids, self._config(max_tokens))
+        out_ids = generate(self.model, prompt_ids, self._config())
         return self.tokenizer.decode(out_ids).strip()
 
-    def read_batch(
-        self,
-        items: Sequence[Tuple[str, str]],
-        max_tokens: int = 4,
-        max_batch_size: int = 8,
-    ) -> List[str]:
+    def read_batch(self, items: Sequence[Tuple[str, str]]) -> List[str]:
         """One answer per ``(fact, question)`` pair, decoded in batches.
 
         Runs every prompt through the serving
@@ -53,8 +48,8 @@ class NeuralReader:
             return []
         from repro.serving import BatchRequest, BatchScheduler
 
-        scheduler = BatchScheduler(self.model, max_batch_size=max_batch_size)
-        config = self._config(max_tokens)
+        scheduler = BatchScheduler(self.model, max_batch_size=8)
+        config = self._config()
         tickets = [
             scheduler.submit(
                 BatchRequest(
@@ -72,9 +67,9 @@ class NeuralReader:
             for ticket in tickets
         ]
 
-    def _config(self, max_tokens: int) -> GenerationConfig:
+    def _config(self) -> GenerationConfig:
         return GenerationConfig(
-            max_new_tokens=max_tokens,
+            max_new_tokens=4,
             strategy="greedy",
             stop_ids=(self.tokenizer.vocab.eos_id,),
         )

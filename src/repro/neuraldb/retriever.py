@@ -230,7 +230,6 @@ class EmbeddingRetriever:
         query: str,
         top_k: int = 3,
         mode: str = "auto",
-        candidate_limit: Optional[int] = None,
     ) -> List[Tuple[str, float]]:
         """Top-``top_k`` facts by cosine similarity to ``query``.
 
@@ -248,7 +247,7 @@ class EmbeddingRetriever:
             mode = "dense" if len(self.facts) <= self.dense_cutoff else "two_stage"
         rows: Optional[np.ndarray] = None
         if mode == "two_stage":
-            candidates = self._iindex.candidates(query, limit=candidate_limit)
+            candidates = self._iindex.candidates(query)
             if candidates:
                 self.stats.two_stage_queries += 1
                 rows = np.array(candidates, dtype=np.int64)

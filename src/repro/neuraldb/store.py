@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Sequence, Union
 
 from repro.errors import NeuralDBError
 from repro.neuraldb.reader import NeuralReader
@@ -63,19 +63,6 @@ class NeuralDatabase:
             raise NeuralDBError("cannot remove the last fact of the store")
         self.retriever.remove_fact(fact)
 
-    def _read_many(self, items: Sequence[Tuple[str, str]]) -> List[str]:
-        """Answer every ``(fact, question)`` pair, batched when possible.
-
-        Readers exposing ``read_batch`` decode all prompts in one
-        scheduler pass; stub readers without it fall back to a
-        per-pair loop.
-        """
-        batch = getattr(self.reader, "read_batch", None)
-        if batch is not None:
-            return list(batch(items))
-        # The designated fallback loop for batchless stub readers:
-        return [self.reader.read(f, q) for f, q in items]  # repro: noqa[per-prompt-loop]
-
     # -- operators ----------------------------------------------------------
     def lookup(self, question: str, top_k: int = 2) -> QueryOutcome:
         """Answer from the single best-supported fact."""
@@ -94,7 +81,7 @@ class NeuralDatabase:
         for hits in hits_per_question:
             if not hits:
                 raise NeuralDBError("retriever returned no facts")
-        answers = self._read_many(
+        answers = self.reader.read_batch(
             [
                 (hits[0][0], question)
                 for hits, question in zip(hits_per_question, questions)
@@ -114,7 +101,7 @@ class NeuralDatabase:
         used to phrase provenance.
         """
         facts = self.retriever.facts
-        answers = self._read_many(
+        answers = self.reader.read_batch(
             [(fact, question_of_fact.format(fact=fact)) for fact in facts]
         )
         supporting = [
@@ -130,7 +117,7 @@ class NeuralDatabase:
             # location facts describe departments, not people
             if "located" not in fact and "sits" not in fact
         ]
-        answers = self._read_many(
+        answers = self.reader.read_batch(
             [(fact, "where does this person work ?") for fact in person_facts]
         )
         supporting = [

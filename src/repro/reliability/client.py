@@ -182,35 +182,34 @@ class ResilientClient:
 
         The whole batch is attempted as *one unit* through the primary
         engine's breaker and the retrier (a batched call is one request
-        to the provider). Any terminal failure — and an inner client
-        without ``complete_batch`` — falls back to the per-prompt
-        :meth:`complete` path, which carries the full fallback chain and
-        baseline degradation, so batching never weakens reliability.
+        to the provider). Any terminal failure falls back to the
+        per-prompt :meth:`complete` path, which carries the full fallback
+        chain and baseline degradation, so batching never weakens
+        reliability.
         """
         prompts = list(prompts)
         if not prompts:
             return []
-        if getattr(self.client, "complete_batch", None) is not None:
-            breaker = self.breaker(engine)
-            if breaker.allow():
-                anchor = self.clock.monotonic()
-                try:
-                    responses = self._retrier.call(
-                        lambda: self._attempt_batch(engine, prompts, kwargs),
-                        start=anchor,
-                    )
-                except DeadlineExceededError:
-                    breaker.record_failure()
-                    self._deadline_exceeded += 1
-                except TransientError:
-                    breaker.record_failure()
-                else:
-                    breaker.record_success()
-                    self._requests += len(prompts)
-                    self._successes += len(prompts)
-                    return list(responses)
+        breaker = self.breaker(engine)
+        if breaker.allow():
+            anchor = self.clock.monotonic()
+            try:
+                responses = self._retrier.call(
+                    lambda: self._attempt_batch(engine, prompts, kwargs),
+                    start=anchor,
+                )
+            except DeadlineExceededError:
+                breaker.record_failure()
+                self._deadline_exceeded += 1
+            except TransientError:
+                breaker.record_failure()
             else:
-                self._short_circuits += 1
+                breaker.record_success()
+                self._requests += len(prompts)
+                self._successes += len(prompts)
+                return list(responses)
+        else:
+            self._short_circuits += 1
         return [self.complete(engine, prompt, **kwargs) for prompt in prompts]
 
     def _attempt(self, engine: str, prompt: str, kwargs: dict) -> CompletionResponse:

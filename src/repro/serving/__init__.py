@@ -31,7 +31,6 @@ from repro.serving.gateway import (
     GatewayResult,
     GatewayStats,
     Replica,
-    ServiceModel,
 )
 from repro.serving.loadgen import LoadReport, OpenLoopLoad, run_open_loop, sweep
 from repro.serving.prefix import PrefixCache, PrefixCacheStats
@@ -62,7 +61,6 @@ __all__ = [
     "SchedulerStats",
     "SemanticCache",
     "SemanticCacheStats",
-    "ServiceModel",
     "complete_many",
     "completion_request_key",
     "engine_serving_stats",

@@ -9,7 +9,7 @@ made mechanical: an ``asyncio`` service that fronts one or more
 thread so the event loop never blocks on a forward pass) and survives
 the two things front doors die of — overload and replica failure:
 
-* **Admission control.** A bounded priority queue plus per-tenant
+* **Admission control.** A bounded arrival-order queue plus per-tenant
   :class:`~repro.reliability.ratelimit.TokenBucket` quotas. Excess work
   is *shed at the door* with a 429-style
   :class:`~repro.errors.GatewayOverloadError` instead of queued to
@@ -19,8 +19,9 @@ the two things front doors die of — overload and replica failure:
   admission: an exact repeat of a completed request is answered from
   the cache before the tenant's quota bucket is even consulted — a
   cache hit costs the tenant nothing and no replica any work.
-* **SLO-aware dispatch.** The queue drains in ``(priority, arrival)``
-  order; a request carries a deadline *budget* and — following the
+* **SLO-aware dispatch.** The queue drains in arrival order (a
+  failed-over request keeps its original place); a request carries a
+  deadline *budget* and — following the
   :class:`~repro.reliability.retry.Retrier` deadline-accounting rule of
   never starting work the budget cannot pay for — is rejected with
   :class:`~repro.errors.DeadlineExceededError` at dispatch if it is
@@ -76,41 +77,27 @@ from repro.reliability.clock import Clock
 from repro.reliability.faults import FaultInjector
 from repro.reliability.ratelimit import TokenBucket
 from repro.serving.engine import BatchRequest, BatchResult
-from repro.serving.prefix import PrefixCache
 from repro.serving.scheduler import BatchScheduler
 from repro.serving.semcache import SemanticCache, completion_request_key
-
-
-@dataclass(frozen=True)
-class ServiceModel:
-    """Virtual service time charged per decode batch.
-
-    Under an :class:`~repro.reliability.aclock.AsyncVirtualClock` the
-    forward passes themselves are instantaneous events, so the cost of
-    decoding is modelled explicitly: a batch that ran ``decode_steps``
-    vectorized decode forwards charges ``overhead + steps *
-    seconds_per_decode_step`` seconds of virtual time. All zeros (the
-    default) charges nothing — appropriate on a real clock, where the
-    decode thread already spent the wall time.
-    """
-
-    seconds_per_decode_step: float = 0.0
-    overhead: float = 0.0
-
-    def batch_seconds(self, decode_steps: int) -> float:
-        charged = self.overhead + decode_steps * self.seconds_per_decode_step
-        return charged if charged > 0 else 0.0
 
 
 class Replica:
     """One engine replica: a continuous scheduler plus its guard rails.
 
     ``injector`` (optional) fires once per decode *step* — that is how
-    a test kills a replica mid-decode. ``breaker`` defaults to a
-    trip-on-first-failure circuit with a 5-second reset; its half-open
-    probe is the replica's health check. Construct the injector without
-    a clock: replica latency is modelled by ``service`` on the event
-    loop, never charged from the decode thread.
+    a test kills a replica mid-decode. The breaker trips on the first
+    failure and resets after 5 seconds; its half-open probe is the
+    replica's health check. Construct the injector without a clock:
+    replica latency is modelled on the event loop, never charged from
+    the decode thread.
+
+    ``seconds_per_decode_step`` is the virtual service time charged per
+    vectorized decode forward. Under an
+    :class:`~repro.reliability.aclock.AsyncVirtualClock` the forward
+    passes themselves are instantaneous events, so the cost of decoding
+    is modelled explicitly; the default 0 charges nothing, which is
+    right on a real clock, where the decode thread already spent the
+    wall time.
 
     Shared state: the scheduler (and these counters) are driven by
     exactly one gateway dispatch task, which hands the scheduler to a
@@ -123,28 +110,21 @@ class Replica:
         name: str,
         model: GPTModel,
         max_batch: int = 8,
-        prefix_cache: Optional[PrefixCache] = None,
-        breaker: Optional[CircuitBreaker] = None,
         injector: Optional[FaultInjector] = None,
         clock: Optional[Clock] = None,
-        service: Optional[ServiceModel] = None,
+        seconds_per_decode_step: float = 0.0,
     ) -> None:
         self.name = name
         self.max_batch = max_batch
         self.scheduler = BatchScheduler(
             model,
             max_batch_size=max_batch,
-            prefix_cache=prefix_cache,
             continuous=True,
             clock=clock,
         )
-        self.breaker = (
-            breaker
-            if breaker is not None
-            else CircuitBreaker(failure_threshold=1, reset_timeout=5.0, clock=clock)
-        )
+        self.breaker = CircuitBreaker(failure_threshold=1, reset_timeout=5.0, clock=clock)
         self.injector = injector
-        self.service = service if service is not None else ServiceModel()
+        self.seconds_per_decode_step = seconds_per_decode_step
         #: successful decode batches / decode batches that died
         self.decodes = 0
         self.failures = 0
@@ -161,7 +141,7 @@ class Replica:
         steps_before = stats.decode_steps
         tickets = [self.scheduler.submit(request) for request in requests]
         results = self.scheduler.run(on_step=on_step)
-        service = self.service.batch_seconds(stats.decode_steps - steps_before)
+        service = (stats.decode_steps - steps_before) * self.seconds_per_decode_step
         return [results[ticket] for ticket in tickets], service
 
 
@@ -169,7 +149,6 @@ class Replica:
 class GatewayRequest:
     """One tenant request: a :class:`BatchRequest` plus serving policy.
 
-    ``priority`` dispatches lower values first (0 = most urgent);
     ``deadline`` is a budget in clock seconds from admission — overdue
     work is rejected at dispatch and cancelled mid-decode, never
     silently served late.
@@ -177,7 +156,6 @@ class GatewayRequest:
 
     request: BatchRequest
     tenant: str = "default"
-    priority: int = 1
     deadline: Optional[float] = None
 
     def __post_init__(self) -> None:
@@ -247,9 +225,6 @@ class _Ticket:
     queue_wait: float = 0.0
     cancel_reason: Optional[str] = None
 
-    def heap_key(self) -> Tuple[int, int]:
-        return (self.request.priority, self.id)
-
 
 class Gateway:
     """Asyncio front door over a set of engine replicas.
@@ -287,7 +262,7 @@ class Gateway:
         self.probe_interval = probe_interval
         self.completion_cache = completion_cache
         self.stats = GatewayStats()
-        self._heap: List[Tuple[int, int, _Ticket]] = []
+        self._heap: List[Tuple[int, _Ticket]] = []
         self._next_id = 0
         self._work = asyncio.Event()
         self._cancelled: Set[int] = set()
@@ -463,7 +438,7 @@ class Gateway:
             return set(self._cancelled)
 
     def _push(self, ticket: _Ticket) -> None:
-        heapq.heappush(self._heap, (*ticket.heap_key(), ticket))
+        heapq.heappush(self._heap, (ticket.id, ticket))
         self.stats.peak_queue = max(self.stats.peak_queue, len(self._heap))
         self._work.set()
 
@@ -490,7 +465,7 @@ class Gateway:
             self._work.set()
 
     def _take_batch(self, replica: Replica) -> List[_Ticket]:
-        """Pop the dispatchable (priority, arrival)-prefix of the queue.
+        """Pop the dispatchable arrival-order prefix of the queue.
 
         Cancelled tickets are dropped, overdue tickets are rejected
         with :class:`~repro.errors.DeadlineExceededError` (the budget
@@ -505,7 +480,7 @@ class Gateway:
         batch: List[_Ticket] = []
         occupancy = 0
         while self._heap:
-            ticket = self._heap[0][2]
+            ticket = self._heap[0][1]
             width = ticket.request.request.n
             if batch and occupancy + width > replica.max_batch:
                 break
@@ -568,7 +543,7 @@ class Gateway:
         reads; ticket writes here are read by the event loop strictly
         after the decode future resolves.
         """
-        per_step = replica.service.seconds_per_decode_step
+        per_step = replica.seconds_per_decode_step
         steps = 0
 
         def on_step(active: List[int], queued: List[int]) -> List[int]:

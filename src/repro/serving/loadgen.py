@@ -23,7 +23,7 @@ from __future__ import annotations
 import asyncio
 import math
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Sequence
 
 from repro.errors import (
     CircuitOpenError,
@@ -215,15 +215,13 @@ async def sweep(
     duration: float,
     clock: AsyncClock,
     seed: int = 0,
-    settle: Optional[Callable[[Gateway, LoadReport], None]] = None,
 ) -> List[LoadReport]:
     """Trace the saturation curve: one open-loop run per arrival rate.
 
     Each rate gets a **fresh** gateway from ``make_gateway`` (started
     and stopped here) so runs do not contaminate each other's queues or
-    breaker states; ``settle`` (optional) observes the gateway after
-    each run before it is torn down. Seeds are derived per rate index so
-    adding a rate never reshuffles the arrivals of the others.
+    breaker states. Seeds are derived per rate index so adding a rate
+    never reshuffles the arrivals of the others.
     """
     reports: List[LoadReport] = []
     for offset, rate in enumerate(rates):
@@ -235,7 +233,5 @@ async def sweep(
             )
         finally:
             await gateway.stop()
-        if settle is not None:
-            settle(gateway, report)
         reports.append(report)
     return reports

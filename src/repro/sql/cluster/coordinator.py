@@ -193,7 +193,6 @@ class ClusterDatabase:
         durable: bool = True,
         failover: bool = True,
         allow_stale: bool = False,
-        options: Optional[ExecutorOptions] = None,
     ) -> None:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
@@ -201,7 +200,7 @@ class ClusterDatabase:
         self.durable = durable
         self.failover = failover
         self.allow_stale = allow_stale
-        self.options = options or ExecutorOptions()
+        self.options = ExecutorOptions()
         self.stats = ClusterStats()
         self._txn: Optional[_ClusterTxn] = None
         self._seq = 0

@@ -100,9 +100,7 @@ class Tokenizer(ABC):
             mask = mask + [0] * pad_count
         return Encoding(ids=ids, attention_mask=mask)
 
-    def encode_pair(
-        self, first: str, second: str, max_length: Optional[int] = None
-    ) -> Encoding:
+    def encode_pair(self, first: str, second: str) -> Encoding:
         """Encode a sentence pair as ``[CLS] first [SEP] second [SEP]``."""
         self._require_trained()
         ids = [self.vocab.cls_id]
@@ -110,19 +108,13 @@ class Tokenizer(ABC):
         ids.append(self.vocab.sep_id)
         ids += [self.vocab.id_of(t) for t in self._tokenize(second)]
         ids.append(self.vocab.sep_id)
-        if max_length is not None:
-            ids = ids[:max_length]
         return Encoding(ids=ids)
 
-    def decode(self, ids: Sequence[int], skip_special: bool = True) -> str:
-        """Convert token ids back into text."""
+    def decode(self, ids: Sequence[int]) -> str:
+        """Convert token ids back into text, dropping special tokens."""
         self._require_trained()
         specials = set(self.vocab.special_ids())
-        tokens = [
-            self.vocab.token_of(i)
-            for i in ids
-            if not (skip_special and i in specials)
-        ]
+        tokens = [self.vocab.token_of(i) for i in ids if i not in specials]
         return self._detokenize(tokens)
 
     # -- properties -----------------------------------------------------------

@@ -48,7 +48,6 @@ def make_mlm_batch(
     rows: np.ndarray,
     tokenizer: Tokenizer,
     rng: SeededRNG,
-    mask_prob: float = 0.15,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Apply BERT's masking recipe to ``rows``.
 
@@ -60,7 +59,7 @@ def make_mlm_batch(
     inputs = rows.copy()
     labels = np.full_like(rows, IGNORE_INDEX)
     gen = rng.generator
-    selected = gen.random(rows.shape) < mask_prob
+    selected = gen.random(rows.shape) < 0.15
     special = np.isin(rows, vocab.special_ids())
     selected &= ~special
     if not selected.any():

@@ -536,6 +536,9 @@ class LastWordReader:
     def read(self, fact, question):
         return fact.rstrip(" .").split()[-1]
 
+    def read_batch(self, items):
+        return [self.read(fact, question) for fact, question in items]
+
 
 FACTS = [
     "alice works in engineering .",

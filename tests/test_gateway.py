@@ -40,7 +40,6 @@ from repro.serving import (
     Gateway,
     GatewayRequest,
     Replica,
-    ServiceModel,
 )
 from repro.serving.loadgen import percentile, run_open_loop, sweep
 
@@ -67,7 +66,7 @@ def reference(model, prompts):
     return [results[t].sequences for t in tickets]
 
 
-SERVICE = ServiceModel(seconds_per_decode_step=0.01)
+SECONDS_PER_STEP = 0.01
 
 
 def make_replica(name, model, clock, injector=None, max_batch=4):
@@ -76,7 +75,7 @@ def make_replica(name, model, clock, injector=None, max_batch=4):
         model,
         max_batch=max_batch,
         clock=clock.virtual,
-        service=SERVICE,
+        seconds_per_decode_step=SECONDS_PER_STEP,
         injector=injector,
     )
 
@@ -474,6 +473,60 @@ class TestFailover:
         # The failed-over requests record the retry in their attempts.
         assert max(r.attempts for r in results) >= 2
         assert all(r.replica == "good" for r in results if r.attempts > 1)
+
+    def test_dispatch_follows_arrival_and_failover_keeps_its_place(
+        self, model, prompts, reference
+    ):
+        """The queue drains in arrival order; a batch re-admitted after
+        its replica died mid-decode goes ahead of every request that
+        arrived after it, even though those were queued first."""
+        clock = AsyncVirtualClock()
+        events = []
+
+        async def main():
+            injector = FaultInjector(FaultProfile(rate_limit_every=3), clock=None)
+            bad = make_replica("bad", model, clock, injector=injector, max_batch=2)
+            good = make_replica("good", model, clock, max_batch=2)
+            gateway = Gateway([bad, good], clock=clock)
+            take, fail = gateway._take_batch, gateway._on_replica_failure
+
+            def recording_take(replica):
+                batch = take(replica)
+                if batch:
+                    events.append(("take", replica.name, [t.id for t in batch]))
+                return batch
+
+            def recording_fail(replica, batch, exc):
+                events.append(("fail", replica.name, [t.id for t in batch]))
+                fail(replica, batch, exc)
+
+            gateway._take_batch = recording_take
+            gateway._on_replica_failure = recording_fail
+            await gateway.start()
+            results = await asyncio.gather(
+                *[
+                    gateway.submit(GatewayRequest(BatchRequest(p, config=CFG)))
+                    for p in prompts
+                ]
+            )
+            await gateway.stop()
+            return results
+
+        results = run_virtual(main(), clock)
+        assert [r.sequences for r in results] == reference
+        takes = [ids for kind, _, ids in events if kind == "take"]
+        first_taken = list(dict.fromkeys(i for ids in takes for i in ids))
+        assert first_taken == list(range(len(prompts)))  # arrival order
+        fails = [k for k, event in enumerate(events) if event[0] == "fail"]
+        assert len(fails) == 1
+        at = fails[0]
+        _, name, failed = events[at]
+        assert name == "bad"
+        taken_before = {i for _, _, ids in events[:at] for i in ids}
+        arrived_later = [i for i in range(len(prompts)) if i not in taken_before]
+        assert arrived_later and min(arrived_later) > max(failed)
+        # The next dispatch after the failure is the failed-over batch.
+        assert next(e for e in events[at + 1:] if e[0] == "take")[2] == failed
 
     def test_dead_replica_trips_breaker_and_heals(self, model, prompts, reference):
         clock = AsyncVirtualClock()

@@ -1,10 +1,10 @@
-"""Tests for decoding strategies, constraints, and beam search."""
+"""Tests for decoding strategies and constraints."""
 
 import numpy as np
 import pytest
 
 from repro.errors import GenerationError, ModelError
-from repro.generation import GenerationConfig, beam_search, generate, generate_text
+from repro.generation import GenerationConfig, generate, generate_text
 from repro.models import GPTModel, ModelConfig
 
 
@@ -142,48 +142,6 @@ class TestGenerate:
 class TestGenerateText:
     def test_text_in_text_out(self, model_and_tokenizer=None):
         pass  # covered by integration tests with trained models
-
-
-class TestBeamSearch:
-    def test_beam_matches_or_beats_greedy_logprob(self, model):
-        prompt = [1, 2, 3]
-        greedy = generate(model, prompt, GenerationConfig(max_new_tokens=4))
-        beam = beam_search(model, prompt, num_beams=4, max_new_tokens=4,
-                           length_penalty=1.0)
-
-        def seq_logprob(seq):
-            total = 0.0
-            ids = list(prompt)
-            for token in seq:
-                from repro.autograd import no_grad
-                with no_grad():
-                    logits = model(np.array([ids]))
-                row = logits.data[0, -1]
-                row = row - row.max()
-                total += float(row[token] - np.log(np.exp(row).sum()))
-                ids.append(token)
-            return total
-
-        assert seq_logprob(beam) >= seq_logprob(greedy) - 1e-9
-
-    def test_beam_respects_constraint(self, model):
-        out = beam_search(
-            model, [1], num_beams=3, max_new_tokens=5,
-            constraint=FixedConstraint([10, 11]),
-        )
-        assert set(out) <= {10, 11}
-
-    def test_beam_invalid_args(self, model):
-        with pytest.raises(GenerationError):
-            beam_search(model, [1], num_beams=0)
-        with pytest.raises(GenerationError):
-            beam_search(model, [], num_beams=2)
-
-    def test_beam_stops_on_stop_token(self, model):
-        first = beam_search(model, [1, 2], num_beams=1, max_new_tokens=1)[0]
-        out = beam_search(model, [1, 2], num_beams=1, max_new_tokens=6,
-                          stop_ids=(first,))
-        assert first not in out
 
 
 class TestCachedDecoding:

@@ -187,7 +187,7 @@ class TestInvertedIndex:
         texts = [f"person{i} works in engineering ." for i in range(10)]
         texts.append("zoe sits in the annex .")
         index = self.make(texts)
-        # "works" matches 10/11 docs (> max_df_fraction) and is skipped;
+        # "works" matches 10/11 docs (> MAX_DF_FRACTION) and is skipped;
         # only the selective name token proposes candidates.
         assert index.candidates("where does person3 works ?") == [3]
 

@@ -356,13 +356,21 @@ class ScriptedClient:
         self.script = {k: list(v) for k, v in script.items()}
         self.calls = []
 
-    def complete(self, engine, prompt, **kwargs):
+    def _next(self, engine):
         self.calls.append(engine)
         entries = self.script[engine]
         entry = entries.pop(0) if len(entries) > 1 else entries[0]
         if isinstance(entry, Exception):
             raise entry
-        return _response(engine, entry)
+        return entry
+
+    def complete(self, engine, prompt, **kwargs):
+        return _response(engine, self._next(engine))
+
+    def complete_batch(self, engine, prompts, **kwargs):
+        """One scripted entry answers (or fails) the whole batch."""
+        text = self._next(engine)
+        return [_response(engine, text) for _ in prompts]
 
 
 class TestResilientClient:

@@ -341,19 +341,6 @@ class TestResilientBatch:
         assert metrics.requests == len(PROMPTS)
         assert metrics.successes == len(PROMPTS)
 
-    def test_inner_without_batch_uses_per_prompt_path(self, hub):
-        class Bare:
-            def __init__(self, inner):
-                self.inner = inner
-
-            def complete(self, engine, prompt, **kwargs):
-                return self.inner.complete(engine, prompt, **kwargs)
-
-        resilient = ResilientClient(Bare(CompletionClient(hub)), clock=VirtualClock())
-        responses = resilient.complete_batch("tiny-gpt", PROMPTS, max_tokens=6)
-        assert len(responses) == len(PROMPTS)
-        assert resilient.metrics.requests == len(PROMPTS)
-
     def test_terminal_batch_failure_degrades_per_prompt(self, hub):
         class AlwaysDownBatch:
             """Batch path fails terminally; per-prompt path works."""
