@@ -40,6 +40,9 @@ the offending line):
   concatenation per iteration is O(n²) traffic — write into an array
   preallocated at its final size (as :meth:`repro.models.GPTModel.init_cache`
   does for K/V) and suppress the rare amortized concat explicitly;
+* ``unused-import``        — a module-level import whose name the module
+  never reads, under ``src/`` (``__init__.py`` re-export modules,
+  ``__future__`` imports and names listed in ``__all__`` are exempt);
 * ``slow-pow``             — ``x ** n`` with an integer literal ``n >= 3``
   in the numeric hot paths (``autograd``, ``nn``, ``models``,
   ``serving``, ``training``); numpy squares ``** 2`` in a fast path but
@@ -90,6 +93,7 @@ RULE_NAMES = (
     "per-prompt-loop",
     "concat-in-loop",
     "slow-pow",
+    "unused-import",
     "shared-state-mutation",
     "blocking-call-in-async",
 )
@@ -112,6 +116,7 @@ _RULE_ONLY_DIRS = {
     "per-prompt-loop": ("codexdb", "text2sql", "wrangle", "neuraldb"),
     "concat-in-loop": ("nn", "generation", "serving", "models"),
     "slow-pow": ("autograd", "nn", "models", "serving", "training"),
+    "unused-import": ("src",),
 }
 
 _NOQA_PATTERN = re.compile(r"#\s*repro:\s*noqa\[([a-z\-,\s]+)\]")
@@ -159,6 +164,8 @@ def lint_source(
         findings += _check_concat_in_loop(tree, path)
     if _applies(path, "slow-pow"):
         findings += _check_slow_pow(tree, path)
+    if _applies(path, "unused-import") and not path.endswith("__init__.py"):
+        findings += _check_unused_imports(tree, path)
     findings += concurrency_findings(tree, path)
     suppressed = _suppressions(code)
     return sorted(
@@ -578,6 +585,42 @@ def _check_slow_pow(tree: ast.Module, path: str) -> List[Finding]:
     return findings
 
 
+def _check_unused_imports(tree: ast.Module, path: str) -> List[Finding]:
+    imported: List[Tuple[str, int]] = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            imported += [
+                (alias.asname or alias.name.split(".")[0], node.lineno)
+                for alias in node.names
+            ]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [
+                (alias.asname or alias.name, node.lineno)
+                for alias in node.names
+                if alias.name != "*"
+            ]
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)
+    }
+    for node in tree.body:  # names re-exported through ``__all__``
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            read.update(ast.literal_eval(node.value))
+    return [
+        Finding(
+            rule="unused-import",
+            message=f"'{name}' is imported but never used",
+            line=line,
+            source=path,
+        )
+        for name, line in imported
+        if name not in read
+    ]
+
+
 # -- CLI -------------------------------------------------------------------
 _USAGE = (
     "usage: python -m repro.analysis.lint [--format text|json] "
@@ -585,9 +628,10 @@ _USAGE = (
 )
 
 
-def main(argv: Iterable[str] = ()) -> int:
-    """Lint the given paths; print findings and return the exit status."""
-    raw = list(argv) or sys.argv[1:]
+def main(argv: Optional[Iterable[str]] = None) -> int:
+    """Lint the given paths (default: the process's own arguments);
+    print findings and return the exit status."""
+    raw = sys.argv[1:] if argv is None else list(argv)
     fmt = "text"
     rules: Optional[FrozenSet[str]] = None
     want_shared_state = False

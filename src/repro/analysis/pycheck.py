@@ -142,16 +142,13 @@ def check_python(
     return sorted(findings, key=lambda f: (f.line, f.rule, f.message))
 
 
-def assert_safe(
-    code: str,
-    known_names: Iterable[str] = DEFAULT_KNOWN_NAMES,
-) -> List[Finding]:
+def assert_safe(code: str) -> List[Finding]:
     """Raise :class:`StaticAnalysisError` if ``code`` has error findings.
 
     Warning-severity findings do not block; they are returned so callers
     (e.g. the sandbox's fuel policy) can act on them.
     """
-    findings = check_python(code, known_names)
+    findings = check_python(code)
     errors = error_findings(findings)
     if errors:
         raise StaticAnalysisError(

@@ -14,7 +14,7 @@ number.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 from repro.analysis.findings import Finding
 from repro.errors import SQLSyntaxError

@@ -18,6 +18,7 @@ from repro.errors import ModelError
 from repro.generation import GenerationConfig, generate_text
 from repro.models import BERTModel, GPTModel, SequenceClassifier
 from repro.tokenizers import Tokenizer
+from repro.tokenizers.vocab import MASK
 
 
 class Pipeline(ABC):
@@ -34,7 +35,7 @@ class Pipeline(ABC):
 
 
 class TextGenerationPipeline(Pipeline):
-    """Complete a text prefix with a causal LM."""
+    """Complete a text prefix with a causal LM (greedy decoding)."""
 
     task = "text-generation"
 
@@ -42,20 +43,8 @@ class TextGenerationPipeline(Pipeline):
         super().__init__(tokenizer)
         self.model = model
 
-    def __call__(
-        self,
-        prompt: str,
-        max_new_tokens: int = 16,
-        temperature: float = 1.0,
-        do_sample: bool = False,
-        seed: int = 0,
-    ) -> str:
-        config = GenerationConfig(
-            max_new_tokens=max_new_tokens,
-            strategy="sample" if do_sample else "greedy",
-            temperature=temperature,
-            seed=seed,
-        )
+    def __call__(self, prompt: str, max_new_tokens: int = 16) -> str:
+        config = GenerationConfig(max_new_tokens=max_new_tokens)
         return generate_text(self.model, self.tokenizer, prompt, config)
 
 
@@ -78,7 +67,7 @@ class FillMaskPipeline(Pipeline):
         self.model = model
 
     def __call__(self, text: str, top_k: int = 5) -> List[MaskFill]:
-        mask_token = self.tokenizer.vocab.specials.mask
+        mask_token = MASK
         if mask_token not in text:
             raise ModelError(f"input must contain the mask token {mask_token!r}")
         # Tokenize around the mask so it survives as a single token.

@@ -8,7 +8,7 @@ layer normalization, linear layers, GELU, embedding gather — and is
 validated against finite differences in the test suite.
 """
 
-from repro.autograd.tensor import Tensor, no_grad, tensor
+from repro.autograd.tensor import Tensor, no_grad
 from repro.autograd.functional import (
     cross_entropy,
     embedding,
@@ -25,7 +25,6 @@ from repro.autograd.functional import (
 
 __all__ = [
     "Tensor",
-    "tensor",
     "no_grad",
     "softmax",
     "log_softmax",

@@ -31,15 +31,15 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return x._make(out_data, (x,), backward)
 
 
-def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stable log-softmax along ``axis``."""
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+def log_softmax(x: Tensor) -> Tensor:
+    """Numerically stable log-softmax along the last axis."""
+    shifted = x.data - x.data.max(axis=-1, keepdims=True)
+    log_z = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     out_data = shifted - log_z
 
     def backward(grad: np.ndarray) -> None:
         soft = np.exp(out_data)
-        x._accumulate(grad - soft * grad.sum(axis=axis, keepdims=True))
+        x._accumulate(grad - soft * grad.sum(axis=-1, keepdims=True))
 
     return x._make(out_data, (x,), backward)
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import contextlib
 import threading
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -61,14 +61,13 @@ def unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
 class Tensor:
     """A numpy array plus the bookkeeping needed for backpropagation."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents", "name")
+    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents")
 
     def __init__(
         self,
         data: ArrayLike,
         requires_grad: bool = False,
         _parents: Tuple["Tensor", ...] = (),
-        name: str = "",
     ) -> None:
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: Optional[np.ndarray] = None
@@ -76,7 +75,6 @@ class Tensor:
         self.requires_grad = requires_grad and recording
         self._backward: Optional[Callable[[np.ndarray], None]] = None
         self._parents = _parents if recording else ()
-        self.name = name
 
     # -- basic introspection ------------------------------------------------
     @property
@@ -107,8 +105,7 @@ class Tensor:
         return Tensor(self.data, requires_grad=False)
 
     def __repr__(self) -> str:
-        tag = f" name={self.name!r}" if self.name else ""
-        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad}{tag})"
+        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
     # -- graph construction helpers ---------------------------------------
     def _make(
@@ -389,8 +386,3 @@ def _topological_order(root: Tensor) -> List[Tensor]:
 
 def _as_tensor(value: Union[Tensor, float, int, np.ndarray]) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
-
-
-def tensor(data: ArrayLike, requires_grad: bool = False) -> Tensor:
-    """Create a tensor from array-like data."""
-    return Tensor(data, requires_grad=requires_grad)

@@ -10,7 +10,7 @@ leaves ``result`` (list of tuples) and ``columns`` (list of names).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.errors import CodexDBError
 from repro.sql.ast import (

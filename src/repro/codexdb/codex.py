@@ -11,9 +11,8 @@ meaningful.
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Tuple
 
 from repro.analysis.findings import Finding, render_findings
 from repro.analysis.sqlcheck import check_sql
@@ -25,8 +24,8 @@ from repro.errors import (
 )
 from repro.reliability.retry import Retrier
 from repro.serving import complete_many, engine_serving_stats
-from repro.sql import Database, Table
-from repro.sql.ast import BinaryOp, ColumnRef, Literal, SelectItem
+from repro.sql import Database
+from repro.sql.ast import BinaryOp, ColumnRef, SelectItem
 from repro.codexdb.codegen import CodeGenOptions, generate_python
 from repro.codexdb.planner import PlanStep, plan_query
 from repro.codexdb.sandbox import ExecutionOutcome, run_generated_code

@@ -60,7 +60,6 @@ def evaluate_codexdb(
     unsafe_rate: float = 0.0,
     fault_profile: Optional[FaultProfile] = None,
     retry_policy: Optional[RetryPolicy] = None,
-    speculative: int = 1,
     codex: Optional[object] = None,
 ) -> CodexDBReport:
     """Run CodexDB over ``queries``; report success rate and retries.
@@ -71,8 +70,6 @@ def evaluate_codexdb(
     wrapped in a seeded :class:`FaultInjector` and every request runs
     under retry/backoff on a deterministic virtual clock; the report
     then carries a ``reliability`` section.
-    ``speculative > 1`` draws that many candidates per Codex request (a
-    batched wave covering several attempts) instead of one at a time.
     ``codex`` overrides the model channel entirely (e.g. a
     :class:`~repro.codexdb.codex.ClientCodex` over a hub engine); when
     it exposes ``serving_stats`` the report carries a ``serving``
@@ -93,9 +90,7 @@ def evaluate_codexdb(
             clock=clock,
             seed=seed,
         )
-    system = CodexDB(
-        db, codex, CodeGenOptions(), retrier=retrier, speculative=speculative
-    )
+    system = CodexDB(db, codex, CodeGenOptions(), retrier=retrier)
     report = CodexDBReport()
     for sql in queries:
         report.total += 1

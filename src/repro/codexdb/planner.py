@@ -3,20 +3,16 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
-from repro.analysis.findings import render_findings
-from repro.analysis.sqlcheck import check_query
-from repro.errors import CodexDBError, StaticAnalysisError
+from repro.errors import CodexDBError
 from repro.sql.ast import (
     BinaryOp,
     ColumnRef,
     Expr,
     FuncCall,
     SelectQuery,
-    Star,
 )
-from repro.sql.catalog import Catalog
 from repro.sql.parser import parse_sql
 
 
@@ -33,29 +29,17 @@ class PlanStep:
     args: Dict[str, object] = field(default_factory=dict)
 
 
-def plan_query(sql: str, catalog: Optional[Catalog] = None) -> List[PlanStep]:
+def plan_query(sql: str) -> List[PlanStep]:
     """Parse ``sql`` and lower it into plan steps.
 
     Supports the engine's SELECT subset restricted to shapes CodexDB's
     code templates cover: one base table, INNER equi-joins, a WHERE
     tree, single-column GROUP BY with aggregates, ORDER BY, LIMIT and
     DISTINCT.
-
-    When a ``catalog`` is given, the query is first semantically vetted
-    against it (:func:`repro.analysis.sqlcheck.check_query`); findings
-    raise :class:`StaticAnalysisError` so no plan — and hence no
-    program — is synthesized from a schema-invalid query.
     """
     query = parse_sql(sql)
     if not isinstance(query, SelectQuery):
         raise CodexDBError("only SELECT statements can be synthesized")
-    if catalog is not None:
-        findings = check_query(query, catalog)
-        if findings:
-            raise StaticAnalysisError(
-                "query rejected before synthesis:\n" + render_findings(findings),
-                findings=findings,
-            )
 
     steps: List[PlanStep] = [
         PlanStep(kind="load", args={"table": query.table.name,

@@ -38,7 +38,6 @@ from repro.errors import (
     SQLError,
     WALCorruptionError,
 )
-from repro.reliability.clock import Clock
 from repro.sql.ast import (
     CreateIndex,
     CreateTable,
@@ -73,8 +72,6 @@ def write_snapshot(
     crash: Optional[CrashInjector] = None,
     label: str = "snapshot",
     durable: bool = True,
-    clock: Optional[Clock] = None,
-    fsync_latency: float = 0.0,
 ) -> int:
     """Atomically write a checksummed snapshot file; returns body bytes.
 
@@ -102,8 +99,6 @@ def write_snapshot(
         crash=crash,
         label=label,
         durable=durable,
-        clock=clock,
-        fsync_latency=fsync_latency,
     )
     return len(body)
 
@@ -213,15 +208,11 @@ class DurableDatabase:
         self,
         directory: Union[str, Path],
         crash: Optional[CrashInjector] = None,
-        clock: Optional[Clock] = None,
-        fsync_latency: float = 0.0,
         durable: bool = True,
     ) -> None:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.crash = crash
-        self.clock = clock
-        self.fsync_latency = fsync_latency
         self.durable = durable
         self._txn: Optional[int] = None
         self._txn_tags: List[str] = []
@@ -264,8 +255,6 @@ class DurableDatabase:
         self.wal = WriteAheadLog(
             self.wal_path,
             crash=self.crash,
-            clock=self.clock,
-            fsync_latency=self.fsync_latency,
             durable=self.durable,
             next_lsn=max(snapshot_lsn, scan.last_lsn) + 1,
         )
@@ -496,8 +485,6 @@ class DurableDatabase:
             crash=self.crash,
             label="snapshot",
             durable=self.durable,
-            clock=self.clock,
-            fsync_latency=self.fsync_latency,
         )
         reach(self.crash, "before-wal-truncate")
         self.wal.reset()

@@ -39,9 +39,7 @@ BEGIN, COMMIT, ROLLBACK, COMPACT = "BEGIN", "COMMIT", "ROLLBACK", "COMPACT"
 _GROUPS = ("alpha", "beta", "gamma")
 
 
-def random_dml_workload(
-    seed: int = 0, num_statements: int = 30, num_tables: int = 2
-) -> List[str]:
+def random_dml_workload(seed: int = 0, num_statements: int = 30) -> List[str]:
     """A seeded mixed workload of DDL/DML plus transaction markers.
 
     Always contains at least one committed transaction, one rolled-back
@@ -49,7 +47,7 @@ def random_dml_workload(
     snapshot, and truncation paths is reachable.
     """
     rng = SeededRNG(seed).spawn("dml-workload")
-    tables = [f"t{i}" for i in range(num_tables)]
+    tables = ["t0", "t1"]
     ops: List[str] = [
         f"CREATE TABLE {name} (id INT, grp TEXT, val FLOAT)"
         for name in tables
@@ -301,16 +299,12 @@ def run_crash_matrix(
     base_dir: Union[str, Path],
     seeds: Sequence[int] = (0, 1, 2),
     num_statements: int = 30,
-    max_occurrences_per_point: int = 2,
     topology: str = "single",
-    num_shards: int = 2,
-    failover: bool = False,
 ) -> CrashMatrixReport:
     """Crash every reachable point (first and last occurrence) per seed.
 
-    ``topology="cluster"`` runs the same matrix against the sharded
-    data plane (see :mod:`repro.sql.cluster.harness`); ``num_shards``
-    and ``failover`` apply only there.
+    ``topology="cluster"`` runs the same matrix against a 2-shard
+    cluster (see :mod:`repro.sql.cluster.harness`).
     """
     if topology == "cluster":
         # Deferred import: repro.durability must not import repro.sql.cluster
@@ -318,12 +312,7 @@ def run_crash_matrix(
         from repro.sql.cluster.harness import run_cluster_crash_matrix
 
         return run_cluster_crash_matrix(
-            base_dir,
-            seeds=seeds,
-            num_statements=num_statements,
-            num_shards=num_shards,
-            max_occurrences_per_point=max_occurrences_per_point,
-            failover=failover,
+            base_dir, seeds=seeds, num_statements=num_statements
         )
     base_dir = Path(base_dir)
     report = CrashMatrixReport()
@@ -334,8 +323,7 @@ def run_crash_matrix(
         for name, count in seen.items():
             report.points[name] = max(report.points.get(name, 0), count)
         for point in sorted(seen):
-            occurrences = sorted({1, seen[point]})[:max_occurrences_per_point]
-            for occurrence in occurrences:
+            for occurrence in sorted({1, seen[point]}):
                 report.trials.append(
                     run_crash_trial(
                         trial_dir, workload, point, occurrence, seed,

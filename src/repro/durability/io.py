@@ -24,9 +24,9 @@ The repo linter's ``atomic-write`` rule forbids plain write-mode
 ``open()`` calls outside this package, so these helpers are the single
 place file writes can tear.
 
-fsync timing is chargeable to a :class:`~repro.reliability.clock.Clock`
-(``fsync_latency`` simulated seconds per sync), so benchmarks can model
-real fsync cost on a virtual clock without wall-clock waits.
+A ``durable=False`` write skips both fsyncs (the file and its
+directory) but keeps the temp-then-rename protocol and its crash
+points.
 """
 
 from __future__ import annotations
@@ -36,19 +36,12 @@ from pathlib import Path
 from typing import Optional, Union
 
 from repro.durability.crash import CrashInjector, reach
-from repro.reliability.clock import Clock
 
 
-def fsync_handle(
-    handle,
-    clock: Optional[Clock] = None,
-    fsync_latency: float = 0.0,
-) -> None:
-    """Flush and fsync one open file handle, charging simulated latency."""
+def fsync_handle(handle) -> None:
+    """Flush and fsync one open file handle."""
     handle.flush()
     os.fsync(handle.fileno())
-    if clock is not None and fsync_latency:
-        clock.sleep(fsync_latency)
 
 
 def fsync_directory(path: Union[str, Path]) -> None:
@@ -66,8 +59,6 @@ def atomic_write_bytes(
     crash: Optional[CrashInjector] = None,
     label: str = "file",
     durable: bool = True,
-    clock: Optional[Clock] = None,
-    fsync_latency: float = 0.0,
 ) -> Path:
     """Atomically replace ``path`` with ``data`` (temp + fsync + rename)."""
     path = Path(path)
@@ -84,7 +75,7 @@ def atomic_write_bytes(
         handle.write(data[half:])
         reach(crash, f"{label}-before-fsync")
         if durable:
-            fsync_handle(handle, clock=clock, fsync_latency=fsync_latency)
+            fsync_handle(handle)
     reach(crash, f"mid-{label}-rename")
     os.replace(tmp, path)
     reach(crash, f"{label}-after-rename")

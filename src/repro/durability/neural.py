@@ -25,7 +25,6 @@ from repro.durability.wal import WriteAheadLog, read_wal
 from repro.errors import DurabilityError, NeuralDBError, WALCorruptionError
 from repro.neuraldb.reader import NeuralReader
 from repro.neuraldb.store import NeuralDatabase, QueryOutcome
-from repro.reliability.clock import Clock
 
 #: builds a retriever (Lexical/Embedding/...) from a recovered fact list
 RetrieverFactory = Callable[[List[str]], object]
@@ -43,9 +42,6 @@ class DurableNeuralDatabase:
         reader: NeuralReader,
         initial_facts: Optional[Sequence[str]] = None,
         crash: Optional[CrashInjector] = None,
-        clock: Optional[Clock] = None,
-        fsync_latency: float = 0.0,
-        durable: bool = True,
     ) -> None:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
@@ -59,9 +55,6 @@ class DurableNeuralDatabase:
         self.log = WriteAheadLog(
             self.log_path,
             crash=crash,
-            clock=clock,
-            fsync_latency=fsync_latency,
-            durable=durable,
             next_lsn=scan.last_lsn + 1,
         )
         if scan.torn_bytes:

@@ -38,8 +38,7 @@ from typing import Dict, List, Optional, Union
 
 from repro.durability.crash import CrashInjector, reach
 from repro.durability.io import fsync_handle
-from repro.errors import DurabilityError, WALCorruptionError
-from repro.reliability.clock import Clock
+from repro.errors import DurabilityError
 
 #: bytes of ``<length:08d> <crc32:08x> `` before each payload
 HEADER_LEN = 18
@@ -140,15 +139,11 @@ class WriteAheadLog:
         self,
         path: Union[str, Path],
         crash: Optional[CrashInjector] = None,
-        clock: Optional[Clock] = None,
-        fsync_latency: float = 0.0,
         durable: bool = True,
         next_lsn: int = 1,
     ) -> None:
         self.path = Path(path)
         self.crash = crash
-        self.clock = clock
-        self.fsync_latency = fsync_latency
         self.durable = durable
         self.last_lsn = next_lsn - 1
         #: appended / fsynced operation counts (for overhead reporting)
@@ -201,9 +196,7 @@ class WriteAheadLog:
         self._check_open()
         reach(self.crash, "wal-before-fsync")
         if self.durable:
-            fsync_handle(
-                self._handle, clock=self.clock, fsync_latency=self.fsync_latency
-            )
+            fsync_handle(self._handle)
         self.syncs += 1
         reach(self.crash, "wal-after-fsync")
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -17,6 +17,9 @@ from repro.training.data import IGNORE_INDEX
 from repro.training.optim import AdamW
 from repro.utils.rng import SeededRNG
 from repro.utils.text import simple_word_tokenize
+
+#: ranker model width, training sequence length and learning rate
+DIM, SEQ_LEN, LR = 48, 48, 3e-3
 
 _AGG_KEYWORDS = {
     "count": ["many", "number", "consists", "employs", "total number", "overall"],
@@ -85,9 +88,6 @@ def train_lm_ranker(
     workload: ClaimWorkload,
     train_claims: Sequence[Claim],
     steps: int = 200,
-    dim: int = 48,
-    seq_len: int = 48,
-    lr: float = 3e-3,
     seed: int = 0,
 ) -> LMRanker:
     """Fine-tune a small LM on (claim text -> gold query description)."""
@@ -106,22 +106,22 @@ def train_lm_ranker(
 
     config = ModelConfig(
         vocab_size=tokenizer.vocab_size,
-        max_seq_len=seq_len,
-        dim=dim,
+        max_seq_len=SEQ_LEN,
+        dim=DIM,
         num_layers=2,
-        num_heads=max(2, dim // 16),
-        ff_dim=4 * dim,
+        num_heads=DIM // 16,
+        ff_dim=4 * DIM,
         causal=True,
     )
     model = GPTModel(config, seed=seed)
     rows = []
     for text in texts:
-        ids = tokenizer.encode(text, add_bos=True, add_eos=True, max_length=seq_len).ids
-        rows.append(ids + [tokenizer.vocab.pad_id] * (seq_len - len(ids)))
+        ids = tokenizer.encode(text, add_bos=True, add_eos=True, max_length=SEQ_LEN).ids
+        rows.append(ids + [tokenizer.vocab.pad_id] * (SEQ_LEN - len(ids)))
     data = np.array(rows, dtype=np.int64)
 
     rng = SeededRNG(seed)
-    optimizer = AdamW(model.parameters(), lr=lr)
+    optimizer = AdamW(model.parameters(), lr=LR)
     n = data.shape[0]
     pad = tokenizer.vocab.pad_id
     for _ in range(steps):

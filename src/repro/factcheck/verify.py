@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Sequence
 
 from repro.factcheck.claims import Claim, ClaimWorkload
 from repro.factcheck.queries import CandidateQuery, enumerate_candidates

@@ -7,7 +7,7 @@ classic token-by-token heatmap — entirely in text.
 
 from __future__ import annotations
 
-from typing import List, Optional, Union
+from typing import List, Union
 
 import numpy as np
 
@@ -22,10 +22,12 @@ def attention_matrix(
     model: Union[GPTModel, BERTModel],
     tokenizer: Tokenizer,
     text: str,
-    layer: int = -1,
     head: int = 0,
 ) -> tuple[List[str], np.ndarray]:
-    """Run ``text`` through the model; return (tokens, attention T x T)."""
+    """Run ``text`` through the model; return (tokens, attention T x T).
+
+    The weights are those of the last layer's head ``head``.
+    """
     encoding = tokenizer.encode(text)
     if not encoding.ids:
         raise ModelError("cannot visualize attention over empty input")
@@ -34,8 +36,7 @@ def attention_matrix(
 
     with no_grad():
         model.encode(ids)
-    blocks = model.stack.blocks
-    attention = blocks[layer].attn.last_attention
+    attention = model.stack.blocks[-1].attn.last_attention
     if attention is None:
         raise ModelError("no attention recorded; run a forward pass first")
     if not 0 <= head < attention.shape[1]:
@@ -48,18 +49,16 @@ def render_attention(
     model: Union[GPTModel, BERTModel],
     tokenizer: Tokenizer,
     text: str,
-    layer: int = -1,
-    head: int = 0,
 ) -> str:
-    """Render the attention heatmap as an ASCII grid.
+    """Render the last layer's first attention head as an ASCII grid.
 
     Rows are query positions, columns key positions; darker glyphs mean
     more attention mass. Causal models show an empty upper triangle —
     the masking §2.1 explains.
     """
-    tokens, weights = attention_matrix(model, tokenizer, text, layer, head)
+    tokens, weights = attention_matrix(model, tokenizer, text)
     label_width = max(len(t) for t in tokens) + 1
-    lines = [f"attention (layer {layer}, head {head}) for: {text!r}", ""]
+    lines = [f"attention (layer -1, head 0) for: {text!r}", ""]
     header = " " * label_width + "".join(
         t[:2].ljust(2) for t in tokens
     )

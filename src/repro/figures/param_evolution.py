@@ -14,7 +14,10 @@ import math
 from dataclasses import dataclass
 from typing import List
 
-from repro.models.registry import HISTORICAL_MODELS, HistoricalModel
+from repro.models.registry import HISTORICAL_MODELS
+
+#: plot area of :func:`render_figure1_ascii`, in characters
+WIDTH, HEIGHT = 72, 18
 
 
 @dataclass(frozen=True)
@@ -51,7 +54,7 @@ def growth_orders_of_magnitude() -> float:
     )
 
 
-def render_figure1_ascii(width: int = 72, height: int = 18) -> str:
+def render_figure1_ascii() -> str:
     """Render the figure as a log-scale ASCII scatter plot."""
     points = figure1_points()
     years = [p.year for p in points]
@@ -59,16 +62,16 @@ def render_figure1_ascii(width: int = 72, height: int = 18) -> str:
     year_min, year_max = min(years), max(years)
     log_min, log_max = math.floor(min(logs)), math.ceil(max(logs))
 
-    grid = [[" "] * width for _ in range(height)]
+    grid = [[" "] * WIDTH for _ in range(HEIGHT)]
     labels: List[str] = []
     for index, point in enumerate(points):
-        x = int((point.year - year_min) / (year_max - year_min) * (width - 1))
+        x = int((point.year - year_min) / (year_max - year_min) * (WIDTH - 1))
         y = int(
             (math.log10(point.estimated_params) - log_min)
             / (log_max - log_min)
-            * (height - 1)
+            * (HEIGHT - 1)
         )
-        row = height - 1 - y
+        row = HEIGHT - 1 - y
         marker = chr(ord("A") + index)
         grid[row][x] = marker
         labels.append(
@@ -80,8 +83,8 @@ def render_figure1_ascii(width: int = 72, height: int = 18) -> str:
              f"y-axis: log10(parameters), {log_min} to {log_max} | "
              f"x-axis: year, {year_min:.0f} to {year_max:.0f}", ""]
     for row_index, row in enumerate(grid):
-        log_label = log_max - (log_max - log_min) * row_index / (height - 1)
+        log_label = log_max - (log_max - log_min) * row_index / (HEIGHT - 1)
         lines.append(f"10^{log_label:4.1f} |" + "".join(row))
-    lines.append("       +" + "-" * width)
+    lines.append("       +" + "-" * WIDTH)
     lines.extend(labels)
     return "\n".join(lines)

@@ -9,7 +9,7 @@ syntactically invalid (used heavily by the text-to-SQL subsystem).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Protocol, Sequence
 
 import numpy as np

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.errors import ReproError
 from repro.sql import Database
 from repro.utils.rng import SeededRNG
+
+#: aggregates :func:`enumerate_facts` compares per group and overall
+AGGS = ("avg", "max")
 
 
 @dataclass(frozen=True)
@@ -59,7 +62,6 @@ def enumerate_facts(
     table: str,
     filter_columns: List[str],
     metric_columns: List[str],
-    aggs: Tuple[str, ...] = ("avg", "max"),
 ) -> List[DataFact]:
     """All (filter value, metric, aggregate) facts for the table."""
     facts: List[DataFact] = []
@@ -72,7 +74,7 @@ def enumerate_facts(
             }
         )
         for metric in metric_columns:
-            for agg in aggs:
+            for agg in AGGS:
                 overall = db.execute(
                     f"SELECT {agg.upper()}({metric}) FROM {table}"
                 ).scalar()

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import List, Optional, Protocol, Sequence, Tuple
+from typing import List, Protocol, Sequence
 
 import numpy as np
 
@@ -16,6 +16,9 @@ from repro.training.optim import AdamW
 from repro.autograd import cross_entropy
 from repro.utils.rng import SeededRNG
 from repro.utils.text import simple_word_tokenize
+
+#: scorer model width and training sequence length
+DIM, SEQ_LEN = 48, 40
 
 
 class RelevanceScorer(Protocol):
@@ -71,8 +74,6 @@ _GOAL_TEMPLATES = [
 def train_relevance_scorer(
     facts: Sequence[DataFact],
     steps: int = 200,
-    dim: int = 48,
-    seq_len: int = 40,
     seed: int = 0,
 ) -> LMRelevanceScorer:
     """Fine-tune a small LM on synthetic (goal, relevant fact) pairs.
@@ -96,15 +97,15 @@ def train_relevance_scorer(
     tokenizer = WhitespaceTokenizer(lowercase=True)
     tokenizer.train(texts, vocab_size=2048)
     config = ModelConfig(
-        vocab_size=tokenizer.vocab_size, max_seq_len=seq_len, dim=dim,
-        num_layers=2, num_heads=max(2, dim // 16), ff_dim=4 * dim, causal=True,
+        vocab_size=tokenizer.vocab_size, max_seq_len=SEQ_LEN, dim=DIM,
+        num_layers=2, num_heads=DIM // 16, ff_dim=4 * DIM, causal=True,
     )
     model = GPTModel(config, seed=seed)
 
     rows = []
     for text in texts:
-        ids = tokenizer.encode(text, add_bos=True, add_eos=True, max_length=seq_len).ids
-        rows.append(ids + [tokenizer.vocab.pad_id] * (seq_len - len(ids)))
+        ids = tokenizer.encode(text, add_bos=True, add_eos=True, max_length=SEQ_LEN).ids
+        rows.append(ids + [tokenizer.vocab.pad_id] * (SEQ_LEN - len(ids)))
     data = np.array(rows, dtype=np.int64)
     pad = tokenizer.vocab.pad_id
 

@@ -15,7 +15,7 @@ are compared by both summary quality and scorer-call budget:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Sequence, Set, Tuple
 
 from repro.errors import ReproError

@@ -21,7 +21,7 @@ from repro.utils.rng import SeededRNG
 class TransformerLM(Module):
     """Learned token + position embeddings and a pre-norm Transformer stack."""
 
-    def __init__(self, config: ModelConfig, seed: int = 0) -> None:
+    def __init__(self, config: ModelConfig, seed: int) -> None:
         super().__init__()
         self.config = config
         rng = SeededRNG(seed)

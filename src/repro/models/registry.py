@@ -16,11 +16,14 @@ tutorial ([15] BERT, [63] GPT-2, [65] T5, [18]/[5] GPT-3, [9] Codex,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.errors import ModelError
 from repro.models.config import ModelConfig
+
+#: width factor :meth:`HistoricalModel.to_config` applies
+CONFIG_SCALE = 1e-4
 
 
 @dataclass(frozen=True)
@@ -110,13 +113,13 @@ class HistoricalModel:
         """|computed - published| / published."""
         return abs(self.estimated_params() - self.published_params) / self.published_params
 
-    def to_config(self, scale: float = 1e-4) -> ModelConfig:
+    def to_config(self) -> ModelConfig:
         """Return a runnable scaled-down :class:`ModelConfig`.
 
-        ``scale`` shrinks the width so the historic shape can actually be
-        instantiated and trained on a laptop (used by the scaling demos).
+        ``CONFIG_SCALE`` shrinks the width so the historic shape can
+        actually be instantiated and trained on a laptop.
         """
-        dim = max(16, int(self.dim * scale) // 8 * 8)
+        dim = max(16, int(self.dim * CONFIG_SCALE) // 8 * 8)
         heads = max(2, dim // 16)
         return ModelConfig(
             vocab_size=min(self.vocab_size, 2048),

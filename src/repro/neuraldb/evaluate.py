@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List
+from dataclasses import dataclass
 
 from repro.neuraldb.facts import FactWorld
 from repro.neuraldb.store import NeuralDatabase

@@ -15,6 +15,9 @@ from repro.training.data import IGNORE_INDEX
 from repro.training.optim import AdamW
 from repro.utils.rng import SeededRNG
 
+#: reader model width, training sequence length and learning rate
+DIM, SEQ_LEN, LR = 48, 40, 3e-3
+
 
 def _linearize(fact: str, question: str, answer: Optional[str] = None) -> str:
     base = f"fact : {fact} question : {question} answer :"
@@ -78,9 +81,6 @@ class NeuralReader:
 def train_reader(
     triples: Sequence[Tuple[str, str, str]],
     steps: int = 250,
-    dim: int = 48,
-    seq_len: int = 40,
-    lr: float = 3e-3,
     seed: int = 0,
 ) -> NeuralReader:
     """Fine-tune a causal LM on (fact, question, answer) triples."""
@@ -92,22 +92,22 @@ def train_reader(
 
     config = ModelConfig(
         vocab_size=tokenizer.vocab_size,
-        max_seq_len=seq_len,
-        dim=dim,
+        max_seq_len=SEQ_LEN,
+        dim=DIM,
         num_layers=2,
-        num_heads=max(2, dim // 16),
-        ff_dim=4 * dim,
+        num_heads=DIM // 16,
+        ff_dim=4 * DIM,
         causal=True,
     )
     model = GPTModel(config, seed=seed)
     rows = []
     for text in texts:
-        ids = tokenizer.encode(text, add_bos=True, add_eos=True, max_length=seq_len).ids
-        rows.append(ids + [tokenizer.vocab.pad_id] * (seq_len - len(ids)))
+        ids = tokenizer.encode(text, add_bos=True, add_eos=True, max_length=SEQ_LEN).ids
+        rows.append(ids + [tokenizer.vocab.pad_id] * (SEQ_LEN - len(ids)))
     data = np.array(rows, dtype=np.int64)
 
     rng = SeededRNG(seed)
-    optimizer = AdamW(model.parameters(), lr=lr)
+    optimizer = AdamW(model.parameters(), lr=LR)
     pad = tokenizer.vocab.pad_id
     for _ in range(steps):
         idx = rng.generator.choice(data.shape[0], size=min(16, data.shape[0]), replace=False)

@@ -6,7 +6,7 @@ The :class:`EmbeddingRetriever` scales to corpus-size fact stores
 * **Two-stage retrieval.** An :class:`~repro.neuraldb.index.InvertedIndex`
   proposes a candidate set from token postings; only those candidates
   are scored against the query embedding. ``mode="auto"`` keeps the
-  exact dense scan for small stores (at or below ``dense_cutoff``
+  exact dense scan for small stores (at or below ``DENSE_CUTOFF``
   facts, where a scan is cheaper than it is wrong) and switches to
   two-stage above it. Queries matching no postings fall back to dense.
 * **Incremental maintenance.** ``add_fact`` embeds exactly the one new
@@ -33,6 +33,13 @@ from repro.neuraldb.index import InvertedIndex
 from repro.tokenizers import WhitespaceTokenizer
 from repro.training import pretrain_mlm
 from repro.utils.text import jaccard
+
+#: encoder width
+DIM = 32
+#: ``mode="auto"`` scans densely at or below this many facts
+DENSE_CUTOFF = 512
+#: batch size and learning rate of :meth:`EmbeddingRetriever.train_contrastive`
+CONTRASTIVE_BATCH, CONTRASTIVE_LR = 12, 2e-3
 
 
 @dataclass
@@ -99,12 +106,10 @@ class EmbeddingRetriever:
         self,
         facts: Sequence[str],
         pretrain_steps: int = 60,
-        dim: int = 32,
         seed: int = 0,
         vocab_size: int = 1024,
         pretrain_sample: Optional[int] = None,
         embed_block: int = 256,
-        dense_cutoff: int = 512,
     ) -> None:
         if not facts:
             raise NeuralDBError("cannot index zero facts")
@@ -112,7 +117,6 @@ class EmbeddingRetriever:
             raise NeuralDBError("embed_block must be positive")
         self.facts = list(facts)
         self.embed_block = embed_block
-        self.dense_cutoff = dense_cutoff
         self.stats = RetrieverStats()
         sample = self._training_sample(self.facts, pretrain_sample)
         self.tokenizer = WhitespaceTokenizer(lowercase=True)
@@ -122,10 +126,10 @@ class EmbeddingRetriever:
         config = ModelConfig(
             vocab_size=self.tokenizer.vocab_size,
             max_seq_len=max_len,
-            dim=dim,
+            dim=DIM,
             num_layers=2,
             num_heads=2,
-            ff_dim=4 * dim,
+            ff_dim=4 * DIM,
             causal=False,
         )
         self.encoder = BERTModel(config, seed=seed)
@@ -134,7 +138,6 @@ class EmbeddingRetriever:
             steps=pretrain_steps, seq_len=min(max_len, 24), seed=seed,
         )
         self._max_len = max_len
-        self._dim = dim
         self._rebuild_index()
 
     @staticmethod
@@ -235,7 +238,7 @@ class EmbeddingRetriever:
 
         ``mode="dense"`` scores every live fact (exact), ``"two_stage"``
         scores inverted-index candidates only, ``"auto"`` picks dense at
-        or below ``dense_cutoff`` facts and two-stage above. A two-stage
+        or below ``DENSE_CUTOFF`` facts and two-stage above. A two-stage
         query whose tokens match no postings falls back to dense rather
         than returning nothing. Ties break toward earlier insertion.
         """
@@ -244,7 +247,7 @@ class EmbeddingRetriever:
         self.stats.queries += 1
         query_vec = self._embed([query])[0]
         if mode == "auto":
-            mode = "dense" if len(self.facts) <= self.dense_cutoff else "two_stage"
+            mode = "dense" if len(self.facts) <= DENSE_CUTOFF else "two_stage"
         rows: Optional[np.ndarray] = None
         if mode == "two_stage":
             candidates = self._iindex.candidates(query)
@@ -268,8 +271,6 @@ class EmbeddingRetriever:
         self,
         qa_pairs: Sequence[Tuple[str, str]],
         steps: int = 120,
-        batch_size: int = 12,
-        lr: float = 2e-3,
         seed: int = 0,
     ) -> "EmbeddingRetriever":
         """Fine-tune the encoder on (question, matching fact) pairs.
@@ -290,11 +291,11 @@ class EmbeddingRetriever:
         q_ids, q_mask = self._encode_batch(questions)
         f_ids, f_mask = self._encode_batch(positives)
 
-        optimizer = AdamW(self.encoder.parameters(), lr=lr)
+        optimizer = AdamW(self.encoder.parameters(), lr=CONTRASTIVE_LR)
         rng = SeededRNG(seed)
         n = len(qa_pairs)
         for _ in range(steps):
-            idx = rng.generator.choice(n, size=min(batch_size, n), replace=False)
+            idx = rng.generator.choice(n, size=min(CONTRASTIVE_BATCH, n), replace=False)
             q_vec = self._pooled_normalized(q_ids[idx], q_mask[idx])
             f_vec = self._pooled_normalized(f_ids[idx], f_mask[idx])
             logits = (q_vec @ f_vec.transpose(1, 0)) * 10.0  # temperature 0.1

@@ -12,12 +12,15 @@ learn — and that the measured data can verify.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List
 
 import numpy as np
 
 from repro.errors import ReproError
 from repro.utils.rng import SeededRNG
+
+#: data rows behind each generated schema
+ROWS_PER_SCHEMA = 60
 
 # Synonym groups: two columns drawn from the same group describe the
 # same quantity under different names — they correlate in the data but
@@ -61,7 +64,6 @@ class SchemaCorpus:
 
 def generate_schema_corpus(
     num_schemas: int = 12,
-    rows_per_schema: int = 60,
     seed: int = 0,
 ) -> SchemaCorpus:
     """Build a corpus of labeled column pairs with backing data."""
@@ -76,14 +78,14 @@ def generate_schema_corpus(
             first, second = rng.sample(group, 2)
             first_name = f"{first}_{schema_index}"
             second_name = f"{second}_{schema_index}"
-            base = gen.normal(50, 15, size=rows_per_schema)
-            noise = gen.normal(0, 4, size=rows_per_schema)
+            base = gen.normal(50, 15, size=ROWS_PER_SCHEMA)
+            noise = gen.normal(0, 4, size=ROWS_PER_SCHEMA)
             columns[first_name] = base
             columns[second_name] = base * rng.uniform(1.2, 3.0) + noise
             partner_of[first_name] = second_name
             partner_of[second_name] = first_name
         noise_name = f"{rng.choice(_NOISE_COLUMNS)}_{schema_index}"
-        columns[noise_name] = gen.normal(0, 1, size=rows_per_schema)
+        columns[noise_name] = gen.normal(0, 1, size=ROWS_PER_SCHEMA)
 
         names = list(columns)
         for i, left in enumerate(names):

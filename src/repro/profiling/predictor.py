@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -13,6 +13,9 @@ from repro.profiling.corpus import ColumnPair
 from repro.tokenizers import Tokenizer, WhitespaceTokenizer
 from repro.training.metrics import accuracy, precision_recall_f1
 from repro.utils.rng import SeededRNG
+
+#: classifier encoder width and learning rate
+DIM, LR = 32, 2e-3
 
 
 class TokenOverlapBaseline:
@@ -85,8 +88,6 @@ class NamePairClassifier:
 def train_name_pair_classifier(
     train_pairs: Sequence[ColumnPair],
     epochs: int = 12,
-    dim: int = 32,
-    lr: float = 2e-3,
     seed: int = 0,
 ) -> NamePairClassifier:
     """Train the siamese name-pair classifier (balanced sampling)."""
@@ -105,8 +106,8 @@ def train_name_pair_classifier(
     max_len = max(len(tokenizer.encode(n).ids) for n in names) + 1
 
     config = ModelConfig(
-        vocab_size=tokenizer.vocab_size, max_seq_len=max_len, dim=dim,
-        num_layers=1, num_heads=2, ff_dim=4 * dim, causal=False,
+        vocab_size=tokenizer.vocab_size, max_seq_len=max_len, dim=DIM,
+        num_layers=1, num_heads=2, ff_dim=4 * DIM, causal=False,
     )
     head = _PairHead(BERTModel(config, seed=seed), seed=seed)
     classifier = NamePairClassifier(head=head, tokenizer=tokenizer, max_len=max_len)
@@ -126,7 +127,7 @@ def train_name_pair_classifier(
         return (left_ids, left_mask), (right_ids, right_mask), labels
 
     rng = RNG(seed)
-    optimizer = AdamW(head.parameters(), lr=lr)
+    optimizer = AdamW(head.parameters(), lr=LR)
     steps_per_epoch = max(len(train_pairs) // 16, 1)
     for _ in range(epochs):
         for _ in range(steps_per_epoch):

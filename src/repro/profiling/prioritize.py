@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from repro.errors import ReproError
 from repro.profiling.corpus import ColumnPair, SchemaCorpus, measure_correlation
+
+#: measured |Pearson r| at which a pair counts as truly correlated
+THRESHOLD = 0.7
 
 
 def profiling_recall_at_budget(
@@ -13,12 +16,11 @@ def profiling_recall_at_budget(
     corpus: SchemaCorpus,
     pairs: Sequence[ColumnPair],
     budget: int,
-    threshold: float = 0.7,
 ) -> Tuple[float, int]:
     """Scan the ``budget`` highest-ranked pairs; return (recall, found).
 
     A "true correlation" is a pair whose *measured* |Pearson r| on the
-    actual data exceeds ``threshold``. Recall is the fraction of those
+    actual data is at least ``THRESHOLD``. Recall is the fraction of those
     the budgeted profiler discovers — the metric that shows why
     name-based prediction saves scans on wide tables.
     """
@@ -27,7 +29,7 @@ def profiling_recall_at_budget(
     truly_correlated = {
         (p.left_name, p.right_name)
         for p in pairs
-        if measure_correlation(corpus, p) >= threshold
+        if measure_correlation(corpus, p) >= THRESHOLD
     }
     if not truly_correlated:
         raise ReproError("no measured correlations above the threshold")

@@ -8,7 +8,7 @@ classification" that works for any model size.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -90,7 +90,7 @@ class PromptClassifier:
         scores = self.scores(max_shots=max_shots, **query_inputs)
         return max(scores, key=lambda k: scores[k])
 
-    def calibrate(self, max_shots: Optional[int] = None) -> Dict[int, float]:
+    def calibrate(self) -> Dict[int, float]:
         """Contextual calibration (Zhao et al., 2021).
 
         Few-shot classifiers inherit a label bias from the prompt (word
@@ -102,7 +102,7 @@ class PromptClassifier:
         self._bias = {}
         fields = self.prompt.template.fields
         neutral = {field: self.CONTENT_FREE_INPUT for field in fields}
-        rendered = self.prompt.build(max_shots=max_shots, **neutral)
+        rendered = self.prompt.build(**neutral)
         self._bias = {
             label: score_continuation(self.model, self.tokenizer, rendered, word)
             for label, word in self.verbalizers.items()

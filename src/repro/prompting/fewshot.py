@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
-from repro.errors import PromptError
 from repro.prompting.template import PromptTemplate
 
 
@@ -36,12 +35,10 @@ class FewShotPrompt:
         template: PromptTemplate,
         instructions: str = "",
         answer_prefix: str = "Answer:",
-        separator: str = "\n\n",
     ) -> None:
         self.template = template
         self.instructions = instructions.strip()
         self.answer_prefix = answer_prefix
-        self.separator = separator
         self._shots: List[_Shot] = []
 
     def add_example(self, output: str, **inputs: str) -> "FewShotPrompt":
@@ -65,4 +62,4 @@ class FewShotPrompt:
             parts.append(f"{rendered}\n{self.answer_prefix} {shot.output}")
         rendered_query = self.template.render(**query_inputs)
         parts.append(f"{rendered_query}\n{self.answer_prefix}")
-        return self.separator.join(parts)
+        return "\n\n".join(parts)

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import asyncio
 import heapq
-from typing import Awaitable, List, Optional, Protocol, Tuple, TypeVar
+from typing import Awaitable, List, Protocol, Tuple, TypeVar
 
 from repro.errors import ReproError
 from repro.reliability.clock import SystemClock, VirtualClock
@@ -106,8 +106,8 @@ class AsyncVirtualClock:
     #: same-instant wake-up chain (future → dispatch → waiter → stats)
     DRAIN_ROUNDS = 32
 
-    def __init__(self, clock: Optional[VirtualClock] = None) -> None:
-        self._clock = clock if clock is not None else VirtualClock()
+    def __init__(self) -> None:
+        self._clock = VirtualClock()
         self._timers: List[Tuple[float, int, asyncio.Future]] = []
         self._seq = 0
         #: (work, gate) pairs: the waiter resumes when ``gate`` is set

@@ -36,22 +36,20 @@ class FaultProfile:
     """Rates and shapes of injected faults.
 
     ``rate_limit_every`` injects *periodic* quota exhaustion (every Nth
-    request, 0 = never) on top of the random ``rate_limit_rate`` —
-    mirroring providers that enforce fixed request windows. ``latency``
-    is the simulated service time charged to the clock per attempt, so
-    deadline budgets see time pass even on success.
+    request, 0 = never), mirroring providers that enforce fixed request
+    windows. ``latency`` is the simulated service time charged to the
+    clock per attempt, so deadline budgets see time pass even on success.
     """
 
     transient_rate: float = 0.0
     timeout_rate: float = 0.0
     garble_rate: float = 0.0
-    rate_limit_rate: float = 0.0
     rate_limit_every: int = 0
     retry_after: float = 1.0
     latency: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("transient_rate", "timeout_rate", "garble_rate", "rate_limit_rate"):
+        for name in ("transient_rate", "timeout_rate", "garble_rate"):
             value = getattr(self, name)
             if not 0.0 <= value < 1.0:
                 raise ReproError(f"{name} must be in [0, 1), got {value}")
@@ -89,9 +87,7 @@ class FaultInjector:
         if self.profile.latency and self.clock is not None:
             self.clock.sleep(self.profile.latency)
         every = self.profile.rate_limit_every
-        if (every and self.requests % every == 0) or self._rng.coin(
-            self.profile.rate_limit_rate
-        ):
+        if every and self.requests % every == 0:
             self.counts["rate_limit"] += 1
             raise RateLimitError(
                 f"rate limit injected on {label} (request #{self.requests})",

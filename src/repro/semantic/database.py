@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Tuple
 
-from repro.errors import ReproError
 from repro.semantic.predicate import TextPredicate
 from repro.semantic.rewrite import (
     SemanticError,

@@ -10,18 +10,19 @@ Two implementations back the ``NL(column, 'description')`` operator:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Protocol, Sequence, Tuple
+from typing import Dict, List, Protocol, Tuple
 
 import numpy as np
 
-from repro.errors import ReproError
 from repro.models import BERTModel, ModelConfig, SequenceClassifier
 from repro.sql import Database
 from repro.tokenizers import Tokenizer, WhitespaceTokenizer
 from repro.training import LabeledExample, finetune_classifier
 from repro.utils.rng import SeededRNG
 from repro.utils.text import simple_word_tokenize
+
+#: width of the sentiment classifier behind :func:`train_review_predicate`
+DIM = 32
 
 
 class TextPredicate(Protocol):
@@ -91,10 +92,11 @@ def generate_review_table(
     return db, gold
 
 
-def _training_reviews(seed: int = 1, per_class: int = 30) -> List[LabeledExample]:
+def _training_reviews(seed: int) -> List[LabeledExample]:
+    """30 positive and 30 negative product reviews, interleaved."""
     rng = SeededRNG(seed)
     examples: List[LabeledExample] = []
-    for i in range(per_class):
+    for i in range(30):
         examples.append(
             LabeledExample(
                 text=f"the {rng.choice(_PRODUCTS)} {rng.choice(_POSITIVE_PHRASES)}",
@@ -138,9 +140,7 @@ class FinetunedPredicate:
         return is_positive if wants_positive else not is_positive
 
 
-def train_review_predicate(
-    epochs: int = 8, dim: int = 32, seed: int = 0
-) -> FinetunedPredicate:
+def train_review_predicate(epochs: int = 8, seed: int = 0) -> FinetunedPredicate:
     """Fine-tune the sentiment classifier backing the NL operator."""
     examples = _training_reviews(seed=seed + 1)
     texts = [e.text for e in examples]
@@ -149,8 +149,8 @@ def train_review_predicate(
     max_len = max(len(tokenizer.encode(t).ids) for t in texts) + 2
 
     config = ModelConfig(
-        vocab_size=tokenizer.vocab_size, max_seq_len=max_len, dim=dim,
-        num_layers=2, num_heads=2, ff_dim=4 * dim, causal=False,
+        vocab_size=tokenizer.vocab_size, max_seq_len=max_len, dim=DIM,
+        num_layers=2, num_heads=2, ff_dim=4 * DIM, causal=False,
     )
     classifier = SequenceClassifier(BERTModel(config, seed=seed), 2, seed=seed)
     finetune_classifier(

@@ -59,7 +59,7 @@ import asyncio
 import heapq
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import (
@@ -68,7 +68,6 @@ from repro.errors import (
     GatewayOverloadError,
     GenerationError,
     ReproError,
-    RequestCancelledError,
 )
 from repro.models.gpt import GPTModel
 from repro.reliability.aclock import AsyncClock, AsyncSystemClock

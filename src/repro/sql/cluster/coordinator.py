@@ -11,7 +11,8 @@
   partition key, else broadcast (filters apply shard-locally);
 * **SELECT** runs the plan :func:`~repro.sql.cluster.scatter.plan_select`
   chooses — pruned, scattered, two-phase aggregated, or gathered —
-  fanning shards out over a thread pool and merging at the coordinator.
+  running the shards one after another on the calling thread and
+  merging at the coordinator.
 
 Every write carries an **exactly-once tag** ``e{epoch}.{seq}.s{shard}``
 (epoch bumps at each coordinator open, making tags collision-free
@@ -42,7 +43,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Set, Tuple, Union
@@ -137,9 +137,10 @@ class ClusterStats:
 
         Work is modeled as executor row touches (scan + join probes).
         A single node does the *sum* of all shards' work serially; the
-        cluster's wall-clock is the *slowest shard* plus the merge —
-        the ratio is the speedup an N-worker data plane buys, reported
-        independently of the host's thread-scheduling noise.
+        cluster's wall-clock would be the *slowest shard* plus the merge.
+        The ratio is the speedup an N-worker data plane would buy; this
+        coordinator runs the shards one after another on the calling
+        thread, so it is a model, not a measurement.
         """
 
         def touches(stats: ExecutionStats) -> int:
@@ -224,7 +225,6 @@ class ClusterDatabase:
             )
             for i in range(self.pmap.num_shards)
         ]
-        self._pool = ThreadPoolExecutor(max_workers=self.pmap.num_shards)
         self._open_coordinator_log()
         self._sync_pmap_with_catalog()
 
@@ -714,18 +714,10 @@ class ClusterDatabase:
     ) -> Tuple[List[Tuple[List[str], List[Tuple]]], List[ExecutionStats], bool, int]:
         sources = [self._read_source(shard) for shard in self.shards]
         stats_list = [ExecutionStats() for _ in self.shards]
-
-        def run_one(position: int):
-            catalog, _, _ = sources[position]
-            return execute_select(
-                shard_query, catalog, self.options, stats_list[position]
-            )
-
-        futures = [
-            self._pool.submit(run_one, position)
-            for position in range(len(self.shards))
+        results = [
+            execute_select(shard_query, catalog, self.options, stats)
+            for (catalog, _, _), stats in zip(sources, stats_list)
         ]
-        results = [future.result() for future in futures]
         stale = any(is_stale for _, is_stale, _ in sources)
         lag = max((l for _, is_stale, l in sources if is_stale), default=0)
         return results, stats_list, stale, lag
@@ -868,7 +860,6 @@ class ClusterDatabase:
         return canonicalize({"tables": tables})
 
     def close(self) -> None:
-        self._pool.shutdown(wait=True)
         self.coordinator_log.close()
         for shard in self.shards:
             shard.close()

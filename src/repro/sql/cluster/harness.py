@@ -157,8 +157,6 @@ def run_cluster_crash_matrix(
     seeds: Sequence[int] = (0, 1, 2),
     num_statements: int = 30,
     num_shards: int = 2,
-    max_occurrences_per_point: int = 2,
-    failover: bool = False,
 ) -> CrashMatrixReport:
     """Crash every reachable point (first and last occurrence) per seed."""
     base_dir = Path(base_dir)
@@ -170,8 +168,7 @@ def run_cluster_crash_matrix(
         for name, count in seen.items():
             report.points[name] = max(report.points.get(name, 0), count)
         for point in sorted(seen):
-            occurrences = sorted({1, seen[point]})[:max_occurrences_per_point]
-            for occurrence in occurrences:
+            for occurrence in sorted({1, seen[point]}):
                 report.trials.append(
                     run_cluster_crash_trial(
                         trial_dir,
@@ -181,7 +178,6 @@ def run_cluster_crash_matrix(
                         seed,
                         num_statements=num_statements,
                         num_shards=num_shards,
-                        failover=failover,
                     )
                 )
     return report

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import re
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.errors import SQLAnalysisError, SQLExecutionError
 from repro.sql.ast import (

@@ -14,7 +14,7 @@ toggled (the engine ablation benchmark flips them):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import SQLAnalysisError, SQLExecutionError

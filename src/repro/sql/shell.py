@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import sys
 from pathlib import Path
-from typing import Iterable, List, Optional, TextIO
+from typing import List, Optional, TextIO
 
 from repro.errors import ReproError
 from repro.sql import Database, QueryResult

@@ -146,16 +146,11 @@ class Table:
         return atomic_write_text(path, buffer.getvalue(), label="csv")
 
     @classmethod
-    def from_csv(
-        cls,
-        name: str,
-        path: Union[str, Path],
-        types: Optional[Sequence[SQLType]] = None,
-    ) -> "Table":
+    def from_csv(cls, name: str, path: Union[str, Path]) -> "Table":
         """Load a CSV with a header row; empty cells become NULL.
 
-        Without explicit ``types``, each column's type is inferred from
-        the values (INT if all parse as ints, else FLOAT, else TEXT).
+        Each column's type is inferred from the values (INT if all
+        parse as ints, else FLOAT, else TEXT).
         """
         path = Path(path)
         with open(path, newline="") as handle:
@@ -165,8 +160,7 @@ class Table:
             except StopIteration:
                 raise SQLExecutionError(f"{path} is empty") from None
             raw_rows = [row for row in reader]
-        if types is None:
-            types = [_infer_csv_type(raw_rows, i) for i in range(len(header))]
+        types = [_infer_csv_type(raw_rows, i) for i in range(len(header))]
         schema = TableSchema.build(name, list(zip(header, types)))
         table = cls(schema)
         for raw in raw_rows:

@@ -12,7 +12,7 @@ LM-based translators close.
 from __future__ import annotations
 
 import re
-from typing import List, Optional, Tuple
+from typing import Optional
 
 from repro.text2sql.workload import Text2SQLWorkload
 

@@ -17,7 +17,7 @@ set for the decoder.
 from __future__ import annotations
 
 import re
-from typing import Callable, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
 from repro.errors import Text2SQLError
 from repro.tokenizers import Tokenizer

@@ -49,6 +49,8 @@ from repro.utils.rng import SeededRNG
 
 PROMPT_PREFIX = "q :"
 SQL_MARKER = "; sql :"
+#: cap on decoded SQL tokens per translation
+MAX_NEW_TOKENS = 40
 
 
 def linearize_example(example: Text2SQLExample) -> str:
@@ -73,7 +75,6 @@ class LMTranslator:
         self,
         question: str,
         constrained: bool = False,
-        max_new_tokens: int = 40,
         vet: bool = False,
     ) -> str:
         """Translate a question to linearized SQL tokens.
@@ -91,7 +92,7 @@ class LMTranslator:
             else None
         )
         config = GenerationConfig(
-            max_new_tokens=max_new_tokens,
+            max_new_tokens=MAX_NEW_TOKENS,
             strategy="greedy",
             stop_ids=(self.tokenizer.vocab.eos_id,),
         )
@@ -135,8 +136,7 @@ class ClientTranslator:
     client: object
     engine: str
     workload: Text2SQLWorkload
-    max_new_tokens: int = 40
-    vet: bool = False
+    max_new_tokens: int = MAX_NEW_TOKENS
     fallback: Optional[Callable[[str], str]] = None
 
     def __post_init__(self) -> None:
@@ -184,18 +184,12 @@ class ClientTranslator:
         return engine_serving_stats(self.client, self.engine)
 
     def _accept(self, question: str, response) -> str:
-        """Vet one completion, degrading on untrusted channels."""
+        """Return one completion's text, degrading on untrusted channels."""
         decoded = response.text
         if response.choices[0].finish_reason in ("garbled", "degraded"):
             # A corrupted or baseline-produced completion is not trusted
             # as SQL; fall back rather than execute garbage.
             return self._degrade(question)
-        if self.vet and decoded:
-            findings = check_sql(
-                sql_to_engine_dialect(decoded), self.workload.db.catalog
-            )
-            if findings:
-                return ""  # statically invalid: treat as failure
         return decoded
 
     def _degrade(self, question: str) -> str:

@@ -18,9 +18,9 @@ word-level tokens match the :class:`WhitespaceTokenizer`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
-from repro.sql import Database, Table
+from repro.sql import Database
 from repro.utils.rng import SeededRNG
 
 # Name pools: one domain is drawn per workload seed.

@@ -4,7 +4,7 @@ Both tokenizers are trained from raw text with no external resources,
 mirroring the unsupervised-pre-training story of the tutorial's Section 2.2.
 """
 
-from repro.tokenizers.vocab import SpecialTokens, Vocabulary
+from repro.tokenizers.vocab import SPECIAL_TOKENS, Vocabulary
 from repro.tokenizers.base import Encoding, Tokenizer
 from repro.tokenizers.bpe import BPETokenizer
 from repro.tokenizers.wordpiece import WordPieceTokenizer
@@ -12,7 +12,7 @@ from repro.tokenizers.whitespace import WhitespaceTokenizer
 from repro.tokenizers.serialize import load_tokenizer, save_tokenizer
 
 __all__ = [
-    "SpecialTokens",
+    "SPECIAL_TOKENS",
     "Vocabulary",
     "Encoding",
     "Tokenizer",

@@ -40,8 +40,8 @@ class Tokenizer(ABC):
     uniform across tokenizer families.
     """
 
-    def __init__(self, vocab: Optional[Vocabulary] = None) -> None:
-        self.vocab = vocab or Vocabulary()
+    def __init__(self) -> None:
+        self.vocab = Vocabulary()
         self._trained = False
 
     # -- subclass responsibilities ------------------------------------------

@@ -10,11 +10,10 @@ spacing so that ``decode(encode(x)) == normalize(x)``.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.errors import TokenizerError
 from repro.tokenizers.base import Tokenizer
-from repro.tokenizers.vocab import SpecialTokens, Vocabulary
 from repro.utils.text import normalize_whitespace
 
 WORD_BOUNDARY = "▁"  # '▁' marks the start of a space-prefixed word
@@ -37,8 +36,8 @@ def _word_to_symbols(word: str) -> Tuple[str, ...]:
 class BPETokenizer(Tokenizer):
     """Trainable byte-pair-encoding tokenizer (GPT-style)."""
 
-    def __init__(self, specials: Optional[SpecialTokens] = None) -> None:
-        super().__init__(Vocabulary(specials=specials or SpecialTokens()))
+    def __init__(self) -> None:
+        super().__init__()
         self.merges: Dict[Tuple[str, str], int] = {}
         # Memoized merge results per word: encoding is dominated by the
         # quadratic merge replay, and real text repeats words endlessly.

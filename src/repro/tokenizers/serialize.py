@@ -9,7 +9,7 @@ from typing import Union
 from repro.errors import TokenizerError
 from repro.tokenizers.base import Tokenizer
 from repro.tokenizers.bpe import BPETokenizer
-from repro.tokenizers.vocab import SpecialTokens, Vocabulary
+from repro.tokenizers.vocab import SPECIAL_TOKENS, Vocabulary
 from repro.tokenizers.whitespace import WhitespaceTokenizer
 from repro.tokenizers.wordpiece import WordPieceTokenizer
 
@@ -72,13 +72,12 @@ def load_tokenizer(path: Union[str, Path]) -> Tokenizer:
         kwargs["max_subword_len"] = payload["max_subword_len"]
     tokenizer = cls(**kwargs)
 
-    specials = SpecialTokens()
     tokens = payload.get("tokens")
     if not isinstance(tokens, list):
         raise TokenizerError(f"tokenizer file {path} lacks a token list")
-    if tokens[: len(specials.all())] != specials.all():
+    if tokens[: len(SPECIAL_TOKENS)] != list(SPECIAL_TOKENS):
         raise TokenizerError("tokenizer file has unexpected special tokens")
-    tokenizer.vocab = Vocabulary(specials=specials)
+    tokenizer.vocab = Vocabulary()
     tokenizer.vocab.add_all(tokens)
     if isinstance(tokenizer, BPETokenizer):
         tokenizer.merges = {

@@ -3,33 +3,20 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List
 
 from repro.errors import TokenizerError
 
 
-@dataclass(frozen=True)
-class SpecialTokens:
-    """Names of the reserved tokens every vocabulary carries.
-
-    The defaults follow the BERT/GPT conventions the tutorial's audience
-    would recognize: ``[PAD]`` for padding, ``[UNK]`` for out-of-vocabulary
-    tokens, ``[CLS]``/``[SEP]`` for sequence classification inputs,
-    ``[MASK]`` for masked language modeling, and ``[BOS]``/``[EOS]`` for
-    generative models.
-    """
-
-    pad: str = "[PAD]"
-    unk: str = "[UNK]"
-    cls: str = "[CLS]"
-    sep: str = "[SEP]"
-    mask: str = "[MASK]"
-    bos: str = "[BOS]"
-    eos: str = "[EOS]"
-
-    def all(self) -> List[str]:
-        """Return all special tokens in a fixed, id-stable order."""
-        return [self.pad, self.unk, self.cls, self.sep, self.mask, self.bos, self.eos]
+#: the reserved tokens every vocabulary carries, in id order. They follow
+#: the BERT/GPT conventions the tutorial's audience would recognize:
+#: ``[PAD]`` for padding, ``[UNK]`` for out-of-vocabulary tokens,
+#: ``[CLS]``/``[SEP]`` for sequence classification inputs, ``[MASK]`` for
+#: masked language modeling, and ``[BOS]``/``[EOS]`` for generative models.
+PAD, UNK, CLS, SEP, MASK, BOS, EOS = (
+    "[PAD]", "[UNK]", "[CLS]", "[SEP]", "[MASK]", "[BOS]", "[EOS]"
+)
+SPECIAL_TOKENS = (PAD, UNK, CLS, SEP, MASK, BOS, EOS)
 
 
 @dataclass
@@ -40,13 +27,12 @@ class Vocabulary:
     occupy the first ids so that e.g. padding id is stable across runs.
     """
 
-    specials: SpecialTokens = field(default_factory=SpecialTokens)
     _token_to_id: Dict[str, int] = field(default_factory=dict)
     _id_to_token: List[str] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         if not self._token_to_id:
-            for token in self.specials.all():
+            for token in SPECIAL_TOKENS:
                 self.add(token)
 
     # -- mutation ---------------------------------------------------------
@@ -68,7 +54,7 @@ class Vocabulary:
     # -- lookup -------------------------------------------------------------
     def id_of(self, token: str) -> int:
         """Return the id of ``token``, or the ``[UNK]`` id if unknown."""
-        return self._token_to_id.get(token, self._token_to_id[self.specials.unk])
+        return self._token_to_id.get(token, self._token_to_id[UNK])
 
     def strict_id_of(self, token: str) -> int:
         """Return the id of ``token``; raise if the token is unknown."""
@@ -92,35 +78,35 @@ class Vocabulary:
     # -- convenience ids ------------------------------------------------------
     @property
     def pad_id(self) -> int:
-        return self._token_to_id[self.specials.pad]
+        return self._token_to_id[PAD]
 
     @property
     def unk_id(self) -> int:
-        return self._token_to_id[self.specials.unk]
+        return self._token_to_id[UNK]
 
     @property
     def cls_id(self) -> int:
-        return self._token_to_id[self.specials.cls]
+        return self._token_to_id[CLS]
 
     @property
     def sep_id(self) -> int:
-        return self._token_to_id[self.specials.sep]
+        return self._token_to_id[SEP]
 
     @property
     def mask_id(self) -> int:
-        return self._token_to_id[self.specials.mask]
+        return self._token_to_id[MASK]
 
     @property
     def bos_id(self) -> int:
-        return self._token_to_id[self.specials.bos]
+        return self._token_to_id[BOS]
 
     @property
     def eos_id(self) -> int:
-        return self._token_to_id[self.specials.eos]
+        return self._token_to_id[EOS]
 
     def special_ids(self) -> List[int]:
         """Return the ids of all special tokens."""
-        return [self._token_to_id[t] for t in self.specials.all()]
+        return [self._token_to_id[t] for t in SPECIAL_TOKENS]
 
     def tokens(self) -> List[str]:
         """Return all tokens in id order (a copy)."""
@@ -132,10 +118,8 @@ class Vocabulary:
         return dict(self._token_to_id)
 
     @classmethod
-    def from_tokens(
-        cls, tokens: Iterable[str], specials: Optional[SpecialTokens] = None
-    ) -> "Vocabulary":
+    def from_tokens(cls, tokens: Iterable[str]) -> "Vocabulary":
         """Build a vocabulary from an iterable of (non-special) tokens."""
-        vocab = cls(specials=specials or SpecialTokens())
+        vocab = cls()
         vocab.add_all(tokens)
         return vocab

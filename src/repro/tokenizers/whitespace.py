@@ -8,23 +8,18 @@ this tokenizer assigns one id per whole word.
 from __future__ import annotations
 
 from collections import Counter
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.errors import TokenizerError
 from repro.tokenizers.base import Tokenizer
-from repro.tokenizers.vocab import SpecialTokens, Vocabulary
 from repro.utils.text import simple_word_tokenize
 
 
 class WhitespaceTokenizer(Tokenizer):
     """Word-level tokenizer with an optional frequency cutoff."""
 
-    def __init__(
-        self,
-        specials: Optional[SpecialTokens] = None,
-        lowercase: bool = False,
-    ) -> None:
-        super().__init__(Vocabulary(specials=specials or SpecialTokens()))
+    def __init__(self, lowercase: bool = False) -> None:
+        super().__init__()
         self.lowercase = lowercase
 
     def train(self, corpus: Sequence[str], vocab_size: int = 10_000) -> None:

@@ -12,7 +12,7 @@ from typing import List, Optional, Sequence
 
 from repro.errors import TokenizerError
 from repro.tokenizers.base import Tokenizer
-from repro.tokenizers.vocab import SpecialTokens, Vocabulary
+from repro.tokenizers.vocab import UNK
 from repro.utils.text import simple_word_tokenize
 
 CONTINUATION = "##"
@@ -21,13 +21,8 @@ CONTINUATION = "##"
 class WordPieceTokenizer(Tokenizer):
     """Trainable WordPiece tokenizer (BERT-style, lowercasing)."""
 
-    def __init__(
-        self,
-        specials: Optional[SpecialTokens] = None,
-        lowercase: bool = True,
-        max_subword_len: int = 12,
-    ) -> None:
-        super().__init__(Vocabulary(specials=specials or SpecialTokens()))
+    def __init__(self, lowercase: bool = True, max_subword_len: int = 12) -> None:
+        super().__init__()
         self.lowercase = lowercase
         self.max_subword_len = max_subword_len
 
@@ -98,7 +93,7 @@ class WordPieceTokenizer(Tokenizer):
                     break
                 end -= 1
             if found is None:
-                return [self.vocab.specials.unk]
+                return [UNK]
             pieces.append(found)
             start = end
         return pieces

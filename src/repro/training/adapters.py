@@ -12,8 +12,7 @@ inference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -24,22 +23,26 @@ from repro.nn.layers import Linear
 from repro.nn.module import Module
 from repro.utils.rng import SeededRNG
 
+#: LoRA scaling numerator: the adapter residual is scaled by ``ALPHA / rank``
+ALPHA = 8.0
+
 
 class LoRALinear(Module):
     """A frozen Linear plus a trainable low-rank residual ``x A B``.
 
-    The adapted forward is ``x W + b + (x A) B * scale``. ``A`` is
+    The adapted forward is ``x W + b + (x A) B * scale`` with
+    ``scale = ALPHA / rank``. ``A`` is
     Gaussian-initialized, ``B`` starts at zero, so the adapted model is
     exactly the base model at step 0 (the LoRA convention).
     """
 
-    def __init__(self, base: Linear, rank: int, rng: SeededRNG, alpha: float = 8.0) -> None:
+    def __init__(self, base: Linear, rank: int, rng: SeededRNG) -> None:
         super().__init__()
         if rank <= 0:
             raise TrainingError(f"adapter rank must be positive, got {rank}")
         self.base = base
         self.rank = rank
-        self.scale = alpha / rank
+        self.scale = ALPHA / rank
         # Freeze the base weights: drop them from the trainable set.
         base.weight.requires_grad = False
         if base.bias is not None:

@@ -21,6 +21,9 @@ from repro.training.metrics import accuracy
 from repro.training.optim import AdamW
 from repro.utils.rng import SeededRNG
 
+#: minibatch size of :func:`finetune_classifier`
+BATCH_SIZE = 8
+
 
 @dataclass
 class FinetuneReport:
@@ -54,7 +57,6 @@ def finetune_classifier(
     tokenizer: Tokenizer,
     examples: Sequence[LabeledExample],
     epochs: int = 5,
-    batch_size: int = 8,
     lr: float = 1e-3,
     max_length: Optional[int] = None,
     seed: int = 0,
@@ -69,8 +71,8 @@ def finetune_classifier(
     n = len(examples)
     for _ in range(epochs):
         order = rng.permutation(n)
-        for start in range(0, n, batch_size):
-            idx = order[start: start + batch_size]
+        for start in range(0, n, BATCH_SIZE):
+            idx = order[start: start + BATCH_SIZE]
             logits = classifier(ids[idx], mask[idx])
             loss = cross_entropy(logits, labels[idx])
             optimizer.zero_grad()
@@ -88,10 +90,9 @@ def evaluate_classifier(
     classifier: SequenceClassifier,
     tokenizer: Tokenizer,
     examples: Sequence[LabeledExample],
-    max_length: Optional[int] = None,
 ) -> float:
     """Return held-out accuracy of a fine-tuned classifier."""
-    max_length = max_length or classifier.backbone.config.max_seq_len
+    max_length = classifier.backbone.config.max_seq_len
     ids, mask, labels = encode_examples(tokenizer, examples, max_length)
     predictions = classifier.predict(ids, mask)
     return accuracy(predictions, labels)

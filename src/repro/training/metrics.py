@@ -24,25 +24,23 @@ def accuracy(predictions: Sequence[int], labels: Sequence[int]) -> float:
 
 
 def precision_recall_f1(
-    predictions: Sequence[int], labels: Sequence[int], positive: int = 1
+    predictions: Sequence[int], labels: Sequence[int]
 ) -> Tuple[float, float, float]:
-    """Binary precision/recall/F1 with respect to the ``positive`` class."""
+    """Binary precision/recall/F1 with class 1 as the positive class."""
     preds = np.asarray(predictions)
     labs = np.asarray(labels)
-    tp = int(((preds == positive) & (labs == positive)).sum())
-    fp = int(((preds == positive) & (labs != positive)).sum())
-    fn = int(((preds != positive) & (labs == positive)).sum())
+    tp = int(((preds == 1) & (labs == 1)).sum())
+    fp = int(((preds == 1) & (labs != 1)).sum())
+    fn = int(((preds != 1) & (labs == 1)).sum())
     precision = tp / (tp + fp) if tp + fp else 0.0
     recall = tp / (tp + fn) if tp + fn else 0.0
     f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
     return precision, recall, f1
 
 
-def f1_score(
-    predictions: Sequence[int], labels: Sequence[int], positive: int = 1
-) -> float:
+def f1_score(predictions: Sequence[int], labels: Sequence[int]) -> float:
     """Binary F1 (harmonic mean of precision and recall)."""
-    return precision_recall_f1(predictions, labels, positive)[2]
+    return precision_recall_f1(predictions, labels)[2]
 
 
 def perplexity(mean_nll: float) -> float:

@@ -29,6 +29,11 @@ from repro.training.optim import AdamW
 from repro.training.schedule import CosineSchedule
 from repro.utils.rng import SeededRNG
 
+#: peak learning rate of both pre-training loops
+LR = 3e-3
+#: rows scored by :func:`evaluate_mlm` and :func:`evaluate_clm`
+EVAL_ROWS = 32
+
 
 @dataclass
 class PretrainReport:
@@ -55,7 +60,6 @@ def pretrain_mlm(
     corpus: Sequence[str],
     steps: int = 100,
     batch_size: int = 8,
-    lr: float = 3e-3,
     seq_len: Optional[int] = None,
     seed: int = 0,
 ) -> PretrainReport:
@@ -63,7 +67,7 @@ def pretrain_mlm(
     seq_len = seq_len or model.config.max_seq_len
     rows = pack_corpus(tokenizer, corpus, seq_len)
     rng = SeededRNG(seed)
-    optimizer = AdamW(model.parameters(), lr=lr)
+    optimizer = AdamW(model.parameters(), lr=LR)
     schedule = CosineSchedule(warmup_steps=min(10, steps // 10 + 1), total_steps=steps)
     report = PretrainReport(steps=steps)
 
@@ -78,7 +82,7 @@ def pretrain_mlm(
         optimizer.zero_grad()
         loss.backward()
         optimizer.clip_grad_norm(1.0)
-        optimizer.lr = schedule.lr_at(step, lr)
+        optimizer.lr = schedule.lr_at(step, LR)
         optimizer.step()
         report.losses.append(loss.item())
 
@@ -92,10 +96,9 @@ def evaluate_mlm(
     tokenizer: Tokenizer,
     rows: np.ndarray,
     rng: SeededRNG,
-    max_rows: int = 32,
 ) -> float:
     """Mean masked-token NLL on (a sample of) ``rows``."""
-    sample = rows[:max_rows]
+    sample = rows[:EVAL_ROWS]
     inputs, labels = make_mlm_batch(sample, tokenizer, rng)
     with no_grad():
         logits = model(inputs)
@@ -113,15 +116,12 @@ def pretrain_clm(
     corpus: Sequence[str],
     steps: int = 100,
     batch_size: int = 8,
-    lr: float = 3e-3,
-    seq_len: Optional[int] = None,
     seed: int = 0,
 ) -> PretrainReport:
     """Pre-train a GPT-style model with next-token prediction."""
-    seq_len = seq_len or model.config.max_seq_len
-    rows = pack_corpus(tokenizer, corpus, seq_len)
+    rows = pack_corpus(tokenizer, corpus, model.config.max_seq_len)
     rng = SeededRNG(seed)
-    optimizer = AdamW(model.parameters(), lr=lr)
+    optimizer = AdamW(model.parameters(), lr=LR)
     schedule = CosineSchedule(warmup_steps=min(10, steps // 10 + 1), total_steps=steps)
     report = PretrainReport(steps=steps)
 
@@ -135,7 +135,7 @@ def pretrain_clm(
         optimizer.zero_grad()
         loss.backward()
         optimizer.clip_grad_norm(1.0)
-        optimizer.lr = schedule.lr_at(step, lr)
+        optimizer.lr = schedule.lr_at(step, LR)
         optimizer.step()
         report.losses.append(loss.item())
 
@@ -144,9 +144,9 @@ def pretrain_clm(
     return report
 
 
-def evaluate_clm(model: GPTModel, rows: np.ndarray, max_rows: int = 32) -> float:
+def evaluate_clm(model: GPTModel, rows: np.ndarray) -> float:
     """Mean next-token NLL on (a sample of) ``rows``."""
-    inputs, targets = make_clm_batch(rows[:max_rows])
+    inputs, targets = make_clm_batch(rows[:EVAL_ROWS])
     with no_grad():
         logits = model(inputs)
         loss = cross_entropy(

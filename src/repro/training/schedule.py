@@ -28,39 +28,35 @@ class ConstantSchedule(Schedule):
 
 
 class LinearWarmupSchedule(Schedule):
-    """Linear warmup to 1.0, then linear decay to ``floor``."""
+    """Linear warmup to 1.0, then linear decay to 0."""
 
-    def __init__(self, warmup_steps: int, total_steps: int, floor: float = 0.0) -> None:
+    def __init__(self, warmup_steps: int, total_steps: int) -> None:
         if warmup_steps < 0 or total_steps <= 0:
             raise TrainingError("schedule steps must be non-negative / positive")
         if warmup_steps >= total_steps:
             raise TrainingError("warmup_steps must be smaller than total_steps")
         self.warmup_steps = warmup_steps
         self.total_steps = total_steps
-        self.floor = floor
 
     def multiplier(self, step: int) -> float:
         if self.warmup_steps > 0 and step < self.warmup_steps:
             return (step + 1) / self.warmup_steps
         remaining = max(self.total_steps - step, 0)
-        span = self.total_steps - self.warmup_steps
-        return max(self.floor, remaining / span)
+        return remaining / (self.total_steps - self.warmup_steps)
 
 
 class CosineSchedule(Schedule):
-    """Linear warmup followed by cosine decay to ``floor``."""
+    """Linear warmup followed by cosine decay to 0."""
 
-    def __init__(self, warmup_steps: int, total_steps: int, floor: float = 0.0) -> None:
+    def __init__(self, warmup_steps: int, total_steps: int) -> None:
         if warmup_steps >= total_steps:
             raise TrainingError("warmup_steps must be smaller than total_steps")
         self.warmup_steps = warmup_steps
         self.total_steps = total_steps
-        self.floor = floor
 
     def multiplier(self, step: int) -> float:
         if self.warmup_steps > 0 and step < self.warmup_steps:
             return (step + 1) / self.warmup_steps
         progress = (step - self.warmup_steps) / (self.total_steps - self.warmup_steps)
         progress = min(max(progress, 0.0), 1.0)
-        cosine = 0.5 * (1.0 + math.cos(math.pi * progress))
-        return self.floor + (1.0 - self.floor) * cosine
+        return 0.5 * (1.0 + math.cos(math.pi * progress))

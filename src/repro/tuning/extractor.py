@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -22,6 +22,9 @@ from repro.tokenizers import Tokenizer, WhitespaceTokenizer
 from repro.training import LabeledExample, finetune_classifier
 from repro.tuning.manuals import ManualSentence
 from repro.tuning.simulator import DBMSConfig
+
+#: width of the knob classifier behind :func:`train_lm_extractor`
+DIM = 32
 
 
 @dataclass(frozen=True)
@@ -111,7 +114,6 @@ class LMHintExtractor:
 def train_lm_extractor(
     train_sentences: Sequence[ManualSentence],
     epochs: int = 10,
-    dim: int = 32,
     seed: int = 0,
 ) -> LMHintExtractor:
     """Fine-tune the knob classifier on labeled manual sentences."""
@@ -125,10 +127,10 @@ def train_lm_extractor(
     config = ModelConfig(
         vocab_size=tokenizer.vocab_size,
         max_seq_len=max_len,
-        dim=dim,
+        dim=DIM,
         num_layers=2,
         num_heads=2,
-        ff_dim=4 * dim,
+        ff_dim=4 * DIM,
         causal=False,
     )
     classifier = SequenceClassifier(

@@ -8,7 +8,7 @@ labeled so extractors can be trained and evaluated.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.utils.rng import SeededRNG
 

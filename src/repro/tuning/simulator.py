@@ -11,7 +11,7 @@ so it helps only when the workload is I/O-bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, Union
 
 from repro.errors import TuningError

@@ -9,8 +9,7 @@ drawn from the corresponding subsystem of this library, so
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from repro.utils.rng import SeededRNG

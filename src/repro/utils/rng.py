@@ -7,7 +7,7 @@ experiments are exactly reproducible from a single integer seed.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, TypeVar
+from typing import Sequence, TypeVar
 
 import numpy as np
 

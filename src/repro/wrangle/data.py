@@ -9,8 +9,8 @@ what a similarity baseline cannot see and a fine-tuned model can learn.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List
 
 from repro.utils.rng import SeededRNG
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -11,8 +11,11 @@ from repro.models import BERTModel, ModelConfig, SequenceClassifier
 from repro.tokenizers import Tokenizer, WhitespaceTokenizer
 from repro.training import LabeledExample, finetune_classifier
 from repro.training.metrics import accuracy, precision_recall_f1
-from repro.wrangle.data import ErrorDetectionExample, error_domains
+from repro.wrangle.data import ErrorDetectionExample
 from repro.wrangle.serialize import serialize_record
+
+#: width of the fine-tuned detector's encoder
+DIM = 32
 
 
 class RuleErrorDetector:
@@ -46,9 +49,8 @@ class RuleErrorDetector:
 class FinetunedErrorDetector:
     """LM path: fine-tune a small BERT classifier on serialized records."""
 
-    def __init__(self, dim: int = 32, seed: int = 0) -> None:
+    def __init__(self, seed: int = 0) -> None:
         self.seed = seed
-        self._dim = dim
         self.tokenizer: Optional[Tokenizer] = None
         self.classifier: Optional[SequenceClassifier] = None
         self._max_len = 0
@@ -66,10 +68,10 @@ class FinetunedErrorDetector:
         config = ModelConfig(
             vocab_size=tokenizer.vocab_size,
             max_seq_len=self._max_len,
-            dim=self._dim,
+            dim=DIM,
             num_layers=2,
             num_heads=2,
-            ff_dim=4 * self._dim,
+            ff_dim=4 * DIM,
             causal=False,
         )
         classifier = SequenceClassifier(BERTModel(config, seed=self.seed), 2, seed=self.seed)

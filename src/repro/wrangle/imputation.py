@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -18,9 +18,11 @@ from repro.utils.rng import SeededRNG
 from repro.models import BERTModel, ModelConfig, SequenceClassifier
 from repro.tokenizers import Tokenizer, WhitespaceTokenizer
 from repro.training import LabeledExample, finetune_classifier
-from repro.training.metrics import accuracy
-from repro.wrangle.data import ImputationExample, imputation_classes
+from repro.wrangle.data import ImputationExample
 from repro.wrangle.serialize import serialize_record
+
+#: width of the fine-tuned imputer's encoder
+DIM = 32
 
 
 class MajorityImputer:
@@ -45,9 +47,8 @@ class MajorityImputer:
 class FinetunedImputer:
     """LM path: classify the hidden value from the serialized record."""
 
-    def __init__(self, dim: int = 32, seed: int = 0) -> None:
+    def __init__(self, seed: int = 0) -> None:
         self.seed = seed
-        self._dim = dim
         self.classes: List[str] = []
         self.tokenizer: Optional[Tokenizer] = None
         self.classifier: Optional[SequenceClassifier] = None
@@ -67,10 +68,10 @@ class FinetunedImputer:
         config = ModelConfig(
             vocab_size=tokenizer.vocab_size,
             max_seq_len=self._max_len,
-            dim=self._dim,
+            dim=DIM,
             num_layers=2,
             num_heads=2,
-            ff_dim=4 * self._dim,
+            ff_dim=4 * DIM,
             causal=False,
         )
         classifier = SequenceClassifier(

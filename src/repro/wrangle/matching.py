@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.errors import WrangleError
 from repro.models import BERTModel, GPTModel, ModelConfig
@@ -17,12 +16,16 @@ from repro.wrangle.data import EntityPair
 from repro.wrangle.serialize import serialize_pair, serialize_record
 from repro.utils.text import jaccard
 
+#: encoder width, and the learning rate and batch size of the pair head's
+#: fine-tuning in :class:`FinetunedMatcher`
+DIM, LR, BATCH_SIZE = 32, 2e-3, 16
+
 
 class SimilarityMatcher:
     """Classical baseline: word-set Jaccard similarity with a tuned cutoff."""
 
-    def __init__(self, threshold: Optional[float] = None) -> None:
-        self.threshold = threshold if threshold is not None else 0.5
+    def __init__(self) -> None:
+        self.threshold = 0.5
 
     def fit(self, pairs: Sequence[EntityPair]) -> "SimilarityMatcher":
         """Grid-search the threshold that maximizes F1 on ``pairs``."""
@@ -120,14 +123,10 @@ class FinetunedMatcher:
     def __init__(
         self,
         style: str = "attribute",
-        dim: int = 32,
-        num_layers: int = 2,
         seed: int = 0,
     ) -> None:
         self.style = style
         self.seed = seed
-        self._dim = dim
-        self._num_layers = num_layers
         self.tokenizer: Optional[Tokenizer] = None
         self._head: Optional[_AlignmentHead] = None
         self._max_len = 0
@@ -137,8 +136,6 @@ class FinetunedMatcher:
         pairs: Sequence[EntityPair],
         pretrain_steps: int = 60,
         finetune_epochs: int = 10,
-        lr: float = 2e-3,
-        batch_size: int = 16,
     ) -> "FinetunedMatcher":
         """Pre-train the encoder (MLM), then fine-tune the pair head."""
         if not pairs:
@@ -152,10 +149,10 @@ class FinetunedMatcher:
         config = ModelConfig(
             vocab_size=tokenizer.vocab_size,
             max_seq_len=self._max_len,
-            dim=self._dim,
-            num_layers=self._num_layers,
-            num_heads=max(2, self._dim // 16),
-            ff_dim=4 * self._dim,
+            dim=DIM,
+            num_layers=2,
+            num_heads=DIM // 16,
+            ff_dim=4 * DIM,
             causal=False,
         )
         backbone = BERTModel(config, seed=self.seed)
@@ -165,16 +162,10 @@ class FinetunedMatcher:
         )
         self.tokenizer = tokenizer
         self._head = _AlignmentHead(backbone, seed=self.seed)
-        self._finetune(pairs, finetune_epochs, lr, batch_size)
+        self._finetune(pairs, finetune_epochs)
         return self
 
-    def _finetune(
-        self,
-        pairs: Sequence[EntityPair],
-        epochs: int,
-        lr: float,
-        batch_size: int,
-    ) -> None:
+    def _finetune(self, pairs: Sequence[EntityPair], epochs: int) -> None:
         import numpy as np
 
         from repro.autograd import cross_entropy
@@ -184,14 +175,14 @@ class FinetunedMatcher:
         left = self._encode_side([p.left for p in pairs])
         right = self._encode_side([p.right for p in pairs])
         labels = np.array([int(p.match) for p in pairs], dtype=np.int64)
-        optimizer = AdamW(self._head.parameters(), lr=lr)
+        optimizer = AdamW(self._head.parameters(), lr=LR)
         rng = SeededRNG(self.seed)
 
         n = len(pairs)
         for _ in range(epochs):
             order = rng.permutation(n)
-            for start in range(0, n, batch_size):
-                idx = order[start: start + batch_size]
+            for start in range(0, n, BATCH_SIZE):
+                idx = order[start: start + BATCH_SIZE]
                 logits = self._head(
                     (left[0][idx], left[1][idx]), (right[0][idx], right[1][idx])
                 )
@@ -241,22 +232,20 @@ class PromptMatcher:
         model: GPTModel,
         tokenizer: Tokenizer,
         shots: Sequence[EntityPair] = (),
-        style: str = "attribute",
     ) -> None:
         template = PromptTemplate("records : {pair} . same entity ?")
         prompt = FewShotPrompt(template, instructions="", answer_prefix="answer :")
         for shot in shots:
             prompt.add_example(
                 "yes" if shot.match else "no",
-                pair=serialize_pair(shot.left, shot.right, style),
+                pair=serialize_pair(shot.left, shot.right),
             )
-        self.style = style
         self._classifier = PromptClassifier(
             model, tokenizer, prompt, verbalizers={0: "no", 1: "yes"}
         )
 
     def predict(self, pair: EntityPair, max_shots: Optional[int] = None) -> bool:
-        text = serialize_pair(pair.left, pair.right, self.style)
+        text = serialize_pair(pair.left, pair.right)
         return self._classifier.predict(max_shots=max_shots, pair=text) == 1
 
 

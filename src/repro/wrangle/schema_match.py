@@ -15,8 +15,8 @@ column) pairs from the column *name* and a sample of its *values*.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -25,7 +25,12 @@ from repro.models import BERTModel, ModelConfig
 from repro.tokenizers import WhitespaceTokenizer
 from repro.training import pretrain_mlm
 from repro.utils.rng import SeededRNG
-from repro.utils.text import jaccard, levenshtein
+from repro.utils.text import levenshtein
+
+#: sampled values per column profile
+SAMPLE_SIZE = 4
+#: encoder width and MLM pre-training steps of :class:`EmbeddingSchemaMatcher`
+DIM, PRETRAIN_STEPS = 32, 50
 
 
 @dataclass(frozen=True)
@@ -69,9 +74,7 @@ _VALUE_POOLS = {
 }
 
 
-def generate_schema_match_task(
-    num_columns: int = 6, sample_size: int = 4, seed: int = 0
-) -> SchemaMatchTask:
+def generate_schema_match_task(num_columns: int = 6, seed: int = 0) -> SchemaMatchTask:
     """A task instance: same concepts, different names, shared value pools."""
     if num_columns > len(_CONCEPTS):
         raise WrangleError(f"at most {len(_CONCEPTS)} columns supported")
@@ -81,10 +84,10 @@ def generate_schema_match_task(
     for _, source_name, target_name, pool_key in concepts:
         pool = _VALUE_POOLS[pool_key]
         source.append(
-            ColumnProfile(source_name, tuple(rng.sample(pool, min(sample_size, len(pool)))))
+            ColumnProfile(source_name, tuple(rng.sample(pool, min(SAMPLE_SIZE, len(pool)))))
         )
         target.append(
-            ColumnProfile(target_name, tuple(rng.sample(pool, min(sample_size, len(pool)))))
+            ColumnProfile(target_name, tuple(rng.sample(pool, min(SAMPLE_SIZE, len(pool)))))
         )
         gold[source_name] = target_name
     return SchemaMatchTask(
@@ -132,9 +135,7 @@ class EmbeddingSchemaMatcher:
     even when names share no characters.
     """
 
-    def __init__(self, dim: int = 32, pretrain_steps: int = 50, seed: int = 0) -> None:
-        self.dim = dim
-        self.pretrain_steps = pretrain_steps
+    def __init__(self, seed: int = 0) -> None:
         self.seed = seed
 
     def match(self, task: SchemaMatchTask) -> Dict[str, str]:
@@ -144,12 +145,12 @@ class EmbeddingSchemaMatcher:
         max_len = max(len(tokenizer.encode(t).ids) for t in texts) + 2
 
         config = ModelConfig(
-            vocab_size=tokenizer.vocab_size, max_seq_len=max_len, dim=self.dim,
-            num_layers=2, num_heads=2, ff_dim=4 * self.dim, causal=False,
+            vocab_size=tokenizer.vocab_size, max_seq_len=max_len, dim=DIM,
+            num_layers=2, num_heads=2, ff_dim=4 * DIM, causal=False,
         )
         encoder = BERTModel(config, seed=self.seed)
         pretrain_mlm(
-            encoder, tokenizer, texts, steps=self.pretrain_steps,
+            encoder, tokenizer, texts, steps=PRETRAIN_STEPS,
             seq_len=min(max_len, 24), seed=self.seed,
         )
 

@@ -28,8 +28,6 @@ def serialize_record(record: Dict[str, str], style: str = "attribute") -> str:
     raise WrangleError(f"unknown serialization style {style!r}; use {STYLES}")
 
 
-def serialize_pair(
-    left: Dict[str, str], right: Dict[str, str], style: str = "attribute"
-) -> str:
+def serialize_pair(left: Dict[str, str], right: Dict[str, str]) -> str:
     """Render a record pair with a separator (classifier input)."""
-    return f"{serialize_record(left, style)} sep {serialize_record(right, style)}"
+    return f"{serialize_record(left)} sep {serialize_record(right)}"

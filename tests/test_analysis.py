@@ -722,6 +722,34 @@ class TestLintRules:
         code = "y = x ** 3  # repro: noqa[slow-pow]\n"
         assert lint_source(code, path="src/repro/nn/mod.py") == []
 
+    def test_unused_import_flagged_under_src(self):
+        code = (
+            "from __future__ import annotations\nimport os\nimport numpy as np\n"
+            "from typing import Dict, List, Optional\n"
+            "def f(x: Optional[int]) -> List[int]:\n    return np.zeros(x)\n"
+        )
+        findings = lint_source(code, path="src/repro/sql/mod.py")
+        assert rules_of(findings) == ["unused-import", "unused-import"]
+        assert [(f.line, f.message.split("'")[1]) for f in findings] == [
+            (2, "os"), (4, "Dict"),
+        ]
+
+    def test_unused_import_reads_count(self):
+        code = (
+            "from __future__ import annotations\n"
+            "import os.path\nfrom a import b as c, d, e\n"
+            "__all__ = ['e']\n"
+            "x = os.path.join(c.y, 'z')\ndef f(v: d):\n    return v\n"
+        )
+        assert lint_source(code, path="src/repro/sql/mod.py") == []
+
+    def test_unused_import_scope(self):
+        code = "from a import b\n"
+        assert lint_source(code, path="src/repro/sql/__init__.py") == []
+        assert lint_source(code, path="tests/test_sql.py") == []
+        noqa = "from a import b  # repro: noqa[unused-import]\n"
+        assert lint_source(noqa, path="src/repro/sql/mod.py") == []
+
 
 class TestNoqaSuppression:
     def test_noqa_suppresses_named_rule(self):
@@ -781,6 +809,15 @@ class TestLintGate:
         from repro.analysis.lint import main
 
         assert main(["/no/such/dir"]) == 2
+
+    def test_cli_empty_argument_list_prints_usage(self, tmp_path, monkeypatch, capsys):
+        from repro.analysis.lint import main
+
+        dirty = tmp_path / "dirty.py"
+        dirty.write_text("def f(items=[]):\n    return items\n")
+        monkeypatch.setattr(sys, "argv", ["prog", str(tmp_path)])
+        assert main([]) == 2
+        assert capsys.readouterr().out.startswith("usage:")
 
     def test_core_layers_do_not_import_serving_or_api(self):
         # autograd/nn/models/generation sit below the serving stack: an

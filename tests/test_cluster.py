@@ -2,6 +2,8 @@
 WAL log shipping (including fuzzed frames), failover with exactly-once
 re-routing, and the cluster crash matrix."""
 
+import threading
+
 import pytest
 
 from repro.durability import CrashInjector, DurableDatabase, dump_database
@@ -151,6 +153,28 @@ class TestQueryEquivalence:
         text = "\n".join(row[0] for row in plan.rows)
         assert "partial-aggregate" in text
         cluster.close()
+
+    def test_fan_out_runs_on_the_calling_thread(self, tmp_path, monkeypatch):
+        from repro.sql.cluster import coordinator
+
+        _, cluster = seeded_cluster(tmp_path, num_shards=2)
+        threads = []
+        real = coordinator.execute_select
+
+        def spy(*args, **kwargs):
+            threads.append(threading.get_ident())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(coordinator, "execute_select", spy)
+        for sql, strategy in [
+            ("SELECT id FROM users ORDER BY id", SCATTER),
+            ("SELECT COUNT(*) FROM users", PARTIAL_AGG),
+        ]:
+            assert cluster.execute(sql).strategy == strategy, sql
+        cluster.close()
+        # 2 shard queries each, plus the partial-aggregate merge
+        assert len(threads) == 5
+        assert set(threads) == {threading.get_ident()}
 
 
 # -- DML routing -------------------------------------------------------------

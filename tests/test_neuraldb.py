@@ -12,6 +12,7 @@ from repro.neuraldb import (
     train_reader,
 )
 from repro.neuraldb.facts import contrastive_pairs, training_qa_pairs
+from repro.neuraldb.retriever import DENSE_CUTOFF
 
 
 @pytest.fixture(scope="module")
@@ -296,7 +297,7 @@ class TestIncrementalEmbeddingIndex:
         assert len(hits) == 2
 
     def test_auto_mode_picks_by_corpus_size(self, retriever):
-        assert len(retriever.facts) <= retriever.dense_cutoff
+        assert len(retriever.facts) <= DENSE_CUTOFF
         before = retriever.stats.dense_queries
         retriever.retrieve("where does alice work ?", mode="auto")
         assert retriever.stats.dense_queries == before + 1

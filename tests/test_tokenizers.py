@@ -6,12 +6,13 @@ from hypothesis import strategies as st
 
 from repro.errors import TokenizerError
 from repro.tokenizers import (
+    SPECIAL_TOKENS,
     BPETokenizer,
-    SpecialTokens,
     Vocabulary,
     WhitespaceTokenizer,
     WordPieceTokenizer,
 )
+from repro.tokenizers.vocab import UNK
 
 CORPUS = [
     "the quick brown fox jumps over the lazy dog",
@@ -54,7 +55,7 @@ class TestVocabulary:
 
     def test_len_counts_specials(self):
         v = Vocabulary()
-        assert len(v) == len(SpecialTokens().all())
+        assert len(v) == len(SPECIAL_TOKENS)
 
 
 class TestBPE:
@@ -160,7 +161,7 @@ class TestWordPiece:
 
     def test_unseen_character_is_unk(self, tok):
         pieces = tok.tokenize("日本")
-        assert pieces and all(p == tok.vocab.specials.unk for p in pieces)
+        assert pieces and all(p == UNK for p in pieces)
 
     def test_lowercasing(self, tok):
         assert tok.tokenize("THE") == tok.tokenize("the")
