@@ -242,15 +242,12 @@ def test_bench_prefix_sweep(report_printer, bench_metrics, sweep_setup):
     CompletionClient(hub).complete_batch("sql-bench", prompts[:2], max_tokens=2)
 
     baseline_client = CompletionClient(hub, prefix_cache_bytes=0)
-    base_s, base_texts = _sweep_seconds(
-        baseline_client, prompts, prefix_caching=False, continuous=False
-    )
+    base_s, base_texts = _sweep_seconds(baseline_client, prompts, continuous=False)
     cached_client = CompletionClient(hub)
     opt_s, opt_texts = _sweep_seconds(cached_client, prompts)
 
-    stats = cached_client.engine_stats("sql-bench")
-    cache = cached_client.prefix_cache("sql-bench")
-    hit_rate = cache.stats.hit_rate
+    stats = cached_client.prefix_cache("sql-bench").stats
+    hit_rate = stats.hit_rate
     speedup = base_s / opt_s
 
     report_printer(
@@ -260,8 +257,8 @@ def test_bench_prefix_sweep(report_printer, bench_metrics, sweep_setup):
             f"{'path':<34}{'seconds':>10}{'speedup':>10}",
             f"{'microbatched (PR4 baseline)':<34}{base_s:>10.2f}{1.0:>10.1f}x",
             f"{'prefix cache + continuous':<34}{opt_s:>10.2f}{speedup:>10.1f}x",
-            f"prefix hits {stats.prefix_hits}, reused tokens "
-            f"{stats.prefix_reused_tokens}, hit rate {hit_rate:.2f}",
+            f"prefix hits {stats.hits}, reused tokens "
+            f"{stats.reused_tokens}, hit rate {hit_rate:.2f}",
         ],
     )
 
@@ -269,9 +266,7 @@ def test_bench_prefix_sweep(report_printer, bench_metrics, sweep_setup):
     bench_metrics["text2sql_sweep_seconds_prefix_continuous"] = round(opt_s, 3)
     bench_metrics["text2sql_sweep_speedup"] = round(speedup, 2)
     bench_metrics["text2sql_sweep_prefix_hit_rate"] = round(hit_rate, 3)
-    bench_metrics["text2sql_sweep_prefix_reused_tokens"] = int(
-        stats.prefix_reused_tokens
-    )
+    bench_metrics["text2sql_sweep_prefix_reused_tokens"] = int(stats.reused_tokens)
 
     # Same completions, at least twice the throughput (acceptance bar).
     assert opt_texts == base_texts

@@ -31,9 +31,9 @@ the offending line):
 * ``per-prompt-loop``      — a ``.complete()`` or ``.read()`` call
   inside a loop (or comprehension) in the application subsystems
   (``codexdb``, ``text2sql``, ``wrangle``, ``neuraldb``); hot
-  per-prompt loops should batch through ``complete_batch`` /
-  :func:`repro.serving.complete_many` (or the reader's ``read_batch``)
-  so prompts share vectorized model forwards;
+  per-prompt loops should batch through the client's ``complete_batch``
+  (or the reader's ``read_batch``) so prompts share vectorized model
+  forwards;
 * ``concat-in-loop``       — ``np.concatenate`` inside a loop (or
   comprehension) in the model/serving hot paths (``nn``,
   ``generation``, ``serving``, ``models``); growing an array by
@@ -479,7 +479,7 @@ _LOOP_NODES = (
 #: per-generation methods the rule flags, with the batched alternative
 #: the message points at.
 _PER_PROMPT_CALLS = {
-    "complete": "complete_batch / repro.serving.complete_many",
+    "complete": "the client's complete_batch",
     "read": "the reader's read_batch",
 }
 

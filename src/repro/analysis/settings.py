@@ -4,10 +4,13 @@ A setting is a defaulted parameter or ``@dataclass`` field under
 ``ROOT/src``. A call under ``src/``, ``examples/``, ``benchmarks/`` or
 ``e2ebench/`` sets it when the callee's final name matches (the class
 name for ``__init__`` and fields) and the call passes it by keyword, by
-position or through ``**kwargs``; test calls are only counted. Exempt:
-``*Stats`` classes, and fields that ``src/`` writes after construction
-(state, not settings). Matching by name can miss an unset setting but
-never flags one that a matched call sets.
+position or through ``**kwargs``; a ``super().__init__(…)`` call inside
+class ``C`` is a call of each of ``C``'s base classes. Test calls are
+only counted, and a test wrapper that forwards ``**kwargs`` (such as
+``open_store``) is not followed, so the test-call count can be too low.
+Exempt: ``*Stats`` classes, and fields that ``src/`` writes after
+construction (state, not settings). Matching by name can miss an unset
+setting but never flags one that a matched call sets.
 
 ``python -m repro.analysis.settings [ROOT]`` prints the report; it exits
 1 on a finding missing from ``EXCEPTIONS`` in ``ROOT/tests/test_settings.py``
@@ -93,13 +96,32 @@ def _collect(
 
 
 def _calls(paths: Sequence[Path]) -> Dict[str, List[ast.Call]]:
-    """Every call under ``paths``, grouped by the callee's final name."""
+    """Every call under ``paths``, grouped by the callee's final name.
+
+    ``super().__init__(…)`` in a class's method also counts as a call of
+    each base class.
+    """
     calls: Dict[str, List[ast.Call]] = {}
     for path in _python_files([p for p in paths if p.exists()]):
         for node in ast.walk(_parse(path)):
             if isinstance(node, ast.Call) and _name(node.func):
                 calls.setdefault(_name(node.func), []).append(node)
+            elif isinstance(node, ast.ClassDef):
+                methods = [s for s in node.body if isinstance(s, ast.FunctionDef)]
+                for call in (c for m in methods for c in ast.walk(m)):
+                    if _is_super_init(call):
+                        for base in node.bases:
+                            calls.setdefault(_name(base), []).append(call)
     return calls
+
+
+def _is_super_init(node: ast.AST) -> bool:
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "__init__"
+        and _name(node.func.value) == "super"
+    )
 
 
 def _sets(call: ast.Call, setting: _Setting) -> bool:

@@ -36,14 +36,10 @@ class Usage:
 class EngineStats:
     """Cumulative serving counters for one engine.
 
-    The single counter surface for reliability metrics and batching:
-    everything a client served is attributed to the engine that did the
+    Everything a client served is attributed to the engine that did the
     work. ``prompt_tokens`` bills the full prompt regardless of caching;
-    ``prefix_hits``/``prefix_reused_tokens`` record how much of that
-    billed prefill was actually served from the engine's prefix cache.
-    ``queue_wait_seconds`` accumulates each batched request's
-    admission→dispatch wait on the client's clock — the term that lets
-    end-to-end latency be split into waiting vs decoding.
+    how much of that prefill the engine's prefix cache served is counted
+    once, by the cache (:meth:`CompletionClient.prefix_cache`).
 
     The ``cache_*`` counters cover the semantic completion cache: a
     cache hit never reaches the engine, so it is *not* billed as a
@@ -54,10 +50,6 @@ class EngineStats:
     requests: int = 0
     prompt_tokens: int = 0
     completion_tokens: int = 0
-    prefix_hits: int = 0
-    prefix_reused_tokens: int = 0
-    batch_refills: int = 0
-    queue_wait_seconds: float = 0.0
     cache_lookups: int = 0
     cache_exact_hits: int = 0
     cache_skipped_prompt_tokens: int = 0
@@ -303,7 +295,6 @@ class CompletionClient:
         seed: int = 0,
         constraints: Optional[Sequence[Optional[TokenConstraint]]] = None,
         max_batch_size: int = 8,
-        prefix_caching: bool = True,
         continuous: bool = True,
     ) -> List[CompletionResponse]:
         """Complete many prompts in one serving pass; one response per prompt.
@@ -313,12 +304,12 @@ class CompletionClient:
         ``seed + j`` — but prompts share vectorized model forwards (and
         a request's ``n`` choices share one prompt prefill), so
         throughput scales with the batch instead of the per-request
-        latency. By default
-        the engine's persistent prefix cache skips re-prefilling shared
-        prompt headers (``prefix_caching=False`` opts out) and the
-        scheduler runs retire-and-admit continuous batching
-        (``continuous=False`` restores barriered microbatches); both
-        are token-identical to the defaults-off path. Engine usage is
+        latency. The engine's persistent prefix cache skips re-prefilling
+        shared prompt headers (a client built with
+        ``prefix_cache_bytes=0`` has none), and by default the scheduler
+        runs retire-and-admit continuous batching (``continuous=False``
+        restores barriered microbatches); both are token-identical to
+        running without them. Engine usage is
         attributed exactly as if each prompt were a request of its own.
         ``constraints`` optionally carries one per-prompt decoding
         constraint, aligned with ``prompts``.
@@ -373,7 +364,7 @@ class CompletionClient:
         scheduler = BatchScheduler(
             model,
             max_batch_size=max_batch_size,
-            prefix_cache=self.prefix_cache(engine) if prefix_caching else None,
+            prefix_cache=self.prefix_cache(engine),
             continuous=continuous,
             clock=self.clock,
         )
@@ -392,13 +383,6 @@ class CompletionClient:
         results = scheduler.run()
 
         stats = self.engine_stats(engine)
-        # The scheduler (and its generator) is fresh per call, so its
-        # counters are this call's deltas.
-        generated = scheduler.generator.stats
-        stats.prefix_hits += generated.prefix_hits
-        stats.prefix_reused_tokens += generated.prefix_reused_tokens
-        stats.batch_refills += generated.refills
-        stats.queue_wait_seconds += scheduler.stats.queue_wait_total
         for i, prompt_ids, ticket in zip(to_run, encoded, tickets):
             choices: List[CompletionChoice] = []
             completion_tokens = 0

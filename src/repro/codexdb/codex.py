@@ -23,7 +23,7 @@ from repro.errors import (
     TransientError,
 )
 from repro.reliability.retry import Retrier
-from repro.serving import complete_many, engine_serving_stats
+from repro.serving import engine_serving_stats
 from repro.sql import Database
 from repro.sql.ast import BinaryOp, ColumnRef, SelectItem
 from repro.codexdb.codegen import CodeGenOptions, generate_python
@@ -215,13 +215,12 @@ class ClientCodex:
         """Draw ``k`` candidates as one ``n=k`` batched request."""
         if k <= 0:
             raise CodexDBError("k must be positive")
-        response = complete_many(
-            self.client,
+        (response,) = self.client.complete_batch(
             self.engine,
             [self.build_prompt(sql, feedback)],
             max_tokens=self.max_tokens,
             n=k,
-        )[0]
+        )
         self.samples_served += k
         return [choice.text for choice in response.choices]
 

@@ -180,7 +180,6 @@ class RecoveryStats:
     """What one :meth:`DurableDatabase.open` had to do."""
 
     snapshot_loaded: bool = False
-    snapshot_lsn: int = 0
     wal_records: int = 0
     replayed_transactions: int = 0
     replayed_statements: int = 0
@@ -282,7 +281,6 @@ class DurableDatabase:
         if tags is not None:
             tags.update(data.get("tags", ()))
         stats.snapshot_loaded = True
-        stats.snapshot_lsn = last_lsn
         return db, last_lsn
 
     def _replay(

@@ -46,9 +46,7 @@ CONTRASTIVE_BATCH, CONTRASTIVE_LR = 12, 2e-3
 class RetrieverStats:
     """Work counters for one :class:`EmbeddingRetriever`."""
 
-    queries: int = 0
     dense_queries: int = 0
-    two_stage_queries: int = 0
     dense_fallbacks: int = 0
     #: rows scored against a query embedding (the per-query work)
     facts_scored: int = 0
@@ -244,7 +242,6 @@ class EmbeddingRetriever:
         """
         if mode not in ("auto", "dense", "two_stage"):
             raise NeuralDBError(f"unknown retrieval mode {mode!r}")
-        self.stats.queries += 1
         query_vec = self._embed([query])[0]
         if mode == "auto":
             mode = "dense" if len(self.facts) <= DENSE_CUTOFF else "two_stage"
@@ -252,7 +249,6 @@ class EmbeddingRetriever:
         if mode == "two_stage":
             candidates = self._iindex.candidates(query)
             if candidates:
-                self.stats.two_stage_queries += 1
                 rows = np.array(candidates, dtype=np.int64)
             else:
                 self.stats.dense_fallbacks += 1

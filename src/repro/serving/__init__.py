@@ -18,7 +18,7 @@ generator (:mod:`repro.serving.loadgen`) that traces its saturation
 curve under deterministic virtual time.
 """
 
-from repro.serving.dispatch import complete_many, engine_serving_stats
+from repro.serving.dispatch import engine_serving_stats
 from repro.serving.engine import (
     BatchedGenerator,
     BatchRequest,
@@ -61,7 +61,6 @@ __all__ = [
     "SchedulerStats",
     "SemanticCache",
     "SemanticCacheStats",
-    "complete_many",
     "completion_request_key",
     "engine_serving_stats",
     "run_open_loop",

@@ -95,22 +95,19 @@ class GeneratorStats:
     """Forward-pass accounting for one :class:`BatchedGenerator`.
 
     ``prefill_tokens`` counts prompt tokens actually pushed through the
-    model; tokens served from the prefix cache instead are counted in
-    ``prefix_reused_tokens``. ``refills`` counts requests admitted into
-    freed slots mid-decode (continuous batching); ``peak_active`` is
-    the widest decode batch observed. ``decode_steps`` counts decode
-    forwards, each advancing every active sequence by one token.
+    model; tokens served from the prefix cache instead are counted by
+    the cache (``PrefixCacheStats.reused_tokens``). ``refills`` counts
+    requests admitted into freed slots mid-decode (continuous
+    batching); ``peak_active`` is the widest decode batch observed.
+    ``decode_steps`` counts decode forwards, each advancing every active
+    sequence by one token.
     """
 
     prefill_chunks: int = 0
     prefill_tokens: int = 0
     decode_steps: int = 0
     generated_tokens: int = 0
-    retired_sequences: int = 0
     sequential_fallbacks: int = 0
-    prefix_hits: int = 0
-    prefix_misses: int = 0
-    prefix_reused_tokens: int = 0
     refills: int = 0
     peak_active: int = 0
     cancelled_sequences: int = 0
@@ -466,10 +463,7 @@ class BatchedGenerator:
                 request.prompt_ids, max_len=int(prompt_lengths[i]) - 1
             )
             if not match:
-                self.stats.prefix_misses += 1
                 continue
-            self.stats.prefix_hits += 1
-            self.stats.prefix_reused_tokens += match
             reused[i] = match
             for cache, (keys, values) in zip(caches, layers):
                 cache["k"][i, :, :match] = keys
@@ -561,7 +555,6 @@ class BatchedGenerator:
                 self.stats.generated_tokens += 1
                 keep[r] = len(state.generated) < state.config.max_new_tokens
             if not keep[r]:
-                self.stats.retired_sequences += 1
                 results[state.request_index].sequences.append(
                     (state.choice_index, state.generated)
                 )

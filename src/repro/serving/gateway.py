@@ -177,8 +177,8 @@ class GatewayResult:
 class GatewayStats:
     """Counters for one gateway's lifetime of traffic.
 
-    ``queue_wait_total``/``queue_wait_max`` cover admission→dispatch,
-    so ``p99 latency = queue wait + decode (service) time`` decomposes
+    ``queue_wait_max`` covers admission→dispatch, so
+    ``p99 latency = queue wait + decode (service) time`` decomposes
     overload (wait grows) from slow decoding (service grows).
     """
 
@@ -199,8 +199,6 @@ class GatewayStats:
     replica_failures: int = 0
     failovers: int = 0
     dispatched_batches: int = 0
-    peak_queue: int = 0
-    queue_wait_total: float = 0.0
     queue_wait_max: float = 0.0
     service_seconds: float = 0.0
 
@@ -438,7 +436,6 @@ class Gateway:
 
     def _push(self, ticket: _Ticket) -> None:
         heapq.heappush(self._heap, (ticket.id, ticket))
-        self.stats.peak_queue = max(self.stats.peak_queue, len(self._heap))
         self._work.set()
 
     # -- dispatch ----------------------------------------------------------
@@ -499,7 +496,6 @@ class Gateway:
                 continue
             wait = now - ticket.enqueued_at
             ticket.queue_wait += wait
-            self.stats.queue_wait_total += wait
             self.stats.queue_wait_max = max(self.stats.queue_wait_max, wait)
             batch.append(ticket)
             occupancy += width

@@ -38,13 +38,11 @@ Span = Tuple[np.ndarray, np.ndarray]
 
 @dataclass
 class PrefixCacheStats:
-    """Hit/miss/byte accounting for one :class:`PrefixCache`."""
+    """Lookup/hit/byte accounting for one :class:`PrefixCache`."""
 
     lookups: int = 0
     hits: int = 0
-    misses: int = 0
     reused_tokens: int = 0
-    inserted_tokens: int = 0
     evictions: int = 0
     oversized: int = 0
     bytes: int = 0
@@ -118,7 +116,6 @@ class PrefixCache:
         limit = len(token_ids) if max_len is None else min(max_len, len(token_ids))
         path, match = self._touch(tuple(token_ids[:limit]))
         if not match:
-            self.stats.misses += 1
             return 0, None
         self.stats.hits += 1
         self.stats.reused_tokens += match
@@ -158,7 +155,6 @@ class PrefixCache:
             self._leaves.discard(parent)
             self._leaves.add(node)
             self.stats.bytes += kv.nbytes
-            self.stats.inserted_tokens += added
             if self.stats.bytes > self.max_bytes:
                 self._evict()
         return added

@@ -71,12 +71,10 @@ def completion_request_key(request: Any) -> Optional[Hashable]:
 
 @dataclass
 class SemanticCacheStats:
-    """Hit/miss/byte accounting for one :class:`SemanticCache`."""
+    """Lookup/hit/byte accounting for one :class:`SemanticCache`."""
 
     lookups: int = 0
     hits: int = 0
-    misses: int = 0
-    insertions: int = 0
     evictions: int = 0
     invalidations: int = 0
     oversized: int = 0
@@ -87,11 +85,6 @@ class SemanticCacheStats:
     @property
     def hit_rate(self) -> float:
         return self.hits / self.lookups if self.lookups else 0.0
-
-    @property
-    def skipped_tokens(self) -> int:
-        """Prefill + decode tokens the cache saved the engines."""
-        return self.skipped_prompt_tokens + self.skipped_completion_tokens
 
 
 @dataclass(frozen=True)
@@ -190,7 +183,6 @@ class SemanticCache:
         self._tick += 1
         entry = self._entries.get(key)
         if entry is None:
-            self.stats.misses += 1
             return None
         entry.last_used = self._tick
         self.stats.hits += 1
@@ -235,7 +227,6 @@ class SemanticCache:
         self._entries[key] = entry
         self._groups.setdefault(group, {})[key] = entry
         self.stats.bytes += size
-        self.stats.insertions += 1
         while self.stats.bytes > self.max_bytes:
             victim = min(
                 self._entries.values(), key=lambda e: e.last_used

@@ -123,14 +123,12 @@ class ClusterStats:
     reroutes_applied: int = 0
     #: re-routes skipped because the tag was already durable
     reroutes_deduped: int = 0
-    last_strategy: str = ""
     last_shard_stats: List[ExecutionStats] = field(default_factory=list)
     last_merge_stats: Optional[ExecutionStats] = None
 
     def record_select(self, strategy: str) -> None:
         self.selects += 1
         self.by_strategy[strategy] = self.by_strategy.get(strategy, 0) + 1
-        self.last_strategy = strategy
 
     def modeled_parallel_speedup(self) -> float:
         """Critical-path speedup of the last fan-out query.

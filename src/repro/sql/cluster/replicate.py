@@ -71,29 +71,8 @@ class ReplicationStats:
     """Lifetime counters of one primary→replica link."""
 
     ships: int = 0
-    shipped_bytes: int = 0
-    shipped_records: int = 0
     duplicates_skipped: int = 0
-    torn_chunks: int = 0
-    corrupt_rejected: int = 0
-    reorder_rejected: int = 0
-    #: records the replica trailed the primary by, sampled at ship time
-    lag_records: int = 0
-    max_lag_records: int = 0
     reseeds: int = 0
-
-    def as_dict(self) -> Dict[str, int]:
-        return {
-            "ships": self.ships,
-            "shipped_bytes": self.shipped_bytes,
-            "shipped_records": self.shipped_records,
-            "duplicates_skipped": self.duplicates_skipped,
-            "torn_chunks": self.torn_chunks,
-            "corrupt_rejected": self.corrupt_rejected,
-            "reorder_rejected": self.reorder_rejected,
-            "max_lag_records": self.max_lag_records,
-            "reseeds": self.reseeds,
-        }
 
 
 class ShardReplica:
@@ -286,12 +265,6 @@ class ShardReplicator:
         """Records the replica currently trails the primary by."""
         return max(0, self.primary.wal.last_lsn - self.replica.watermark)
 
-    def _observe_lag(self) -> None:
-        self.stats.lag_records = self.lag()
-        self.stats.max_lag_records = max(
-            self.stats.max_lag_records, self.stats.lag_records
-        )
-
     def ship(self) -> int:
         """Ship every unshipped whole frame; returns frames applied.
 
@@ -299,7 +272,6 @@ class ShardReplicator:
         them, modelling a send the process died in the middle of — the
         replica must classify the torn half and stay consistent.
         """
-        self._observe_lag()
         pending = _read_tail(self.primary.wal_path, self.shipped_bytes)
         scan = scan_wal_bytes(pending)
         chunk = pending[: scan.valid_bytes]
@@ -313,27 +285,19 @@ class ShardReplicator:
         reach(self.crash, "ship-after-send")
         self.shipped_bytes += len(chunk)
         self.stats.ships += 1
-        self.stats.shipped_bytes += len(chunk)
-        applied = first.applied + second.applied
-        self.stats.shipped_records += applied
         self.stats.duplicates_skipped += first.duplicates + second.duplicates
         for result in (first, second):
-            if result.status == RECEIVE_TORN:
-                self.stats.torn_chunks += 1
-            elif result.status == RECEIVE_CORRUPT:
-                self.stats.corrupt_rejected += 1
+            if result.status == RECEIVE_CORRUPT:
                 raise ReplicationError(
                     f"replica rejected shipped frames as corrupt: "
                     f"{result.error}"
                 )
             elif result.status == RECEIVE_REORDER:
-                self.stats.reorder_rejected += 1
                 raise ReplicationError(
                     f"replica rejected shipped frames as reordered: "
                     f"{result.error}"
                 )
-        self._observe_lag()
-        return applied
+        return first.applied + second.applied
 
     def resync(self) -> bool:
         """Recompute the shipped-byte offset from the replica's ack.

@@ -57,7 +57,6 @@ class ExecutionStats:
     """Counters describing the work one query performed."""
 
     rows_scanned: int = 0
-    rows_joined: int = 0
     join_probes: int = 0
     index_lookups: int = 0
 
@@ -426,7 +425,6 @@ def _join(
 ) -> List[RowEnv]:
     if join.kind == "CROSS":
         out = [l.merged_with(r) for l in left for r in right]
-        stats.rows_joined += len(out)
         return out
 
     equi = _equi_join_key(join.condition) if options.hash_joins else None
@@ -453,7 +451,6 @@ def _nested_loop_join(
                 matched = True
         if join.kind == "LEFT" and not matched:
             out.append(_pad_left_join(left_env, right_columns))
-    stats.rows_joined += len(out)
     return out
 
 
@@ -513,7 +510,6 @@ def _hash_join(
         for right_env in buckets.get(key, ()):
             stats.join_probes += 1
             out.append(env.merged_with(right_env))
-    stats.rows_joined += len(out)
     return out
 
 

@@ -34,7 +34,7 @@ from repro.errors import (
 )
 from repro.generation import GenerationConfig, generate
 from repro.models import GPTModel, ModelConfig
-from repro.serving import complete_many, engine_serving_stats
+from repro.serving import engine_serving_stats
 from repro.tokenizers import Tokenizer, WhitespaceTokenizer
 from repro.training.data import IGNORE_INDEX
 from repro.training.optim import AdamW
@@ -164,8 +164,8 @@ class ClientTranslator:
         questions = list(questions)
         prompts = [build_prompt(question) for question in questions]
         try:
-            responses = complete_many(
-                self.client, self.engine, prompts, max_tokens=self.max_new_tokens
+            responses = self.client.complete_batch(
+                self.engine, prompts, max_tokens=self.max_new_tokens
             )
         except (TransientError, DeadlineExceededError, CircuitOpenError):
             return [self.translate(question) for question in questions]

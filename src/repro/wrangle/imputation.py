@@ -13,7 +13,7 @@ from repro.errors import (
     TransientError,
     WrangleError,
 )
-from repro.serving import complete_many, engine_serving_stats
+from repro.serving import engine_serving_stats
 from repro.utils.rng import SeededRNG
 from repro.models import BERTModel, ModelConfig, SequenceClassifier
 from repro.tokenizers import Tokenizer, WhitespaceTokenizer
@@ -188,8 +188,8 @@ class ClientImputer:
         examples = list(examples)
         prompts = [self._prompt(example) for example in examples]
         try:
-            responses = complete_many(
-                self.client, self.engine, prompts, max_tokens=3, stop=[";"]
+            responses = self.client.complete_batch(
+                self.engine, prompts, max_tokens=3, stop=[";"]
             )
         except (TransientError, DeadlineExceededError, CircuitOpenError):
             return [self.predict(example) for example in examples]

@@ -28,7 +28,6 @@ from repro.serving import (
     BatchRequest,
     BatchScheduler,
     PrefixCache,
-    complete_many,
 )
 from repro.sql import Database
 from repro.text2sql import (
@@ -221,17 +220,15 @@ PROMPTS = ["the cat sat", "a dog", "the bird flew over", "cats and dogs"]
 
 def _assert_billing_parity(batched_client, per_prompt_client) -> None:
     """``EngineStats`` of one ``complete_batch`` over ``PROMPTS`` against
-    one ``complete`` call per prompt: every field equal, except that the
-    per-prompt calls reuse earlier prompts' K/V from the engine's
-    persistent prefix cache (one cold batch cannot). Queue wait depends
-    on the wall clock, so it is zeroed on both sides."""
-    batched = batched_client.engine_stats("tiny-gpt")
-    single = per_prompt_client.engine_stats("tiny-gpt")
-    assert (batched.prefix_hits, batched.prefix_reused_tokens) == (0, 0)
-    assert (single.prefix_hits, single.prefix_reused_tokens) == (3, 8)
-    billing = dict(queue_wait_seconds=0.0, prefix_hits=0, prefix_reused_tokens=0)
-    assert dataclasses.replace(batched, **billing) == dataclasses.replace(
-        single, **billing
+    one ``complete`` call per prompt: every field equal. Only the
+    engine's persistent prefix cache differs: the per-prompt calls reuse
+    earlier prompts' K/V (one cold batch cannot)."""
+    batched = batched_client.prefix_cache("tiny-gpt").stats
+    single = per_prompt_client.prefix_cache("tiny-gpt").stats
+    assert (batched.hits, batched.reused_tokens) == (0, 0)
+    assert (single.hits, single.reused_tokens) == (3, 8)
+    assert batched_client.engine_stats("tiny-gpt") == per_prompt_client.engine_stats(
+        "tiny-gpt"
     )
 
 
@@ -258,7 +255,6 @@ class TestCompleteBatch:
         for p in PROMPTS:
             reference.complete("tiny-gpt", p, max_tokens=6)
         _assert_billing_parity(client, reference)
-        assert client.engine_stats("tiny-gpt").queue_wait_seconds >= 0.0
 
     def test_n_choices_match_per_prompt_semantics(self, hub):
         client = CompletionClient(hub)
@@ -316,16 +312,6 @@ class TestCompleteBatch:
             CompletionClient(hub).complete_batch(
                 "tiny-gpt", PROMPTS, constraints=[None]
             )
-
-
-class TestCompleteMany:
-    def test_uses_complete_batch_when_available(self, hub):
-        client = CompletionClient(hub)
-        responses = complete_many(client, "tiny-gpt", PROMPTS, max_tokens=6)
-        assert [r.text for r in responses] == [
-            r.text
-            for r in client.complete_batch("tiny-gpt", PROMPTS, max_tokens=6)
-        ]
 
 
 class TestResilientBatch:
@@ -659,7 +645,7 @@ class TestPrefixCacheTrie:
         cache = PrefixCache()
         match, layers = cache.lookup([4, 4])
         assert (match, layers) == (0, None)
-        assert cache.stats.misses == 1
+        assert (cache.stats.lookups, cache.stats.hits) == (1, 0)
         assert cache.stats.hit_rate == 0.0
 
     def test_lru_eviction_respects_budget_and_keeps_paths_valid(self):
@@ -745,10 +731,11 @@ class TestPrefixEquivalence:
         expected = [generate(model, p, config) for p in shared_header_prompts]
         cache = PrefixCache()
         BatchedGenerator(model, prefix_cache=cache).generate(requests)
+        cold_hits = cache.stats.hits
         warm = BatchedGenerator(model, prefix_cache=cache)
         results = warm.generate(requests)
         assert [r.sequences[0] for r in results] == expected
-        assert warm.stats.prefix_hits == len(requests)
+        assert cache.stats.hits - cold_hits == len(requests)
         # Warm prefill touches only the final (uncached) prompt token.
         assert warm.stats.prefill_tokens == len(requests)
 
@@ -820,7 +807,7 @@ class TestPrefixEquivalence:
         for prompt in prompts:
             (result,) = generator.generate([BatchRequest(prompt, config)])
             assert result.sequences[0] == generate(model, prompt, config)
-        assert generator.stats.prefix_hits == len(prompts) - 1
+        assert generator.prefix_cache.stats.hits == len(prompts) - 1
 
     def test_identical_when_budget_trims_tails_mid_sweep(
         self, model, shared_header_prompts
@@ -843,7 +830,7 @@ class TestPrefixEquivalence:
             assert cache.stats.bytes <= budget
         assert cache.stats.oversized == 0
         assert cache.stats.evictions > 0
-        assert generator.stats.prefix_hits > 0
+        assert cache.stats.hits > 0
 
     def test_n_choices_after_split_of_cached_header(
         self, model, shared_header_prompts
@@ -867,9 +854,8 @@ class TestPrefixEquivalence:
         client = CompletionClient(hub)
         client.complete_batch("tiny-gpt", PROMPTS, max_tokens=4)
         client.complete_batch("tiny-gpt", PROMPTS, max_tokens=4)
-        stats = client.engine_stats("tiny-gpt")
-        assert stats.prefix_hits >= len(PROMPTS)  # second sweep fully cached
         cache_before = client.prefix_cache("tiny-gpt")
+        assert cache_before.stats.hits >= len(PROMPTS)  # second sweep fully cached
         entry = hub.get("tiny-gpt")
         hub.register(
             "tiny-gpt",
@@ -951,7 +937,7 @@ class TestContinuousBatching:
         generator = BatchedGenerator(model, prefix_cache=PrefixCache())
         results = generator.generate_continuous(requests, max_active=2)
         assert [r.sequences[0] for r in results] == expected
-        assert generator.stats.prefix_hits > 0
+        assert generator.prefix_cache.stats.hits > 0
 
     def test_scheduler_continuous_matches_barriered(self, model, ragged_prompts):
         config = GenerationConfig(max_new_tokens=6)
@@ -972,12 +958,22 @@ class TestContinuousBatching:
         with pytest.raises(GenerationError):
             BatchedGenerator(model).generate_continuous([], max_active=0)
 
-    def test_client_surfaces_refills(self, hub):
-        client = CompletionClient(hub)
-        client.complete_batch(
+    def test_client_surfaces_refills(self, hub, monkeypatch):
+        """The client's per-call scheduler refills freed slots; its
+        generator is the one home of the refill count."""
+        schedulers = []
+
+        class Recording(BatchScheduler):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                schedulers.append(self)
+
+        monkeypatch.setattr("repro.api.client.BatchScheduler", Recording)
+        CompletionClient(hub).complete_batch(
             "tiny-gpt", PROMPTS, max_tokens=8, max_batch_size=2
         )
-        assert client.engine_stats("tiny-gpt").batch_refills > 0
+        (scheduler,) = schedulers
+        assert scheduler.generator.stats.refills > 0
 
 
 class TestMidStreamCancellation:
@@ -1103,22 +1099,6 @@ class TestQueueWaitAccounting:
         scheduler.run()
         assert scheduler.stats.queue_wait_total == pytest.approx(1.0)
 
-    def test_client_mirrors_queue_wait_seconds(self, hub):
-        clock = VirtualClock()
-        client = CompletionClient(hub, clock=clock)
-        client.complete_batch("tiny-gpt", PROMPTS, max_tokens=4)
-        # On a frozen virtual clock submission and dispatch coincide.
-        assert client.engine_stats("tiny-gpt").queue_wait_seconds == 0.0
-
-    def test_engine_serving_stats_exposes_queue_wait(self, hub):
-        from repro.serving import engine_serving_stats
-
-        client = CompletionClient(hub, clock=VirtualClock())
-        client.complete_batch("tiny-gpt", PROMPTS[:2], max_tokens=4)
-        stats = engine_serving_stats(client, "tiny-gpt")
-        assert "queue_wait_seconds" in stats
-        assert stats["queue_wait_seconds"] == 0.0
-
 
 class TestClientCodexServing:
     @pytest.fixture()
@@ -1219,7 +1199,7 @@ class TestServingStatsSurfaces:
         clock = VirtualClock()
         inner = CompletionClient(hub)
         resilient = ResilientClient(inner, policy=RetryPolicy(), clock=clock)
-        complete_many(resilient, "tiny-gpt", PROMPTS[:2], max_tokens=4)
+        resilient.complete_batch("tiny-gpt", PROMPTS[:2], max_tokens=4)
         stats = engine_serving_stats(resilient, "tiny-gpt")
         assert stats["requests"] == 2.0
 
@@ -1371,19 +1351,16 @@ class TestServingEquivalenceMatrix:
             ]
             for r in requests
         ]
+        cache = PrefixCache() if prefix else None
         scheduler = BatchScheduler(
-            model,
-            max_batch_size=4,
-            continuous=continuous,
-            prefix_cache=PrefixCache() if prefix else None,
+            model, max_batch_size=4, continuous=continuous, prefix_cache=cache
         )
         for _ in range(2):
             tickets = [scheduler.submit(r) for r in requests]
             results = scheduler.run()
             assert [results[t].sequences for t in tickets] == expected
-        stats = scheduler.generator.stats
-        assert (stats.prefix_hits > 0) == prefix
-        assert (stats.refills > 0) == continuous
+        assert cache is None or cache.stats.hits > 0
+        assert (scheduler.generator.stats.refills > 0) == continuous
 
         # The client's per-prompt path is a one-prompt batch: same texts
         # and usage as one complete_batch call.

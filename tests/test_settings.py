@@ -71,9 +71,6 @@ EXCEPTIONS = {
     "repro.tokenizers.wordpiece.WordPieceTokenizer.__init__.lowercase": "set through `cls(**kwargs)` in `tokenizers.serialize.load_tokenizer`, which the pass does not resolve",
     "repro.tokenizers.wordpiece.WordPieceTokenizer.__init__.max_subword_len": "set through `cls(**kwargs)` in `tokenizers.serialize.load_tokenizer`, which the pass does not resolve",
     "repro.training.adapters.inject_adapters.target_names": "backlog",
-    "repro.training.optim.Adam.__init__.betas": "standard optimizer hyperparameter",
-    "repro.training.optim.Adam.__init__.eps": "standard optimizer hyperparameter",
-    "repro.training.optim.Adam.__init__.lr": "set by `AdamW` through `super().__init__(params, lr, betas, eps)`, which the pass does not resolve",
     "repro.training.optim.AdamW.__init__.betas": "standard optimizer hyperparameter",
     "repro.training.optim.AdamW.__init__.eps": "standard optimizer hyperparameter",
     "repro.training.optim.AdamW.__init__.weight_decay": "standard optimizer hyperparameter",
@@ -150,11 +147,21 @@ SYNTHETIC = {
 
         def lonely(flag=False):
             return flag
+
+        class Base:
+            def __init__(self, lr=0.1, eps=1e-8):
+                self.lr, self.eps = lr, eps
+
+        class Child(Base):
+            def __init__(self, lr=0.1):
+                super().__init__(lr)
     """,
     "examples/use.py": """
+        from pkg.mod import Child
         from pkg.rng import SeededRNG
 
         SeededRNG().coin(0.3)
+        Child(lr=0.2)
     """,
     "tests/test_use.py": """
         from pkg.mod import lonely
@@ -178,6 +185,7 @@ def synthetic(tmp_path):
 class TestPass:
     def test_reports_exactly_the_unset_settings(self, synthetic):
         assert sorted(unset_settings(synthetic)) == [
+            "pkg.mod.Base.__init__.eps",
             "pkg.mod.Report.label",
             "pkg.mod.lonely.flag",
         ]
@@ -189,6 +197,11 @@ class TestPass:
         found = unset_settings(synthetic)
         assert "pkg.mod.forward.a" not in found
         assert "pkg.mod.forward.b" not in found
+
+    def test_super_init_sets_the_base_class_parameters(self, synthetic):
+        found = unset_settings(synthetic)
+        assert "pkg.mod.Base.__init__.lr" not in found
+        assert "pkg.mod.Base.__init__.eps" in found  # not passed on
 
     def test_stats_classes_and_written_fields_are_exempt(self, synthetic):
         found = unset_settings(synthetic)
@@ -206,14 +219,15 @@ class TestPass:
         exceptions = synthetic / "tests" / "test_settings.py"
         exceptions.write_text(
             'EXCEPTIONS = {"pkg.mod.Report.label": "backlog", '
-            '"pkg.mod.lonely.flag": "test hook"}\n',
+            '"pkg.mod.lonely.flag": "test hook", "pkg.mod.Base.__init__.eps": "backlog"}\n',
             encoding="utf-8",
         )
         assert main([str(synthetic)]) == 0
-        assert "1 on the backlog, 1 justified, 0 unlisted, 0 stale" in capsys.readouterr().out
+        assert "2 on the backlog, 1 justified, 0 unlisted, 0 stale" in capsys.readouterr().out
         exceptions.write_text(
             'EXCEPTIONS = {"pkg.mod.Report.label": "backlog", '
-            '"pkg.mod.lonely.flag": "test hook", "pkg.mod.gone.x": "backlog"}\n',
+            '"pkg.mod.lonely.flag": "test hook", "pkg.mod.Base.__init__.eps": "backlog", '
+            '"pkg.mod.gone.x": "backlog"}\n',
             encoding="utf-8",
         )
         assert main([str(synthetic)]) == 1
