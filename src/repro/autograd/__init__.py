@@ -3,13 +3,14 @@
 This is the numerical substrate for every model in the library: a
 :class:`Tensor` records the operations applied to it and :meth:`Tensor.backward`
 propagates gradients through the recorded graph. It supports everything a
-Transformer needs — batched matmul, broadcasting arithmetic, softmax,
+Transformer needs — batched matmul, broadcasting arithmetic, attention,
 layer normalization, linear layers, GELU, embedding gather — and is
 validated against finite differences in the test suite.
 """
 
 from repro.autograd.tensor import Tensor, no_grad
 from repro.autograd.functional import (
+    attention,
     cross_entropy,
     embedding,
     gelu,
@@ -18,7 +19,6 @@ from repro.autograd.functional import (
     log_softmax,
     relu,
     sigmoid,
-    softmax,
     tanh,
     concat,
 )
@@ -26,7 +26,7 @@ from repro.autograd.functional import (
 __all__ = [
     "Tensor",
     "no_grad",
-    "softmax",
+    "attention",
     "log_softmax",
     "cross_entropy",
     "layer_norm",

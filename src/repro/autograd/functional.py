@@ -1,8 +1,8 @@
 """Differentiable functions built on :class:`~repro.autograd.tensor.Tensor`.
 
 Ops with simple gradients are composed from tensor primitives; ops on the
-hot path of a Transformer (softmax, cross-entropy, embedding, layer norm,
-linear, GELU) are one graph node each, with a hand-written backward
+hot path of a Transformer (attention, cross-entropy, embedding, layer
+norm, linear, GELU) are one graph node each, with a hand-written backward
 closure for speed and numerical stability.
 """
 
@@ -17,18 +17,8 @@ from repro.autograd.tensor import Tensor, unbroadcast
 
 _SQRT_2_OVER_PI = float(np.sqrt(2.0 / np.pi))
 
-
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stable softmax along ``axis``."""
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    exp = np.exp(shifted)
-    out_data = exp / exp.sum(axis=axis, keepdims=True)
-
-    def backward(grad: np.ndarray) -> None:
-        dot = (grad * out_data).sum(axis=axis, keepdims=True)
-        x._accumulate((grad - dot) * out_data)
-
-    return x._make(out_data, (x,), backward)
+#: the score written into blocked attention positions before the softmax
+NEG_INF = -1e9
 
 
 def log_softmax(x: Tensor) -> Tensor:
@@ -148,6 +138,67 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
             bias._accumulate(rows.sum(axis=0))
 
     return x._make(out_data, parents, backward)
+
+
+def split_qkv(qkv: np.ndarray, num_heads: int) -> Tuple[np.ndarray, ...]:
+    """Views of a fused (B, T, 3D) projection as q, k, v of (B, H, T, D/H)."""
+    batch, seq, width = qkv.shape
+    heads = qkv.reshape(batch, seq, 3, num_heads, width // (3 * num_heads))
+    return tuple(heads.transpose(2, 0, 3, 1, 4))
+
+
+def attention_parts(
+    q: np.ndarray, k: np.ndarray, v: np.ndarray, blocked: Optional[np.ndarray]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Scaled dot-product attention: ``(context, weights)`` of plain arrays.
+
+    ``q`` is (B, H, T, D/H), ``k``/``v`` are (B, H, S, D/H), ``blocked``
+    (True = hidden key) broadcasts to (B, H, T, S). ``context`` is merged
+    to (B, T, D); ``weights`` (B, H, T, S) read exactly 0 at blocked keys
+    of any row with an open key. :func:`attention` and
+    ``MultiHeadAttention.incremental`` both run this.
+    """
+    batch, heads, seq, head_dim = q.shape
+    scores = (q @ k.transpose(0, 1, 3, 2)) / np.sqrt(head_dim)
+    if blocked is not None:
+        scores = np.where(blocked, NEG_INF, scores)
+    scores -= scores.max(axis=-1, keepdims=True)
+    weights = np.exp(scores, out=scores)
+    weights /= weights.sum(axis=-1, keepdims=True)
+    context = (weights @ v).transpose(0, 2, 1, 3).reshape(batch, seq, heads * head_dim)
+    return context, weights
+
+
+def attention(
+    qkv: Tensor, num_heads: int, blocked: Optional[np.ndarray]
+) -> Tuple[Tensor, np.ndarray]:
+    """:func:`attention_parts` over a fused (B, T, 3D) projection, as one node.
+
+    The analytic backward, with ``g`` the context gradient per head:
+    ``dv = w^T g``, ``ds = w * (g v^T - rowsum(w * g v^T))`` (zero where
+    blocked), ``dq = ds k / sqrt(d)`` and ``dk = ds^T q / sqrt(d)``.
+    """
+    q, k, v = split_qkv(qkv.data, num_heads)
+    out_data, weights = attention_parts(q, k, v, blocked)
+
+    def backward(grad: np.ndarray) -> None:
+        batch, heads, seq, head_dim = q.shape
+        g = grad.reshape(batch, seq, heads, head_dim).transpose(0, 2, 1, 3)
+        d_weights = g @ v.transpose(0, 1, 3, 2)
+        d_scores = weights * (
+            d_weights - (d_weights * weights).sum(axis=-1, keepdims=True)
+        )
+        if blocked is not None:
+            d_scores = np.where(blocked, 0.0, d_scores)
+        d_scores /= np.sqrt(head_dim)
+        d_qkv = np.empty(qkv.shape)
+        d_q, d_k, d_v = split_qkv(d_qkv, num_heads)
+        d_q[...] = d_scores @ k
+        d_k[...] = d_scores.transpose(0, 1, 3, 2) @ q
+        d_v[...] = weights.transpose(0, 1, 3, 2) @ g
+        qkv._accumulate(d_qkv)
+
+    return qkv._make(out_data, (qkv,), backward), weights
 
 
 def embedding(weight: Tensor, ids: np.ndarray) -> Tensor:

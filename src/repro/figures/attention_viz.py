@@ -22,11 +22,10 @@ def attention_matrix(
     model: Union[GPTModel, BERTModel],
     tokenizer: Tokenizer,
     text: str,
-    head: int = 0,
 ) -> tuple[List[str], np.ndarray]:
     """Run ``text`` through the model; return (tokens, attention T x T).
 
-    The weights are those of the last layer's head ``head``.
+    The weights are those of the last layer's first head.
     """
     encoding = tokenizer.encode(text)
     if not encoding.ids:
@@ -37,12 +36,8 @@ def attention_matrix(
     with no_grad():
         model.encode(ids)
     attention = model.stack.blocks[-1].attn.last_attention
-    if attention is None:
-        raise ModelError("no attention recorded; run a forward pass first")
-    if not 0 <= head < attention.shape[1]:
-        raise ModelError(f"head {head} out of range [0, {attention.shape[1]})")
     tokens = [tokenizer.vocab.token_of(i) for i in encoding.ids]
-    return tokens, attention[0, head]
+    return tokens, attention[0, 0]
 
 
 def render_attention(

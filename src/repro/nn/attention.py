@@ -1,9 +1,10 @@
 """Scaled dot-product multi-head attention (the heart of the Transformer).
 
-The implementation follows "Attention Is All You Need": queries, keys and
-values are linear projections of the input, split into heads, attended
-with scaled dot products, re-merged and projected out. Causal and padding
-masks are boolean numpy arrays (True = *blocked* position).
+As in "Attention Is All You Need": one fused linear projection of the
+input gives queries, keys and values, which are split into heads,
+attended by :func:`repro.autograd.functional.attention_parts`, re-merged
+and projected out. Causal and padding masks are boolean numpy arrays
+(True = *blocked* position).
 """
 
 from __future__ import annotations
@@ -19,13 +20,10 @@ from repro.nn.layers import Linear
 from repro.nn.module import Module
 from repro.utils.rng import SeededRNG
 
-NEG_INF = -1e9
-
-# One cached upper-triangular mask, grown geometrically and sliced per
-# request: every (seq, cached_len) mask shape used by full forwards,
-# chunked prefill, and decode steps is a view into this triangle, so the
-# hot path never rebuilds a boolean matrix per forward. The cache is
-# read-only; callers that need to mutate must copy.
+# One cached upper-triangular mask, grown geometrically: every causal
+# mask a forward, prefill or decode step uses is a read-only view into
+# it, so the hot path never rebuilds a boolean matrix. Callers that need
+# to mutate must copy.
 _MASK_CAPACITY = 0
 _MASK: Optional[np.ndarray] = None
 
@@ -81,15 +79,20 @@ class MultiHeadAttention(Module):
         super().__init__()
         if dim % num_heads != 0:
             raise ModelError(f"dim {dim} must be divisible by num_heads {num_heads}")
-        self.dim = dim
         self.num_heads = num_heads
         self.head_dim = dim // num_heads
         self.causal = causal
-        self.query = Linear(dim, dim, rng.spawn("q"))
-        self.key = Linear(dim, dim, rng.spawn("k"))
-        self.value = Linear(dim, dim, rng.spawn("v"))
+        # Column blocks [q | k | v], each the Xavier draw of a separate
+        # (D, D) projection, so the fused layer starts as unfused Q, K, V.
+        self.qkv = Linear(dim, 3 * dim, rng.spawn("qkv"))
+        self.qkv.weight.data = np.concatenate(
+            [Linear(dim, dim, rng.spawn(name)).weight.data for name in "qkv"],
+            axis=1,
+        )
         self.out = Linear(dim, dim, rng.spawn("o"))
-        self._last_attention: Optional[np.ndarray] = None
+        #: weights (B, H, T, S) of the latest :meth:`forward` or
+        #: :meth:`incremental` call, for introspection
+        self.last_attention: Optional[np.ndarray] = None
 
     def forward(
         self, x: Tensor, attention_mask: Optional[np.ndarray] = None
@@ -101,40 +104,14 @@ class MultiHeadAttention(Module):
             attention_mask: optional (batch, seq) array of 1s (keep) and
                 0s (padding) in the HuggingFace convention.
         """
-        batch, seq, _ = x.shape
-        q = self._split_heads(self.query(x), batch, seq)
-        k = self._split_heads(self.key(x), batch, seq)
-        v = self._split_heads(self.value(x), batch, seq)
-
-        scores = (q @ k.transpose(0, 1, 3, 2)) * (1.0 / np.sqrt(self.head_dim))
-        blocked = np.zeros((batch, 1, seq, seq), dtype=bool)
-        if self.causal:
-            blocked = blocked | causal_mask(seq)[None, None, :, :]
+        blocked = causal_mask(x.shape[1]) if self.causal else None
         if attention_mask is not None:
-            blocked = blocked | padding_mask(attention_mask)
-        scores = scores.masked_fill(blocked, NEG_INF)
-
-        weights = F.softmax(scores, axis=-1)
-        self._last_attention = weights.data
-        context = weights @ v
-        merged = context.transpose(0, 2, 1, 3).reshape(batch, seq, self.dim)
-        return self.out(merged)
-
-    def _split_heads(self, x: Tensor, batch: int, seq: int) -> Tensor:
-        """(B, T, D) -> (B, H, T, D/H), for a Tensor or a plain array."""
-        return x.reshape(batch, seq, self.num_heads, self.head_dim).transpose(
-            0, 2, 1, 3
+            padded = padding_mask(attention_mask)
+            blocked = padded if blocked is None else blocked | padded
+        context, self.last_attention = F.attention(
+            self.qkv(x), self.num_heads, blocked
         )
-
-    @property
-    def last_attention(self) -> Optional[np.ndarray]:
-        """Attention weights of the most recent forward pass (B, H, T, S).
-
-        Recorded by both the full :meth:`forward` and the cached
-        :meth:`incremental` path, so introspection never returns stale
-        weights from a previous non-cached call.
-        """
-        return self._last_attention
+        return self.out(context)
 
     def incremental(
         self,
@@ -145,47 +122,28 @@ class MultiHeadAttention(Module):
         write_cols: object,
         kv_len: int,
     ) -> np.ndarray:
-        """Attend new positions against cached keys/values.
+        """Graph-free attention of new positions over cached keys/values.
 
-        Inference-only, graph-free fast path for autoregressive decoding:
-        ``x`` is a plain (B, T, D) array of the new positions — a single
-        decode step (T = 1) or a prompt-prefill chunk (T > 1, with
-        ``blocked`` carrying the in-chunk causal mask) — and the result
-        is a plain (B, T, D) array. No autograd graph is built. The
-        projections run through each Linear's ``infer`` kernel, so the
-        output is bit-identical to the Tensor ops of :meth:`forward`'s
-        projections.
-
-        ``cache["k"]``/``"v"`` are preallocated slabs of shape
-        (B, H, capacity, D/H) that accumulate this layer's K/V across
-        steps, so earlier positions are never recomputed. The new K/V
-        are written at ``write_cols`` (a ``slice`` of columns shared by
-        every row, or a per-row int array for a ragged decode step with
-        T = 1) and only the first ``kv_len`` key columns are attended.
-        ``blocked`` is a boolean mask broadcastable to (B, H, T, kv_len),
-        True = position blocked (causal future, padding, or another
-        row's slots).
+        ``x`` is a plain (B, T, D) array: a prefill (T > 1, ``blocked``
+        carrying its causal mask) or a decode step (T = 1). It runs the
+        kernels :meth:`forward` records, ``qkv.infer`` and
+        :func:`F.attention_parts`, so both paths agree bit for bit. The
+        new K/V go into the (B, H, capacity, D/H) slabs
+        ``cache["k"]``/``"v"`` at ``write_cols`` (a ``slice`` shared by
+        every row, or a per-row int array when T = 1), and the first
+        ``kv_len`` columns are attended. ``blocked`` broadcasts to
+        (B, H, T, kv_len), True = hidden (causal future, padding, or
+        another row's slots).
         """
-        batch, seq, _ = x.shape
-        q = self._split_heads(self.query.infer(x), batch, seq)
-        k = self._split_heads(self.key.infer(x), batch, seq)
-        v = self._split_heads(self.value.infer(x), batch, seq)
+        q, k, v = F.split_qkv(self.qkv.infer(x), self.num_heads)
         if isinstance(write_cols, slice):
             cache["k"][:, :, write_cols] = k
             cache["v"][:, :, write_cols] = v
         else:
-            rows = np.arange(batch)
+            rows = np.arange(len(x))
             cache["k"][rows, :, write_cols] = k[:, :, 0]
             cache["v"][rows, :, write_cols] = v[:, :, 0]
-        keys, values = cache["k"][:, :, :kv_len], cache["v"][:, :, :kv_len]
-
-        scores = (q @ keys.transpose(0, 1, 3, 2)) / np.sqrt(self.head_dim)
-        if blocked is not None:
-            scores = np.where(blocked, NEG_INF, scores)
-        shifted = scores - scores.max(axis=-1, keepdims=True)
-        weights = np.exp(shifted)
-        weights = weights / weights.sum(axis=-1, keepdims=True)
-        self._last_attention = weights
-        context = weights @ values
-        merged = context.transpose(0, 2, 1, 3).reshape(batch, seq, self.dim)
-        return self.out.infer(merged)
+        context, self.last_attention = F.attention_parts(
+            q, cache["k"][:, :, :kv_len], cache["v"][:, :, :kv_len], blocked
+        )
+        return self.out.infer(context)

@@ -184,10 +184,6 @@ class GatewayStats:
 
     submitted: int = 0
     admitted: int = 0
-    #: answered from the semantic cache before admission — these never
-    #: count as ``admitted`` (no queue slot, no quota token, no decode),
-    #: so the settlement identity over admitted requests is unaffected.
-    cache_hits: int = 0
     completed: int = 0
     cancelled: int = 0
     failed: int = 0
@@ -382,7 +378,6 @@ class Gateway:
         hit = self.completion_cache.lookup(key)
         if hit is None:
             return None
-        self.stats.cache_hits += 1
         now = self.clock.monotonic()
         ticket = _Ticket(
             id=self._next_id,

@@ -3,16 +3,17 @@
 Section 2.3 of the tutorial cites parameter-efficient transfer learning
 [28] as the way fine-tuning keeps its cost low: instead of updating all
 weights, train a small number of new parameters against a frozen
-backbone. This module implements the low-rank-update variant: every
-selected :class:`~repro.nn.layers.Linear` gets a trainable ``B @ A``
-bypass (rank ``r``), the original weight stays frozen, and
+backbone. This module implements the low-rank-update variant: each
+block's fused attention projection ``qkv`` (a
+:class:`~repro.nn.layers.Linear`) gets a trainable ``B @ A`` bypass
+(rank ``r``), the original weight stays frozen, and
 :func:`merge_adapters` folds the update back in for zero-overhead
 inference.
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List
 
 import numpy as np
 
@@ -71,16 +72,13 @@ class LoRALinear(Module):
 
 
 def inject_adapters(
-    model: Module,
-    rank: int = 4,
-    target_names: Tuple[str, ...] = ("query", "value"),
-    seed: int = 0,
+    model: Module, rank: int = 4, seed: int = 0
 ) -> List[LoRALinear]:
-    """Replace selected Linear submodules with LoRA-wrapped versions.
+    """Wrap every fused attention projection (a Linear named ``qkv``) in LoRA.
 
-    ``target_names`` selects which attribute names get adapters (the
-    LoRA default adapts attention Q and V projections). Every other
-    parameter of the model is frozen. Returns the injected adapters.
+    One adapter per block covers Q, K and V at once (as PEFT's ``c_attn``
+    target does for GPT-2). Every other parameter of the model is
+    frozen. Returns the injected adapters.
     """
     rng = SeededRNG(seed)
     # Freeze everything first; adapters then re-introduce trainables.
@@ -91,7 +89,7 @@ def inject_adapters(
 
     def visit(module: Module, prefix: str) -> None:
         for name, child in list(module._modules.items()):
-            if isinstance(child, Linear) and name in target_names:
+            if isinstance(child, Linear) and name == "qkv":
                 adapter = LoRALinear(child, rank, rng.spawn(f"{prefix}{name}"))
                 setattr(module, name, adapter)
                 adapters.append(adapter)
@@ -100,9 +98,7 @@ def inject_adapters(
 
     visit(model, prefix="")
     if not adapters:
-        raise TrainingError(
-            f"no Linear submodules named {target_names} found to adapt"
-        )
+        raise TrainingError("no Linear submodule named 'qkv' found to adapt")
     return adapters
 
 

@@ -6,7 +6,7 @@ import pytest
 from repro.autograd import Tensor
 from repro.errors import TrainingError
 from repro.models import BERTModel, GPTModel, ModelConfig, SequenceClassifier
-from repro.nn.layers import Linear
+from repro.nn import FeedForward, Linear
 from repro.training import (
     LabeledExample,
     evaluate_classifier,
@@ -51,17 +51,21 @@ class TestLoRALinear:
 class TestInjection:
     def test_adapters_replace_targets(self, model):
         adapters = inject_adapters(model, rank=2, seed=0)
-        # Two adapters (query, value) per layer.
-        assert len(adapters) == 2 * model.config.num_layers
+        # One adapter per layer, on the fused Q/K/V projection.
+        assert len(adapters) == model.config.num_layers
         first_block = model.stack.blocks[0]
-        assert isinstance(first_block.attn.query, LoRALinear)
-        assert isinstance(first_block.attn.key, Linear)
+        assert isinstance(first_block.attn.qkv, LoRALinear)
+        assert isinstance(first_block.attn.out, Linear)
 
     def test_trainable_count_drops_dramatically(self, model):
         total = model.num_parameters()
         inject_adapters(model, rank=2, seed=0)
         trainable = trainable_parameter_count(model)
         assert 0 < trainable < total * 0.15
+        # A (D, r) and (r, 3D) pair per block: as many as separate
+        # rank-r adapters on two (D, D) projections.
+        dim = model.config.dim
+        assert trainable == model.config.num_layers * 2 * (dim * 2 + 2 * dim)
 
     def test_forward_unchanged_at_init(self, model):
         ids = np.array([[1, 2, 3, 4]])
@@ -70,9 +74,9 @@ class TestInjection:
         after = model(ids).data
         np.testing.assert_allclose(before, after, atol=1e-12)
 
-    def test_no_targets_raises(self, model):
+    def test_no_targets_raises(self):
         with pytest.raises(TrainingError):
-            inject_adapters(model, rank=2, target_names=("nonexistent",))
+            inject_adapters(FeedForward(8, 16, SeededRNG(0)), rank=2)
 
 
 class TestMerge:
@@ -86,7 +90,7 @@ class TestMerge:
         merged = merge_adapters(model)
         assert merged == len(adapters)
         np.testing.assert_allclose(model(ids).data, adapted, atol=1e-10)
-        assert isinstance(model.stack.blocks[0].attn.query, Linear)
+        assert isinstance(model.stack.blocks[0].attn.qkv, Linear)
 
 
 class TestAdapterFinetuning:

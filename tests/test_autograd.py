@@ -7,6 +7,7 @@ import pytest
 
 from repro.autograd import (
     Tensor,
+    attention,
     concat,
     cross_entropy,
     embedding,
@@ -17,9 +18,9 @@ from repro.autograd import (
     no_grad,
     relu,
     sigmoid,
-    softmax,
     tanh,
 )
+from repro.autograd.functional import attention_parts
 from repro.errors import ShapeError
 from repro.training.optim import SGD
 
@@ -181,19 +182,35 @@ class TestBasicOps:
 
 class TestFunctional:
     def test_softmax_rows_sum_to_one(self):
-        x = Tensor(np.random.default_rng(0).normal(size=(3, 7)))
-        out = softmax(x)
-        np.testing.assert_allclose(out.data.sum(axis=-1), np.ones(3))
-
-    def test_softmax_grad(self):
-        rng = np.random.default_rng(4)
-        w = rng.normal(size=(5,))
-        check_gradient(lambda t: (softmax(t) * Tensor(w)).sum(), (3, 5))
+        q, k, v = np.random.default_rng(0).normal(size=(3, 2, 2, 3, 4))
+        _, weights = attention_parts(q, k, v, None)
+        np.testing.assert_allclose(weights.sum(axis=-1), np.ones((2, 2, 3)))
 
     def test_softmax_stability_large_values(self):
-        x = Tensor(np.array([[1000.0, 1000.0, 999.0]]))
-        out = softmax(x)
-        assert np.isfinite(out.data).all()
+        # Head size 1 and a unit query: the scores are the keys themselves.
+        keys = np.array([1000.0, 1000.0, 999.0]).reshape(1, 1, 3, 1)
+        _, weights = attention_parts(np.ones((1, 1, 1, 1)), keys, keys, None)
+        assert np.isfinite(weights).all()
+
+    @pytest.mark.parametrize("masks", ["causal", "padding", "both"])
+    def test_attention_grad(self, masks):
+        """Finite differences of the one attention node, masks included.
+
+        Row 1 is right-padded; under ``both``, row 0 is left-padded, so
+        its first query sees no key at all and must get no gradient.
+        """
+        batch, seq, heads, head_dim = 2, 4, 2, 3
+        blocked = np.zeros((batch, 1, seq, seq), dtype=bool)
+        if masks != "padding":
+            blocked |= np.triu(np.ones((seq, seq), dtype=bool), k=1)
+        if masks != "causal":
+            keep = np.array([[0, 1, 1, 1] if masks == "both" else [1] * 4, [1, 1, 1, 0]])
+            blocked |= (keep == 0)[:, None, None, :]
+        w = np.random.default_rng(12).normal(size=(batch, seq, heads * head_dim))
+        x = np.random.default_rng(13).normal(size=(batch, seq, 3 * heads * head_dim))
+        check_gradient_at(
+            lambda t: (attention(t, heads, blocked)[0] * Tensor(w)).sum(), x
+        )
 
     def test_log_softmax_grad(self):
         rng = np.random.default_rng(5)

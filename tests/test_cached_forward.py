@@ -1,7 +1,8 @@
 """The graph-free cached forward: kernels, decode identity, structure.
 
 Every module on the KV-cached path (``GPTModel.encode_chunk`` down to
-the attention projections) runs an ``infer`` kernel on plain arrays.
+the attention itself) runs a graph-free kernel on plain arrays: ``infer``,
+or ``incremental`` for attention.
 The autograd ``forward`` is the oracle: each kernel must equal it bit
 for bit, greedy cached decode must equal ``generate(use_cache=False)``,
 and one ``encode_chunk`` must build a fixed handful of Tensors however
@@ -22,12 +23,12 @@ from repro.api import CompletionClient, ModelHub
 from repro.autograd import Tensor, no_grad
 from repro.generation import GenerationConfig, generate
 from repro.models import GPTModel, ModelConfig
-from repro.nn import FeedForward, LayerNorm, Linear
+from repro.nn import FeedForward, LayerNorm, Linear, MultiHeadAttention, causal_mask
 from repro.serving import BatchRequest, BatchScheduler
 from repro.training.adapters import LoRALinear, inject_adapters
 from repro.utils.rng import SeededRNG
 
-KINDS = ("linear", "linear_nobias", "layernorm", "feedforward", "lora")
+KINDS = ("linear", "linear_nobias", "layernorm", "feedforward", "lora", "attention")
 
 
 def _randomize(module, gen) -> None:
@@ -39,7 +40,10 @@ def _randomize(module, gen) -> None:
 def _kernel_module(kind: str, dim: int, seed: int):
     rng = SeededRNG(seed)
     gen = np.random.default_rng(seed)
-    if kind == "layernorm":
+    if kind == "attention":
+        # Two heads of size dim // 2: 4 to 15, mostly not powers of two.
+        module = MultiHeadAttention(dim, 2, rng, causal=seed % 2 == 0)
+    elif kind == "layernorm":
         module = LayerNorm(dim)
     elif kind == "feedforward":
         module = FeedForward(dim, 2 * dim + 1, rng)
@@ -53,6 +57,19 @@ def _kernel_module(kind: str, dim: int, seed: int):
     return module
 
 
+def _infer(module, x: np.ndarray) -> np.ndarray:
+    """The module's graph-free kernel; attention runs over a fresh K/V slab."""
+    if not isinstance(module, MultiHeadAttention):
+        return module.infer(x)
+    batch, seq, _ = x.shape
+    shape = (batch, module.num_heads, seq, module.head_dim)
+    cache = {"k": np.zeros(shape), "v": np.zeros(shape)}
+    blocked = causal_mask(seq) if module.causal else None
+    return module.incremental(
+        x, cache, blocked, write_cols=slice(0, seq), kv_len=seq
+    )
+
+
 @settings(max_examples=120, deadline=None)
 @given(
     kind=st.sampled_from(KINDS),
@@ -64,6 +81,8 @@ def _kernel_module(kind: str, dim: int, seed: int):
     recording=st.booleans(),
 )
 def test_kernel_equals_autograd_forward(kind, shape, seed, transposed, recording):
+    if kind == "attention":
+        shape = (*shape[:2], 2 * (shape[2] + 3))
     module = _kernel_module(kind, shape[2], seed)
     gen = np.random.default_rng(seed + 1)
     if transposed:
@@ -71,11 +90,11 @@ def test_kernel_equals_autograd_forward(kind, shape, seed, transposed, recording
         x = gen.normal(size=shape[::-1]).transpose(2, 1, 0)
     else:
         x = gen.normal(size=shape)
-    # With recording on, the fused training nodes (one-node LayerNorm and
-    # Linear) build the graph; with it off, no graph is kept.
+    # With recording on, the fused training nodes (one-node LayerNorm,
+    # Linear and attention) build the graph; with it off, no graph is kept.
     with contextlib.nullcontext() if recording else no_grad():
         expected = module(Tensor(x, requires_grad=recording)).data
-    out = module.infer(x)
+    out = _infer(module, x)
     assert isinstance(out, np.ndarray)
     assert np.array_equal(out, expected)
 

@@ -79,13 +79,6 @@ class TestAttentionViz:
         out = render_attention(tiny_bert, word_tokenizer, "the table scans rows")
         assert "attention" in out
 
-    def test_bad_head_raises(self, tiny_gpt, word_tokenizer):
-        from repro.errors import ModelError
-        from repro.figures import attention_matrix
-
-        with pytest.raises(ModelError):
-            attention_matrix(tiny_gpt, word_tokenizer, "the database", head=99)
-
     def test_empty_text_raises(self, tiny_gpt, word_tokenizer):
         from repro.errors import ModelError
         from repro.figures import attention_matrix

@@ -694,7 +694,7 @@ class TestGatewayCompletionCache:
         assert again.sequences == first.sequences
         assert again.replica == "cache"
         assert again.latency == 0.0
-        assert gateway.stats.cache_hits == 1
+        assert gateway.completion_cache.stats.hits == 1
         assert gateway.stats.shed_quota == 1
         # The hit is not admitted work: the settlement ledger balances
         # over decoded requests alone.
@@ -732,5 +732,5 @@ class TestGatewayCompletionCache:
         gateway, (cold, warm) = run_virtual(main(), clock)
         assert [r.sequences for r in cold] == reference
         assert [r.sequences for r in warm] == reference
-        assert gateway.stats.cache_hits == len(prompts)
+        assert gateway.completion_cache.stats.hits == len(prompts)
         assert all(r.replica == "cache" for r in warm)

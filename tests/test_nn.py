@@ -34,7 +34,7 @@ class TestModule:
     def test_nested_registration(self, rng):
         block = TransformerBlock(8, 2, 16, rng)
         names = [n for n, _ in block.named_parameters()]
-        assert any(n.startswith("attn.query.") for n in names)
+        assert any(n.startswith("attn.qkv.") for n in names)
         assert any(n.startswith("ff.up.") for n in names)
 
     def test_num_parameters(self, rng):
@@ -183,7 +183,7 @@ class TestAttention:
         x = Tensor(np.random.default_rng(5).normal(size=(1, 3, 8)), requires_grad=True)
         attn(x).sum().backward()
         assert x.grad is not None
-        assert attn.query.weight.grad is not None
+        assert attn.qkv.weight.grad is not None
 
 
 class TestTransformer:
@@ -208,11 +208,10 @@ class TestTransformer:
     def test_training_graph_size_per_layer(self):
         """One fine-tune step records a fixed, small graph per block.
 
-        Per block: two LayerNorm and six Linear nodes with their 16
-        parameter leaves (24); split heads, scores, scale and its constant,
-        mask, softmax, context and merge (15); GELU; two residual adds.
-        A LayerNorm or Linear composed from primitives again shows up
-        here as extra nodes.
+        Per block: two LayerNorm and four Linear nodes with their 12
+        parameter leaves (18); one attention node; GELU; two residual
+        adds. A LayerNorm, Linear or attention composed from primitives
+        again shows up here as extra nodes.
         """
         from repro.autograd import cross_entropy
         from repro.autograd.tensor import _topological_order
@@ -228,4 +227,4 @@ class TestTransformer:
             logits = GPTModel(config, seed=0)(ids[:, :-1])
             loss = cross_entropy(logits.reshape(-1, 40), ids[:, 1:].reshape(-1))
             counts.append(len(_topological_order(loss)))
-        assert counts[1] - counts[0] == 2 * 42
+        assert counts[1] - counts[0] == 2 * 22

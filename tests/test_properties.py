@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.autograd import Tensor, cross_entropy, softmax
+from repro.autograd import Tensor, cross_entropy
+from repro.autograd.functional import attention_parts
 from repro.sql import Database
 from repro.sql.types import sql_and, sql_not, sql_or
 from repro.tokenizers import Vocabulary, WhitespaceTokenizer
@@ -17,19 +18,33 @@ from repro.utils.rng import SeededRNG
 finite_floats = st.floats(min_value=-50, max_value=50, allow_nan=False)
 
 
+def _attention_weights(scores, blocked=None):
+    """The attention softmax over one query's ``scores``.
+
+    Head size 1 and a unit query make the scaled scores the keys
+    themselves.
+    """
+    keys = np.array(scores, dtype=float).reshape(1, 1, -1, 1)
+    return attention_parts(np.ones((1, 1, 1, 1)), keys, keys, blocked)[1][0, 0, 0]
+
+
 @settings(max_examples=40, deadline=None)
-@given(st.lists(finite_floats, min_size=2, max_size=8))
-def test_softmax_is_a_distribution(values):
-    out = softmax(Tensor(np.array([values])))
-    assert np.all(out.data >= 0)
-    assert out.data.sum() == pytest.approx(1.0)
+@given(st.lists(st.tuples(finite_floats, st.booleans()), min_size=2, max_size=8))
+def test_softmax_is_a_distribution(cells):
+    values = [value for value, _ in cells]
+    blocked = np.array([closed for _, closed in cells])
+    blocked[0] = False  # at least one key stays open
+    weights = _attention_weights(values, blocked)
+    assert np.all(weights >= 0)
+    assert weights.sum() == pytest.approx(1.0)
+    assert np.all(weights[blocked] == 0.0)
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.lists(finite_floats, min_size=2, max_size=8), finite_floats)
 def test_softmax_shift_invariance(values, shift):
-    base = softmax(Tensor(np.array([values]))).data
-    shifted = softmax(Tensor(np.array([values]) + shift)).data
+    base = _attention_weights(values)
+    shifted = _attention_weights(np.array(values) + shift)
     np.testing.assert_allclose(base, shifted, atol=1e-9)
 
 

@@ -41,7 +41,6 @@ EXCEPTIONS = {
     "repro.durability.neural.DurableNeuralDatabase.__init__.crash": "backlog",
     "repro.durability.neural.DurableNeuralDatabase.__init__.initial_facts": "backlog",
     "repro.factcheck.verify.FactChecker.__init__.tolerance": "backlog",
-    "repro.figures.attention_viz.attention_matrix.head": "backlog",
     "repro.miner.search.exhaustive_summary.k": "backlog",
     "repro.models.checkpoint.save_model.crash": "backlog",
     "repro.neuraldb.index.InvertedIndex.candidates.limit": "backlog",
@@ -70,7 +69,6 @@ EXCEPTIONS = {
     "repro.text2sql.translator.LMTranslator.translate.vet": "backlog",
     "repro.tokenizers.wordpiece.WordPieceTokenizer.__init__.lowercase": "set through `cls(**kwargs)` in `tokenizers.serialize.load_tokenizer`, which the pass does not resolve",
     "repro.tokenizers.wordpiece.WordPieceTokenizer.__init__.max_subword_len": "set through `cls(**kwargs)` in `tokenizers.serialize.load_tokenizer`, which the pass does not resolve",
-    "repro.training.adapters.inject_adapters.target_names": "backlog",
     "repro.training.optim.AdamW.__init__.betas": "standard optimizer hyperparameter",
     "repro.training.optim.AdamW.__init__.eps": "standard optimizer hyperparameter",
     "repro.training.optim.AdamW.__init__.weight_decay": "standard optimizer hyperparameter",
