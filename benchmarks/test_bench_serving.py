@@ -23,7 +23,6 @@ import numpy as np
 import pytest
 
 from repro.api import CompletionClient, ModelHub
-from repro.autograd import no_grad
 from repro.generation import GenerationConfig, generate
 from repro.models import GPTModel, ModelConfig
 from repro.nn import chunk_causal_mask
@@ -111,15 +110,14 @@ def test_bench_batch_throughput(benchmark, report_printer, bench_metrics, setup)
 def _token_at_a_time_prefill(model, prompt):
     """The pre-serving priming loop: one forward per prompt token."""
     caches = model.init_cache(1, len(prompt))
-    with no_grad():
-        for position, token in enumerate(prompt):
-            logits = model.forward_chunk(
-                np.array([[token]], dtype=np.int64),
-                np.array([[position]]),
-                caches,
-                write_cols=slice(position, position + 1),
-                kv_len=position + 1,
-            )
+    for position, token in enumerate(prompt):
+        logits = model.forward_chunk(
+            np.array([[token]], dtype=np.int64),
+            np.array([[position]]),
+            caches,
+            write_cols=slice(position, position + 1),
+            kv_len=position + 1,
+        )
     return logits
 
 
@@ -129,15 +127,14 @@ def _chunked_prefill(model, prompt):
 
     length = len(prompt)
     caches = model.init_cache(1, length)
-    with no_grad():
-        return model.forward_chunk(
-            np.array([prompt], dtype=np.int64),
-            np.arange(length)[None, :],
-            caches,
-            blocked=causal_mask(length)[None, None, :, :],
-            write_cols=slice(0, length),
-            kv_len=length,
-        )
+    return model.forward_chunk(
+        np.array([prompt], dtype=np.int64),
+        np.arange(length)[None, :],
+        caches,
+        blocked=causal_mask(length)[None, None, :, :],
+        write_cols=slice(0, length),
+        kv_len=length,
+    )
 
 
 def test_bench_chunked_prefill(report_printer, bench_metrics, setup):
@@ -173,7 +170,7 @@ def test_bench_chunked_prefill(report_printer, bench_metrics, setup):
 
     # Same next-token logits, much less Python/per-step overhead.
     np.testing.assert_allclose(
-        chunk_logits.data[0, -1], slow_logits.data[0, 0], atol=1e-9
+        chunk_logits[0, -1], slow_logits[0, 0], atol=1e-9
     )
     assert chunked * 2.0 <= token_at_a_time
 
@@ -435,7 +432,7 @@ def test_bench_cached_forward(report_printer, bench_metrics):
     hidden = prefill(model, caches)
     assert hidden.shape == (1, FORWARD_CHUNK, FORWARD_DIM)
     full = model(prompt).data[0, -1]
-    last = model.logits_from_hidden(hidden).data[0, -1]
+    last = model.logits_from_hidden(hidden)[0, -1]
     assert int(np.argmax(last)) == int(np.argmax(full))
-    plain_step = model.logits_from_hidden(step(model, caches)).data
+    plain_step = model.logits_from_hidden(step(model, caches))
     assert plain_step.shape == (1, 1, 256)

@@ -84,14 +84,23 @@ def layer_norm_parts(
 
     The one forward both :func:`layer_norm` and ``LayerNorm.infer`` run,
     so the training graph and the cached decode path agree bit for bit.
-    The backward reuses ``normalized`` and ``inv_std``.
+    The backward reuses ``normalized`` and ``inv_std``. Intermediates are
+    updated in place, with each operation's operands as in the textbook
+    formula (only commuted), so every rounding is unchanged.
     """
     inv_n = 1.0 / x.shape[-1]
-    centered = x + -(x.sum(axis=-1, keepdims=True) * inv_n)
-    var = (centered * centered).sum(axis=-1, keepdims=True) * inv_n
-    inv_std = (var + eps) ** -0.5
-    normalized = centered * inv_std
-    return normalized * weight + bias, normalized, inv_std
+    neg_mean = x.sum(axis=-1, keepdims=True)
+    neg_mean *= -inv_n
+    normalized = x + neg_mean
+    out = normalized * normalized
+    inv_std = out.sum(axis=-1, keepdims=True)
+    inv_std *= inv_n
+    inv_std += eps
+    inv_std **= -0.5
+    normalized *= inv_std
+    np.multiply(normalized, weight, out=out)
+    out += bias
+    return out, normalized, inv_std
 
 
 def layer_norm(
@@ -159,9 +168,10 @@ def attention_parts(
     ``MultiHeadAttention.incremental`` both run this.
     """
     batch, heads, seq, head_dim = q.shape
-    scores = (q @ k.transpose(0, 1, 3, 2)) / np.sqrt(head_dim)
+    scores = q @ k.transpose(0, 1, 3, 2)
+    scores /= np.sqrt(head_dim)
     if blocked is not None:
-        scores = np.where(blocked, NEG_INF, scores)
+        np.copyto(scores, NEG_INF, where=blocked)
     scores -= scores.max(axis=-1, keepdims=True)
     weights = np.exp(scores, out=scores)
     weights /= weights.sum(axis=-1, keepdims=True)
@@ -201,15 +211,24 @@ def attention(
     return qkv._make(out_data, (qkv,), backward), weights
 
 
+def gather_rows(table: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Rows of ``table`` (V, D) at integer ``ids`` of any shape.
+
+    Raises :class:`ShapeError` on an id outside ``[0, V)``, which numpy
+    would wrap (negative) or reject with a bare ``IndexError``.
+    """
+    if ids.min(initial=0) < 0 or (ids.size and ids.max() >= table.shape[0]):
+        raise ShapeError(
+            f"embedding ids out of range [0, {table.shape[0]}): "
+            f"min={ids.min()}, max={ids.max()}"
+        )
+    return table[ids]
+
+
 def embedding(weight: Tensor, ids: np.ndarray) -> Tensor:
     """Gather rows of ``weight`` (V, D) by integer ``ids`` of any shape."""
     ids = np.asarray(ids, dtype=np.int64)
-    if ids.min(initial=0) < 0 or (ids.size and ids.max() >= weight.shape[0]):
-        raise ShapeError(
-            f"embedding ids out of range [0, {weight.shape[0]}): "
-            f"min={ids.min()}, max={ids.max()}"
-        )
-    out_data = weight.data[ids]
+    out_data = gather_rows(weight.data, ids)
 
     def backward(grad: np.ndarray) -> None:
         full = np.zeros_like(weight.data)
@@ -251,11 +270,23 @@ def relu(x: Tensor) -> Tensor:
 
 
 def _gelu_parts(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """GELU of a plain array plus its inner tanh (the backward reuses it)."""
+    """GELU of a plain array plus its inner tanh (the backward reuses it).
+
+    ``0.5 * x * (1 + tanh(sqrt(2/pi) * (x + 0.044715 * x*x*x)))``, one
+    operation at a time into two buffers: operands are only commuted,
+    never regrouped, so each rounding is the formula's.
+    """
     # x * x * x, not x**3: numpy sends a non-square integer power of a
     # mixed-sign array through libm pow, 50 to 70 times slower.
-    t = np.tanh(_SQRT_2_OVER_PI * (x + 0.044715 * (x * x * x)))
-    return 0.5 * x * (1.0 + t), t
+    t = x * x
+    t *= x
+    t *= 0.044715
+    t += x
+    t *= _SQRT_2_OVER_PI
+    np.tanh(t, out=t)
+    out = t + 1.0
+    out *= 0.5 * x
+    return out, t
 
 
 def gelu_array(x: np.ndarray) -> np.ndarray:

@@ -96,10 +96,6 @@ class Tensor:
     def _item_error(self) -> float:
         raise ShapeError(f"item() requires a one-element tensor, got shape {self.shape}")
 
-    def numpy(self) -> np.ndarray:
-        """Return the underlying array (not a copy)."""
-        return self.data
-
     def detach(self) -> "Tensor":
         """Return a new tensor sharing data but cut off from the graph."""
         return Tensor(self.data, requires_grad=False)

@@ -140,34 +140,33 @@ def _generate_cached(
     caches = model.init_cache(1, length + config.max_new_tokens)
     generated: List[int] = []
 
-    with no_grad():
-        # Chunked causal prefill: one forward over the whole prompt with
-        # an in-chunk causal mask, instead of priming one token at a time.
-        logits = model.forward_chunk(
-            np.array([prompt_ids], dtype=np.int64),
-            np.arange(length)[None, :],
-            caches,
-            blocked=causal_mask(length)[None, None, :, :],
-            write_cols=slice(0, length),
-            kv_len=length,
-        )
-        next_logits = logits.data[0, -1].copy()
+    # Chunked causal prefill: one forward over the whole prompt with
+    # an in-chunk causal mask, instead of priming one token at a time.
+    logits = model.forward_chunk(
+        np.array([prompt_ids], dtype=np.int64),
+        np.arange(length)[None, :],
+        caches,
+        blocked=causal_mask(length)[None, None, :, :],
+        write_cols=slice(0, length),
+        kv_len=length,
+    )
+    next_logits = logits[0, -1].copy()
 
-        for position in range(length, length + config.max_new_tokens):
-            next_id = _next_token(next_logits, generated, config, constraint, rng)
-            if next_id is None or next_id in config.stop_ids:
-                break
-            generated.append(next_id)
-            if len(generated) == config.max_new_tokens:
-                break  # nothing reads the logits of a last step
-            logits = model.forward_chunk(
-                np.array([[next_id]], dtype=np.int64),
-                np.array([[position]]),
-                caches,
-                write_cols=slice(position, position + 1),
-                kv_len=position + 1,
-            )
-            next_logits = logits.data[0, -1].copy()
+    for position in range(length, length + config.max_new_tokens):
+        next_id = _next_token(next_logits, generated, config, constraint, rng)
+        if next_id is None or next_id in config.stop_ids:
+            break
+        generated.append(next_id)
+        if len(generated) == config.max_new_tokens:
+            break  # nothing reads the logits of a last step
+        logits = model.forward_chunk(
+            np.array([[next_id]], dtype=np.int64),
+            np.array([[position]]),
+            caches,
+            write_cols=slice(position, position + 1),
+            kv_len=position + 1,
+        )
+        next_logits = logits[0, -1].copy()
     return generated
 
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import List, Protocol, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -19,13 +19,6 @@ from repro.utils.text import simple_word_tokenize
 
 #: scorer model width and training sequence length
 DIM, SEQ_LEN = 48, 40
-
-
-class RelevanceScorer(Protocol):
-    """Scores how relevant a fact is to a natural-language goal."""
-
-    def score(self, goal: str, fact: DataFact) -> float:
-        ...
 
 
 class KeywordRelevanceScorer:

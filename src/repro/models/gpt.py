@@ -32,11 +32,12 @@ class GPTModel(TransformerLM):
     ) -> Tensor:
         """Return next-token logits of shape (B, T, vocab)."""
         hidden = self.encode(ids, attention_mask)
-        return self.logits_from_hidden(hidden)
-
-    def logits_from_hidden(self, hidden: Tensor) -> Tensor:
-        """Project hidden states to vocabulary logits (the tied embedding)."""
         return F.linear(hidden, self.token_emb.weight.transpose(1, 0))
+
+    def logits_from_hidden(self, hidden: np.ndarray) -> np.ndarray:
+        """Logits of plain hidden states: the tied-embedding product that
+        :meth:`forward`'s ``F.linear`` runs, without a graph."""
+        return hidden @ self.token_emb.weight.data.T
 
     # -- incremental decoding (KV cache) -----------------------------------
     def init_cache(self, batch_size: int, capacity: int) -> list:
@@ -56,7 +57,7 @@ class GPTModel(TransformerLM):
         *,
         write_cols: object,
         kv_len: int,
-    ) -> Tensor:
+    ) -> np.ndarray:
         """Hidden states for a chunk of new positions, updating the caches.
 
         Inference-only. ``ids`` has shape (B, T) — a whole-prompt (or
@@ -69,25 +70,27 @@ class GPTModel(TransformerLM):
         columns; ``blocked``/``write_cols``/``kv_len`` are forwarded to
         :meth:`repro.nn.MultiHeadAttention.incremental`. A ``kv_len``
         past the caches' capacity, or a write column outside
-        ``[0, kv_len)``, raises :class:`ModelError` before any column is
-        written. Past the embeddings the blocks run graph-free on plain
-        arrays; only the returned hidden state is wrapped in a
-        :class:`Tensor`.
+        ``[0, kv_len)``, raises :class:`ModelError`, and a token id
+        outside the vocabulary :class:`ShapeError`, each before any
+        column is written. No :class:`Tensor` is built: the embedding
+        rows are gathered from the weight arrays, the blocks run on
+        plain arrays, and the result is a plain (B, T, D) array.
         """
         ids = np.asarray(ids, dtype=np.int64)
         if ids.ndim != 2 or ids.shape[1] < 1:
             raise ModelError(f"ids must be 2-D (batch, chunk), got shape {ids.shape}")
-        positions = np.broadcast_to(np.asarray(positions, dtype=np.int64), ids.shape)
+        positions = np.asarray(positions, dtype=np.int64)
         if int(positions.max()) >= self.config.max_seq_len:
             raise ModelError(
                 f"position {int(positions.max())} exceeds max_seq_len "
                 f"{self.config.max_seq_len}"
             )
         _check_cache_bounds(caches, ids.shape[1], write_cols, kv_len)
-        x = (self.token_emb(ids) + self.pos_emb(positions)).data
-        return Tensor(self.stack.incremental(
+        x = F.gather_rows(self.token_emb.weight.data, ids)
+        x += F.gather_rows(self.pos_emb.weight.data, positions)
+        return self.stack.incremental(
             x, caches, blocked=blocked, write_cols=write_cols, kv_len=kv_len
-        ))
+        )
 
     def forward_chunk(
         self,
@@ -98,8 +101,8 @@ class GPTModel(TransformerLM):
         *,
         write_cols: object,
         kv_len: int,
-    ) -> Tensor:
-        """Logits for a chunk of new positions (see :meth:`encode_chunk`)."""
+    ) -> np.ndarray:
+        """Logits (B, T, V) for a chunk of new positions (see :meth:`encode_chunk`)."""
         hidden = self.encode_chunk(
             ids, positions, caches,
             blocked=blocked, write_cols=write_cols, kv_len=kv_len,

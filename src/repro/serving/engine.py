@@ -39,7 +39,6 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.autograd import Tensor, no_grad
 from repro.errors import GenerationError
 from repro.generation.decoding import (
     GenerationConfig,
@@ -255,10 +254,9 @@ class BatchedGenerator:
                     for _, r in pending
                 )
             )
-            with no_grad():
-                self._run_continuous(
-                    pending, capacity, max_active, results, on_step, on_admit
-                )
+            self._run_continuous(
+                pending, capacity, max_active, results, on_step, on_admit
+            )
         return [r for r in results if r is not None]
 
     def _fits(self, request: BatchRequest) -> bool:
@@ -522,8 +520,8 @@ class BatchedGenerator:
             kv_len=longest,
         )
         self.stats.prefill_chunks += 1
-        last = hidden.data[np.arange(rows), prompt_lengths - 1 - first]
-        next_logits = self.model.logits_from_hidden(Tensor(last)).data
+        last = hidden[np.arange(rows), prompt_lengths - 1 - first]
+        next_logits = self.model.logits_from_hidden(last)
         self.stats.prefill_tokens += int((prompt_lengths - reused).sum())
         self._store_prefixes(requests, prompt_lengths, caches)
         return next_logits
@@ -574,7 +572,7 @@ class BatchedGenerator:
             write_cols=lengths,
             kv_len=kv_len,
         )
-        batch.logits = self.model.logits_from_hidden(Tensor(hidden.data[:, 0])).data
+        batch.logits = self.model.logits_from_hidden(hidden[:, 0])
         batch.lengths = lengths + 1
         self.stats.decode_steps += 1
 

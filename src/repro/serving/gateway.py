@@ -677,10 +677,6 @@ class Gateway:
             ticket.future.set_exception(exc)
 
     # -- introspection -----------------------------------------------------
-    def queue_depth(self) -> int:
-        """Requests admitted but not yet dispatched."""
-        return len(self._heap)
-
     def serving_stats(self) -> dict:
         """Gateway counters plus per-replica scheduler rollups."""
         return {

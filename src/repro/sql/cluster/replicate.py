@@ -32,7 +32,6 @@ than ``DurableDatabase.open(replica_dir)``.
 
 from __future__ import annotations
 
-import shutil
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Union
@@ -238,11 +237,6 @@ class ShardReplica:
 
     def close(self) -> None:
         self.wal.close()
-
-    def destroy(self) -> None:
-        """Delete the replica's directory (it is being rebuilt)."""
-        self.wal.close()
-        shutil.rmtree(self.directory, ignore_errors=True)
 
 
 class ShardReplicator:

@@ -225,10 +225,6 @@ class Shard:
         """A read against the primary (fresh, fails when it is dead)."""
         return self._primary_op(lambda: self.primary.execute(sql))
 
-    def stale_query(self, sql: str) -> QueryResult:
-        """A read against the replica's committed state (may trail)."""
-        return self.replica.query(sql)
-
     def replication_lag(self) -> int:
         return self.replicator.lag()
 

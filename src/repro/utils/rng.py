@@ -76,16 +76,6 @@ class SeededRNG:
         """Return a shuffled copy of ``items`` (the input is untouched)."""
         return [items[int(i)] for i in self.permutation(len(items))]
 
-    def weighted_choice(self, items: Sequence[T], weights: Sequence[float]) -> T:
-        """Return one element drawn with the given (unnormalized) weights."""
-        if len(items) != len(weights):
-            raise ValueError("items and weights must have equal length")
-        w = np.asarray(weights, dtype=np.float64)
-        if w.sum() <= 0:
-            raise ValueError("weights must sum to a positive value")
-        idx = self._gen.choice(len(items), p=w / w.sum())
-        return items[int(idx)]
-
     # -- substreams -------------------------------------------------------
     def spawn(self, label: str) -> "SeededRNG":
         """Return an independent RNG derived from this seed and ``label``.

@@ -174,11 +174,6 @@ def generate_error_dataset(
     return examples
 
 
-def error_domains() -> Dict[str, List[str]]:
-    """The gold category -> legal values map (for the rule baseline)."""
-    return {k: list(v) for k, v in _CATEGORY_DOMAINS.items()}
-
-
 # -- imputation ------------------------------------------------------------------
 def generate_imputation_dataset(
     num_examples: int = 120, seed: int = 0
@@ -198,8 +193,3 @@ def generate_imputation_dataset(
             )
         )
     return examples
-
-
-def imputation_classes() -> List[str]:
-    """The label set for categorical imputation."""
-    return sorted(_CATEGORY_DOMAINS)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.autograd import (
     Tensor,
@@ -20,7 +22,13 @@ from repro.autograd import (
     sigmoid,
     tanh,
 )
-from repro.autograd.functional import attention_parts
+from repro.autograd.functional import (
+    _SQRT_2_OVER_PI,
+    NEG_INF,
+    _gelu_parts,
+    attention_parts,
+    layer_norm_parts,
+)
 from repro.errors import ShapeError
 from repro.training.optim import SGD
 
@@ -415,3 +423,67 @@ class TestGraphMechanics:
             y = y + 0.0
         y.backward()
         np.testing.assert_array_equal(x.grad, [1.0])
+
+
+# -- the shared kernels keep every bit of the textbook formulas ---------------
+def _layer_norm_formula(x, weight, bias, eps):
+    inv_n = 1.0 / x.shape[-1]
+    centered = x + -(x.sum(axis=-1, keepdims=True) * inv_n)
+    var = (centered * centered).sum(axis=-1, keepdims=True) * inv_n
+    inv_std = (var + eps) ** -0.5
+    normalized = centered * inv_std
+    return normalized * weight + bias, normalized, inv_std
+
+
+def _gelu_formula(x):
+    t = np.tanh(_SQRT_2_OVER_PI * (x + 0.044715 * (x * x * x)))
+    return 0.5 * x * (1.0 + t), t
+
+
+def _attention_formula(q, k, v, blocked):
+    batch, heads, seq, head_dim = q.shape
+    scores = (q @ k.transpose(0, 1, 3, 2)) / np.sqrt(head_dim)
+    if blocked is not None:
+        scores = np.where(blocked, NEG_INF, scores)
+    scores = scores - scores.max(axis=-1, keepdims=True)
+    weights = np.exp(scores)
+    weights = weights / weights.sum(axis=-1, keepdims=True)
+    context = (weights @ v).transpose(0, 2, 1, 3).reshape(batch, seq, heads * head_dim)
+    return context, weights
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    shape=st.tuples(st.integers(1, 3), st.integers(1, 6), st.integers(1, 16)),
+    heads=st.integers(1, 3),
+    extra_keys=st.integers(0, 5),
+    log_scale=st.floats(-3.0, 3.0),
+    masked=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_kernels_equal_textbook_formulas(shape, heads, extra_keys, log_scale, masked, seed):
+    """``layer_norm_parts``, ``_gelu_parts`` and ``attention_parts`` work
+    in place, but each returned array equals the formula's bit for bit,
+    at magnitudes from 1e-3 to 1e3 and with or without a blocked mask."""
+    gen = np.random.default_rng(seed)
+    scale = 10.0**log_scale
+    x = gen.normal(size=shape) * scale
+    x_before = x.copy()
+    weight, bias = gen.normal(size=(2, shape[-1]))
+    for got, want in zip(
+        layer_norm_parts(x, weight, bias, 1e-5), _layer_norm_formula(x, weight, bias, 1e-5)
+    ):
+        assert np.array_equal(got, want)
+    for got, want in zip(_gelu_parts(x), _gelu_formula(x)):
+        assert np.array_equal(got, want)
+    assert np.array_equal(x, x_before)  # the input is never written
+
+    batch, seq, head_dim = shape
+    keys = seq + extra_keys
+    q = gen.normal(size=(batch, heads, seq, head_dim)) * scale
+    k, v = gen.normal(size=(2, batch, heads, keys, head_dim)) * scale
+    blocked = gen.random((batch, 1, seq, keys)) < 0.4 if masked else None
+    for got, want in zip(
+        attention_parts(q, k, v, blocked), _attention_formula(q, k, v, blocked)
+    ):
+        assert np.array_equal(got, want)

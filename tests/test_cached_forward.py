@@ -5,8 +5,8 @@ the attention itself) runs a graph-free kernel on plain arrays: ``infer``,
 or ``incremental`` for attention.
 The autograd ``forward`` is the oracle: each kernel must equal it bit
 for bit, greedy cached decode must equal ``generate(use_cache=False)``,
-and one ``encode_chunk`` must build a fixed handful of Tensors however
-deep the model is.
+and ``encode_chunk``/``forward_chunk`` must build no Tensor at all,
+however deep the model is.
 """
 
 from __future__ import annotations
@@ -126,8 +126,7 @@ def test_cached_greedy_decode_equals_recompute(layers, heads, head_dim, lengths,
 
 
 class TestStructure:
-    @staticmethod
-    def _tensors_built(monkeypatch, model) -> int:
+    def test_cached_forward_builds_no_tensors(self, monkeypatch):
         built = []
         original = Tensor.__init__
 
@@ -135,31 +134,73 @@ class TestStructure:
             built.append(1)
             original(self, *args, **kwargs)
 
-        caches = model.init_cache(1, 8)
-        ids = np.arange(1, 9)[None, :]
-        blocked = np.triu(np.ones((8, 8), dtype=bool), k=1)[None, None]
-        monkeypatch.setattr(Tensor, "__init__", counting)
-        try:
-            hidden = model.encode_chunk(
-                ids, np.arange(8)[None, :], caches, blocked=blocked,
-                write_cols=slice(0, 8), kv_len=8,
-            )
-        finally:
-            monkeypatch.undo()
-        assert isinstance(hidden, Tensor) and hidden.shape == (1, 8, model.config.dim)
-        return len(built)
+        for layers in (2, 12):
+            model = GPTModel(ModelConfig(vocab_size=20, num_layers=layers), seed=0)
+            caches = model.init_cache(1, 9)
+            monkeypatch.setattr(Tensor, "__init__", counting)
+            try:
+                hidden = model.encode_chunk(
+                    np.arange(1, 9)[None, :], np.arange(8)[None, :], caches,
+                    blocked=causal_mask(8)[None, None],
+                    write_cols=slice(0, 8), kv_len=8,
+                )
+                logits = model.forward_chunk(
+                    np.array([[3]]), np.array([[8]]), caches,
+                    write_cols=np.array([8]), kv_len=9,
+                )
+            finally:
+                monkeypatch.undo()
+            # Embedding gather, blocks, final norm and LM head all run
+            # on plain arrays, however deep the model is.
+            assert built == []
+            assert type(hidden) is np.ndarray
+            assert hidden.shape == (1, 8, model.config.dim)
+            assert type(logits) is np.ndarray and logits.shape == (1, 1, 20)
 
-    def test_tensor_count_independent_of_depth(self, monkeypatch):
-        counts = [
-            self._tensors_built(
-                monkeypatch,
-                GPTModel(ModelConfig(vocab_size=20, num_layers=layers), seed=0),
-            )
-            for layers in (2, 12)
-        ]
-        # The two embedding lookups, their sum, and the returned hidden
-        # state; the blocks themselves build none.
-        assert counts[0] == counts[1] <= 4
+
+@pytest.mark.parametrize(
+    "dim, heads, layers",
+    [(48, 3, 2), (64, 4, 12)],
+    ids=["translator", "twelve-layer"],
+)
+def test_decode_step_rows_equal_batch_one(dim, heads, layers):
+    """Each row of a ragged batch-8 decode step has the logits, bit for
+    bit, of the same row stepped alone at batch 1 over the same columns.
+
+    The block matmuls run on (B, 1, D), one product per row, as at batch
+    1; a single flattened (B, D) product rounds differently (by ~1e-14),
+    so a batched row would stop matching the batch-1 oracle exactly.
+    """
+    model = GPTModel(
+        ModelConfig(
+            vocab_size=50, max_seq_len=32, dim=dim, num_layers=layers,
+            num_heads=heads, ff_dim=4 * dim,
+        ),
+        seed=3,
+    )
+    gen = np.random.default_rng(7)
+    lengths = gen.integers(1, 20, size=8)
+    kv_len = int(lengths.max()) + 1
+    caches = model.init_cache(8, kv_len)
+    for cache in caches:
+        for slab in cache.values():
+            slab[...] = gen.normal(size=slab.shape)
+    step_ids = gen.integers(1, 50, size=(8, 1))
+    blocked = (np.arange(kv_len)[None, :] > lengths[:, None])[:, None, None, :]
+    alone_caches = [
+        [{name: slab[r : r + 1].copy() for name, slab in cache.items()} for cache in caches]
+        for r in range(8)
+    ]
+    batched = model.forward_chunk(
+        step_ids, lengths[:, None], caches,
+        blocked=blocked, write_cols=lengths, kv_len=kv_len,
+    )
+    for r in range(8):
+        alone = model.forward_chunk(
+            step_ids[r : r + 1], lengths[r : r + 1, None], alone_caches[r],
+            blocked=blocked[r : r + 1], write_cols=lengths[r : r + 1], kv_len=kv_len,
+        )
+        assert np.array_equal(alone[0], batched[r])
 
 
 class TestLoRACachedDecode:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import GenerationError, ModelError
+from repro.errors import GenerationError, ModelError, ShapeError
 from repro.generation import GenerationConfig, generate, generate_text
 from repro.models import GPTModel, ModelConfig
 
@@ -201,7 +201,7 @@ class TestCachedDecoding:
         caches = model.init_cache(1, len(ids))
         for position, token in enumerate(ids):
             step = _decode_step(model, token, position, caches)
-        np.testing.assert_allclose(step.data[0, 0], full.data[0, -1], atol=1e-9)
+        np.testing.assert_allclose(step[0, 0], full.data[0, -1], atol=1e-9)
 
     def test_incremental_bad_shape_raises(self, model):
         with pytest.raises(ModelError):
@@ -243,6 +243,16 @@ class TestCacheBounds:
             self._encode(model, caches, 3, np.array([-1]), 3)
         # Rejected before any layer writes a column.
         assert not any(cache["k"].any() for cache in caches)
+
+    def test_token_id_outside_vocabulary_raises_before_any_write(self, model):
+        caches = model.init_cache(2, 4)
+        for bad in (model.config.vocab_size, -1):
+            with pytest.raises(ShapeError, match="out of range"):
+                model.encode_chunk(
+                    np.array([[1, 2], [3, bad]]), np.arange(2)[None, :], caches,
+                    write_cols=slice(0, 2), kv_len=2,
+                )
+        assert not any(slab.any() for cache in caches for slab in cache.values())
 
     def test_slice_width_must_match_chunk(self, model):
         with pytest.raises(ModelError, match="chunk"):
