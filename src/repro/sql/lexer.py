@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import List
 
 from repro.errors import SQLSyntaxError
@@ -29,13 +28,15 @@ class TokenKind(enum.Enum):
     EOF = "EOF"
 
 
-@dataclass(frozen=True)
 class Token:
     """One lexical token with its source position (for error messages)."""
 
-    kind: TokenKind
-    text: str
-    position: int
+    __slots__ = ("kind", "text", "position")
+
+    def __init__(self, kind: TokenKind, text: str, position: int) -> None:
+        self.kind = kind
+        self.text = text
+        self.position = position
 
     def is_keyword(self, *names: str) -> bool:
         return self.kind is TokenKind.KEYWORD and self.text in names

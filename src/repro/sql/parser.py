@@ -21,6 +21,7 @@ Grammar (roughly)::
 
 from __future__ import annotations
 
+import functools
 from typing import List, Optional, Tuple
 
 from repro.errors import SQLSyntaxError
@@ -57,6 +58,10 @@ from repro.sql.types import SQLType
 
 _COMPARISONS = ("=", "<>", "!=", "<", "<=", ">", ">=")
 _AGG_KEYWORDS = ("COUNT", "SUM", "AVG", "MIN", "MAX")
+#: SQL texts whose parsed statement :func:`parse_sql` keeps. A durable
+#: cluster write reaches it four times with one text (coordinator,
+#: durable primary, engine, replica apply), one right after another.
+STATEMENT_CACHE_SIZE = 64
 
 
 class _Parser:
@@ -67,6 +72,9 @@ class _Parser:
 
     # -- token plumbing -----------------------------------------------------
     def peek(self, offset: int = 0) -> Token:
+        if offset == 0:
+            # advance() never moves past EOF, so position is in range.
+            return self.tokens[self.position]
         index = min(self.position + offset, len(self.tokens) - 1)
         return self.tokens[index]
 
@@ -509,7 +517,14 @@ class _Parser:
         return CaseWhen(branches=tuple(branches), default=default)
 
 
+@functools.lru_cache(maxsize=STATEMENT_CACHE_SIZE)
 def parse_sql(sql: str) -> Statement:
-    """Parse one SQL statement into an AST."""
+    """Parse one SQL statement into an AST.
+
+    The last ``STATEMENT_CACHE_SIZE`` texts are cached, so callers that
+    pass one text along share one AST. Sharing is safe because every
+    node is a frozen dataclass over tuples and scalars. A syntax error
+    is not cached: the same bad text raises again on every call.
+    """
     tokens = tokenize_sql(sql)
     return _Parser(tokens, sql).parse_statement()

@@ -14,7 +14,7 @@ from repro.errors import (
     ReplicationError,
     ShardUnavailableError,
 )
-from repro.sql import Database
+from repro.sql import Database, parser
 from repro.sql.cluster import (
     GATHER,
     PARTIAL_AGG,
@@ -267,6 +267,42 @@ class TestReplication:
         cluster.execute("INSERT INTO users VALUES (100, 'g0', 1.5)")
         assert cluster.replication_lag() == 0
         cluster.close()
+
+
+# -- one parse per write -----------------------------------------------------
+class TestOneParsePerWrite:
+    def test_each_write_tokenizes_its_text_once(self, tmp_path, monkeypatch):
+        """Coordinator, primary, engine and replica apply share one parse."""
+        single, cluster = seeded_cluster(tmp_path)
+        calls = []
+        tokenize = parser.tokenize_sql
+
+        def counting(sql):
+            calls.append(sql)
+            return tokenize(sql)
+
+        monkeypatch.setattr(parser, "tokenize_sql", counting)
+        parser.parse_sql.cache_clear()
+        for sql in (
+            "UPDATE users SET score = score + 1 WHERE id = 3",
+            "INSERT INTO users VALUES (100, 'g1', 2.5)",
+            "DELETE FROM users WHERE id = 100",
+        ):
+            calls.clear()
+            assert cluster.execute(sql).rowcount == 1
+            assert calls == [sql]
+            single.execute(sql)
+        for shard in cluster.shards:
+            assert shard.replication_lag() == 0
+            assert shard.replica.state() == dump_database(shard.primary.db)
+        state = cluster.state()
+        assert state == canonicalize(dump_database(single))
+        cluster.close()
+        reopened = ClusterDatabase(tmp_path / "cluster")
+        try:
+            assert reopened.state() == state
+        finally:
+            reopened.close()
 
 
 # -- log-shipping fuzz: bit-flips, truncation, reordering --------------------

@@ -1,7 +1,13 @@
 """Tests for the SQL lexer and parser."""
 
+import ast
+import dataclasses
+import enum
+from pathlib import Path
+
 import pytest
 
+import repro.sql.ast as sql_ast
 from repro.errors import SQLSyntaxError
 from repro.sql import parse_sql, tokenize_sql
 from repro.sql.ast import (
@@ -222,3 +228,89 @@ class TestParserDDLDML:
         stmt = parse_sql("INSERT INTO t VALUES (-1, NULL)")
         assert isinstance(stmt.rows[0][0], UnaryOp)
         assert stmt.rows[0][1] == Literal(None)
+
+
+# -- the statement cache -------------------------------------------------------
+def _parse_sql_texts():
+    """``(well_formed, malformed)``: the literal texts this file parses.
+
+    A text passed to ``parse_sql`` inside ``with pytest.raises`` is
+    malformed; every other one is a statement shape the parser accepts.
+    """
+    tree = ast.parse(Path(__file__).read_text(encoding="utf-8"))
+
+    def texts(node):
+        return {
+            call.args[0].value
+            for call in ast.walk(node)
+            if isinstance(call, ast.Call)
+            and getattr(call.func, "id", None) == "parse_sql"
+            and call.args
+            and isinstance(call.args[0], ast.Constant)
+            and isinstance(call.args[0].value, str)
+        }
+
+    malformed = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.With) and any(
+            isinstance(item.context_expr, ast.Call)
+            and getattr(item.context_expr.func, "attr", None) == "raises"
+            for item in node.items
+        ):
+            malformed |= texts(node)
+    return sorted(texts(tree) - malformed), sorted(malformed)
+
+
+WELL_FORMED, MALFORMED = _parse_sql_texts()
+#: statement kinds the tests above do not parse
+WELL_FORMED += [
+    "UPDATE t SET a = a + 1, b = 'x' WHERE k = 'y'",
+    "DELETE FROM t WHERE k = 'y'",
+    "CREATE INDEX i ON t (c)",
+    "DROP TABLE t",
+    "EXPLAIN SELECT a FROM t WHERE b IN (SELECT b FROM u WHERE c > 1)",
+]
+MALFORMED += ["SELECT @ FROM t", "SELECT 'oops FROM t"]
+
+
+def _mutable_parts(value, path="statement"):
+    """Paths under an AST value that hold anything but nodes, tuples and scalars."""
+    if isinstance(value, tuple):
+        for i, item in enumerate(value):
+            yield from _mutable_parts(item, f"{path}[{i}]")
+    elif dataclasses.is_dataclass(value) and not isinstance(value, type):
+        for field in dataclasses.fields(value):
+            yield from _mutable_parts(getattr(value, field.name), f"{path}.{field.name}")
+    elif not isinstance(value, (str, int, float, bool, type(None), enum.Enum)):
+        yield f"{path}: {type(value).__name__}"
+
+
+class TestStatementCache:
+    """``parse_sql`` hands every caller of one text the same AST."""
+
+    def test_every_ast_node_class_is_frozen(self):
+        nodes = [
+            obj for obj in vars(sql_ast).values()
+            if isinstance(obj, type) and dataclasses.is_dataclass(obj)
+            and obj.__module__ == sql_ast.__name__
+        ]
+        assert len(nodes) > 20
+        assert [cls.__name__ for cls in nodes if not cls.__dataclass_params__.frozen] == []
+
+    def test_shapes_were_found(self):
+        assert len(WELL_FORMED) >= 30 and len(MALFORMED) >= 5
+
+    @pytest.mark.parametrize("sql", WELL_FORMED)
+    def test_shared_ast_is_immutable(self, sql):
+        statement = parse_sql(sql)
+        assert list(_mutable_parts(statement)) == []
+        assert parse_sql(sql) is statement
+
+    @pytest.mark.parametrize("sql", MALFORMED)
+    def test_malformed_text_raises_on_every_call(self, sql):
+        messages = []
+        for _ in range(3):
+            with pytest.raises(SQLSyntaxError) as caught:
+                parse_sql(sql)
+            messages.append(str(caught.value))
+        assert len(set(messages)) == 1
