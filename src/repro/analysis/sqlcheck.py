@@ -1,11 +1,12 @@
 """Semantic validation of SQL queries against a catalog.
 
-The engine discovers schema errors only when a query *runs*; generated
-SQL (text-to-SQL predictions, semantic-operator rewrites) should be
-vetted before that. This pass resolves every table and column reference
-against the :class:`~repro.sql.catalog.Catalog`, flags ambiguous
-unqualified columns, and type-checks comparisons, arithmetic, and
-aggregate arguments — all without touching a single row.
+Generated SQL (text-to-SQL predictions, semantic-operator rewrites)
+should be vetted before it runs. This pass reports every unknown table,
+resolves every column reference through the engine's own binder
+(:class:`repro.sql.bind.Scope`), and type-checks comparisons,
+arithmetic, and aggregate arguments — all without touching a single
+row. Unlike the engine, which stops at the first bad name, it reports
+one finding per bad reference.
 
 The SQL AST carries no source positions, so findings locate the problem
 by quoting the offending fragment (``expr.sql()``) instead of a line
@@ -14,10 +15,10 @@ number.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from repro.analysis.findings import Finding
-from repro.errors import SQLSyntaxError
+from repro.errors import SQLBindError, SQLSyntaxError
 from repro.sql.ast import (
     Between,
     BinaryOp,
@@ -35,9 +36,9 @@ from repro.sql.ast import (
     Subquery,
     UnaryOp,
 )
+from repro.sql.bind import Scope, Slot, order_position
 from repro.sql.catalog import Catalog
 from repro.sql.parser import parse_sql
-from repro.sql.schema import TableSchema
 from repro.sql.types import SQLType, infer_type
 
 _NUMERIC = (SQLType.INT, SQLType.FLOAT)
@@ -53,56 +54,6 @@ _SCALAR_FUNC_TYPES = {
 
 #: the semantic NL() operator is resolved by SemanticDatabase, not here
 _SEMANTIC_FUNCS = ("NL",)
-
-
-class _Scope:
-    """The tables visible to a query: (effective name, schema) pairs."""
-
-    def __init__(self, tables: Sequence[Tuple[str, TableSchema]]) -> None:
-        self.tables = list(tables)
-
-    def resolve(
-        self, ref: ColumnRef
-    ) -> Tuple[Optional[SQLType], Optional[Finding]]:
-        """Type of a column reference, or the finding explaining why not."""
-        if ref.table is not None:
-            for name, schema in self.tables:
-                if name.lower() == ref.table.lower():
-                    sql_type = schema.type_of(ref.name)
-                    if sql_type is None:
-                        return None, Finding(
-                            rule="unknown-column",
-                            message=f"table {name!r} has no column "
-                            f"{ref.name!r} (has: {schema.column_names})",
-                        )
-                    return sql_type, None
-            return None, Finding(
-                rule="unknown-alias",
-                message=f"no table {ref.table!r} in FROM for reference "
-                f"{ref.sql()!r}",
-            )
-        owners = [
-            (name, schema)
-            for name, schema in self.tables
-            if schema.has_column(ref.name)
-        ]
-        if not owners:
-            known = sorted(
-                {c for _, schema in self.tables for c in schema.column_names}
-            )
-            return None, Finding(
-                rule="unknown-column",
-                message=f"no table in FROM has column {ref.name!r} "
-                f"(known columns: {known})",
-            )
-        if len(owners) > 1:
-            tables = sorted(name for name, _ in owners)
-            return None, Finding(
-                rule="ambiguous-column",
-                message=f"column {ref.name!r} exists in {tables}; "
-                "qualify it with a table name",
-            )
-        return owners[0][1].type_of(ref.name), None
 
 
 def check_sql(sql: str, catalog: Catalog) -> List[Finding]:
@@ -124,7 +75,7 @@ def check_statement(statement: Statement, catalog: Catalog) -> List[Finding]:
 def check_query(query: SelectQuery, catalog: Catalog) -> List[Finding]:
     """Validate one SELECT against the catalog; empty list means clean."""
     findings: List[Finding] = []
-    visible: List[Tuple[str, TableSchema]] = []
+    slots: List[Slot] = []
     for ref in [query.table] + [join.table for join in query.joins]:
         table = catalog.resolve(ref.name)
         if table is None:
@@ -136,8 +87,8 @@ def check_query(query: SelectQuery, catalog: Catalog) -> List[Finding]:
                 )
             )
         else:
-            visible.append((ref.effective_name, table.schema))
-    scope = _Scope(visible)
+            slots.append(Slot(ref, table.schema))
+    scope = Scope(slots)
 
     for join in query.joins:
         if join.condition is not None:
@@ -161,25 +112,27 @@ def check_query(query: SelectQuery, catalog: Catalog) -> List[Finding]:
             item.expr, scope, catalog, allow_aggregates=True
         )
 
-    output_names = {
-        item.output_name(i).lower() for i, item in enumerate(query.items)
-    }
+    try:
+        _, names, _ = scope.outputs(query.items)
+    except SQLBindError as error:  # ``t.*`` over a table not in FROM
+        findings.append(_unbound(error))
+        names = [item.output_name(i) for i, item in enumerate(query.items)]
     for order in query.order_by:
-        expr = order.expr
-        if (
-            isinstance(expr, ColumnRef)
-            and expr.table is None
-            and expr.name.lower() in output_names
-        ):
-            continue  # ordering by an output column/alias is always valid
-        findings += _check_expr(expr, scope, catalog, allow_aggregates=True)
+        if order_position(order.expr, names) is None:
+            findings += _check_expr(
+                order.expr, scope, catalog, allow_aggregates=True
+            )
     return findings
+
+
+def _unbound(error: SQLBindError) -> Finding:
+    return Finding(rule=error.rule, message=str(error))
 
 
 # -- expression checking ---------------------------------------------------
 def _check_expr(
     expr: Expr,
-    scope: _Scope,
+    scope: Scope,
     catalog: Catalog,
     allow_aggregates: bool,
 ) -> List[Finding]:
@@ -189,7 +142,7 @@ def _check_expr(
 
 def _infer(
     expr: Expr,
-    scope: _Scope,
+    scope: Scope,
     catalog: Catalog,
     allow_aggregates: bool,
     inside_aggregate: bool = False,
@@ -205,8 +158,10 @@ def _infer(
             return None, []
         return infer_type(expr.value), []
     if isinstance(expr, ColumnRef):
-        sql_type, finding = scope.resolve(expr)
-        return sql_type, [finding] if finding else []
+        try:
+            return scope.resolve(expr).sql_type, []
+        except SQLBindError as error:
+            return None, [_unbound(error)]
     if isinstance(expr, Star):
         return None, [
             Finding(
@@ -297,7 +252,7 @@ def _infer(
 
 def _infer_binary(
     expr: BinaryOp,
-    scope: _Scope,
+    scope: Scope,
     catalog: Catalog,
     allow_aggregates: bool,
     inside_aggregate: bool,
@@ -343,7 +298,7 @@ def _infer_binary(
 
 def _infer_in_list(
     expr: InList,
-    scope: _Scope,
+    scope: Scope,
     catalog: Catalog,
     allow_aggregates: bool,
     inside_aggregate: bool,
@@ -369,7 +324,7 @@ def _infer_in_list(
 
 def _infer_func(
     expr: FuncCall,
-    scope: _Scope,
+    scope: Scope,
     catalog: Catalog,
     allow_aggregates: bool,
     inside_aggregate: bool,

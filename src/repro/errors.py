@@ -57,6 +57,18 @@ class SQLAnalysisError(SQLError):
     """Raised when a parsed query references unknown tables or columns."""
 
 
+class SQLBindError(SQLAnalysisError):
+    """A column or table name in a SELECT that its FROM cannot resolve.
+
+    ``rule`` names the kind, as the static checker reports it:
+    ``unknown-column``, ``unknown-alias`` or ``ambiguous-column``.
+    """
+
+    def __init__(self, rule: str, message: str) -> None:
+        super().__init__(message)
+        self.rule = rule
+
+
 class SQLExecutionError(SQLError):
     """Raised when a valid plan fails at runtime (e.g. type mismatch)."""
 

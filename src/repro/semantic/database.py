@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, Tuple
 
+from repro.errors import SQLBindError
 from repro.semantic.predicate import TextPredicate
 from repro.semantic.rewrite import (
     SemanticError,
@@ -21,6 +22,7 @@ from repro.sql.ast import (
     Literal,
     SelectQuery,
 )
+from repro.sql.bind import Scope
 from repro.sql.parser import parse_sql
 
 
@@ -102,19 +104,8 @@ class SemanticDatabase:
         return self.predicate.matches(text, description)
 
     def _resolve_table(self, query: SelectQuery, column: ColumnRef) -> str:
-        tables = [query.table] + [j.table for j in query.joins]
-        if column.table is not None:
-            for ref in tables:
-                if ref.effective_name.lower() == column.table.lower():
-                    return ref.name
-            raise SemanticError(f"unknown table alias {column.table!r} in NL()")
-        owners = [
-            ref.name
-            for ref in tables
-            if self.db.table(ref.name).schema.has_column(column.name)
-        ]
-        if not owners:
-            raise SemanticError(f"no table in FROM has column {column.name!r}")
-        if len(owners) > 1:
-            raise SemanticError(f"ambiguous NL() column {column.name!r}")
-        return owners[0]
+        scope = Scope.of(query, self.db.catalog)
+        try:
+            return scope.slots[scope.resolve(column).slot].ref.name
+        except SQLBindError as error:
+            raise SemanticError(f"NL() column: {error}") from error

@@ -8,17 +8,12 @@ from repro.analysis.findings import render_findings
 from repro.analysis.sqlcheck import check_query
 from repro.errors import ReproError
 from repro.sql.ast import (
-    Between,
-    BinaryOp,
-    CaseWhen,
     ColumnRef,
     Expr,
     FuncCall,
-    InList,
-    IsNull,
     Literal,
     SelectQuery,
-    UnaryOp,
+    map_children,
     walk_expr,
 )
 from repro.sql.catalog import Catalog
@@ -83,52 +78,8 @@ def rewrite_expression(
     ``replacement`` maps each NL :class:`FuncCall` to the expression
     that should stand in for it (typically an :class:`InList`).
     """
-    if isinstance(expr, FuncCall):
-        if expr.name.upper() == NL_FUNC:
-            return replacement(expr)
-        return FuncCall(
-            name=expr.name,
-            args=tuple(rewrite_expression(a, replacement) for a in expr.args),
-            distinct=expr.distinct,
-        )
-    if isinstance(expr, BinaryOp):
-        return BinaryOp(
-            op=expr.op,
-            left=rewrite_expression(expr.left, replacement),
-            right=rewrite_expression(expr.right, replacement),
-        )
-    if isinstance(expr, UnaryOp):
-        return UnaryOp(op=expr.op, operand=rewrite_expression(expr.operand, replacement))
-    if isinstance(expr, IsNull):
-        return IsNull(
-            operand=rewrite_expression(expr.operand, replacement), negated=expr.negated
-        )
-    if isinstance(expr, InList):
-        return InList(
-            operand=rewrite_expression(expr.operand, replacement),
-            items=tuple(rewrite_expression(i, replacement) for i in expr.items),
-            negated=expr.negated,
-        )
-    if isinstance(expr, Between):
-        return Between(
-            operand=rewrite_expression(expr.operand, replacement),
-            low=rewrite_expression(expr.low, replacement),
-            high=rewrite_expression(expr.high, replacement),
-            negated=expr.negated,
-        )
-    if isinstance(expr, CaseWhen):
-        return CaseWhen(
-            branches=tuple(
-                (
-                    rewrite_expression(condition, replacement),
-                    rewrite_expression(value, replacement),
-                )
-                for condition, value in expr.branches
-            ),
-            default=(
-                rewrite_expression(expr.default, replacement)
-                if expr.default is not None
-                else None
-            ),
-        )
-    return expr
+    if isinstance(expr, FuncCall) and expr.name.upper() == NL_FUNC:
+        return replacement(expr)
+    return map_children(
+        expr, lambda child: rewrite_expression(child, replacement)
+    )

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Tuple, Union
+from dataclasses import dataclass, replace
+from typing import Callable, List, Optional, Tuple, Union
 
 from repro.sql.types import SQLType, Value
 
@@ -218,6 +218,34 @@ def walk_expr(expr: Expr):
     yield expr
     for child in expr_children(expr):
         yield from walk_expr(child)
+
+
+def map_children(expr: Expr, fn: Callable[[Expr], Expr]) -> Expr:
+    """A copy of ``expr`` with each child of :func:`expr_children`
+    replaced by ``fn(child)``; a leaf comes back as it is.
+
+    Subquery bodies are left alone, as in :func:`expr_children`.
+    """
+    if isinstance(expr, BinaryOp):
+        return replace(expr, left=fn(expr.left), right=fn(expr.right))
+    if isinstance(expr, (UnaryOp, IsNull, InSubquery)):
+        return replace(expr, operand=fn(expr.operand))
+    if isinstance(expr, InList):
+        return replace(
+            expr, operand=fn(expr.operand), items=tuple(fn(i) for i in expr.items)
+        )
+    if isinstance(expr, Between):
+        return replace(
+            expr, operand=fn(expr.operand), low=fn(expr.low), high=fn(expr.high)
+        )
+    if isinstance(expr, FuncCall):
+        return replace(expr, args=tuple(fn(arg) for arg in expr.args))
+    if isinstance(expr, CaseWhen):
+        return CaseWhen(
+            branches=tuple((fn(c), fn(v)) for c, v in expr.branches),
+            default=fn(expr.default) if expr.default is not None else None,
+        )
+    return expr
 
 
 # -- query structure ------------------------------------------------------------

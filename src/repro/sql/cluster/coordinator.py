@@ -580,7 +580,7 @@ class ClusterDatabase:
             self._require_no_txn("CREATE INDEX")
             return self._broadcast(sql)
         if isinstance(statement, InsertInto):
-            return self._execute_insert(statement)
+            return self._execute_insert(statement, sql)
         if isinstance(statement, UpdateTable):
             self._guard_key_update(statement)
             return self._execute_filtered_dml(
@@ -628,7 +628,9 @@ class ClusterDatabase:
                 return QueryResult(columns=[], rows=[], rowcount=total)
         return self._broadcast(sql)
 
-    def _execute_insert(self, statement: InsertInto) -> QueryResult:
+    def _execute_insert(self, statement: InsertInto, sql: str) -> QueryResult:
+        """Split the VALUES rows by shard; when they all go to one shard,
+        ship ``sql`` as written, so the shard reuses its parse."""
         table = statement.name
         if not self.pmap.is_registered(table):
             raise ClusterError(
@@ -656,12 +658,13 @@ class ClusterDatabase:
             )
             shard_id = self.pmap.shard_of(table, value)
             groups.setdefault(shard_id, []).append(row)
-        statements = []
-        for shard_id in sorted(groups):
-            split = dataclasses.replace(
-                statement, rows=tuple(groups[shard_id])
-            )
-            statements.append((shard_id, split.sql()))
+        if len(groups) == 1:
+            statements = [(shard_id, sql)]
+        else:
+            statements = [
+                (shard_id, dataclasses.replace(statement, rows=tuple(rows)).sql())
+                for shard_id, rows in sorted(groups.items())
+            ]
         total = self._apply_many(statements)
         return QueryResult(columns=[], rows=[], rowcount=total)
 

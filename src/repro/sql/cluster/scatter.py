@@ -43,24 +43,19 @@ from repro.sql.ast import (
     ColumnRef,
     Expr,
     FuncCall,
-    InSubquery,
     Literal,
     OrderItem,
     SelectItem,
     SelectQuery,
     Star,
-    Subquery,
     TableRef,
+    map_children,
     walk_expr,
 )
+from repro.sql.bind import BoundColumn, BoundQuery, bind_select
 from repro.sql.catalog import Catalog
 from repro.sql.cluster.partition import PartitionMap
-from repro.sql.executor import (
-    _distinct,
-    _query_has_aggregates,
-    _sort_scored,
-    _split_conjuncts,
-)
+from repro.sql.executor import _distinct, _sort_scored, _split_conjuncts
 from repro.sql.schema import Column, TableSchema
 from repro.sql.types import SQLType, Value, infer_type
 
@@ -84,9 +79,9 @@ class DistributedPlan:
     shard_query: Optional[SelectQuery] = None
     merge_query: Optional[SelectQuery] = None
     partial_schema: Optional[TableSchema] = None
-    #: ORDER BY key sources for scatter merge: ("aux", i) reads the
-    #: i-th appended ``__ok`` column, ("name", c) an output column
-    order_keys: List[Tuple[str, object]] = field(default_factory=list)
+    #: where each ORDER BY key sits in a scatter shard row: an output
+    #: column, or one of the ``__ok`` columns appended after them
+    order_keys: List[int] = field(default_factory=list)
     #: count of auxiliary sort-key columns appended to the shard query
     n_aux: int = 0
 
@@ -102,24 +97,27 @@ class _Gather(Exception):
 def plan_select(
     query: SelectQuery, pmap: PartitionMap, catalog: Catalog
 ) -> DistributedPlan:
-    """Choose a distributed strategy for one SELECT."""
+    """Choose a distributed strategy for one SELECT.
+
+    The query binds first (:func:`~repro.sql.bind.bind_select`), so a
+    bad name raises here, before any shard runs.
+    """
     try:
-        return _plan(query, pmap, catalog)
+        return _plan(bind_select(query, catalog), pmap)
     except _Gather as fallback:
         return DistributedPlan(GATHER, reason=fallback.reason)
 
 
-def _plan(
-    query: SelectQuery, pmap: PartitionMap, catalog: Catalog
-) -> DistributedPlan:
-    if _has_subquery(query):
+def _plan(bound: BoundQuery, pmap: PartitionMap) -> DistributedPlan:
+    query = bound.query
+    if bound.has_subquery:
         raise _Gather("contains a subquery")
-    for ref in _table_refs(query):
-        if not pmap.is_registered(ref.name):
-            raise _Gather(f"table {ref.name!r} is not partitioned")
+    for slot in bound.slots:
+        if not pmap.is_registered(slot.ref.name):
+            raise _Gather(f"table {slot.ref.name!r} is not partitioned")
     if query.joins:
-        _require_local_joins(query, pmap)
-    if not query.joins:
+        _require_local_joins(bound, pmap)
+    else:
         pruned = partition_key_equality(
             query.where, query.table.name, query.table.effective_name, pmap
         )
@@ -130,32 +128,13 @@ def _plan(
                 target_shard=pmap.shard_of(query.table.name, value),
                 shard_query=query,
             )
-    if query.group_by or _query_has_aggregates(query):
-        return _plan_partial_aggregate(query, pmap, catalog)
+    if bound.aggregate:
+        return _plan_partial_aggregate(bound)
     if query.having is not None:
         raise _Gather("HAVING without aggregation")
     if query.limit is not None and not query.order_by:
         raise _Gather("LIMIT without ORDER BY is scan-order-dependent")
-    return _plan_scatter(query, catalog)
-
-
-def _table_refs(query: SelectQuery) -> List[TableRef]:
-    return [query.table, *(join.table for join in query.joins)]
-
-
-def _has_subquery(query: SelectQuery) -> bool:
-    exprs: List[Expr] = [item.expr for item in query.items]
-    if query.where is not None:
-        exprs.append(query.where)
-    if query.having is not None:
-        exprs.append(query.having)
-    exprs.extend(order.expr for order in query.order_by)
-    exprs.extend(query.group_by)
-    return any(
-        isinstance(node, (Subquery, InSubquery))
-        for expr in exprs
-        for node in walk_expr(expr)
-    )
+    return _plan_scatter(bound)
 
 
 # -- pruning ---------------------------------------------------------------
@@ -197,19 +176,22 @@ def partition_key_equality(
 
 
 # -- join locality ---------------------------------------------------------
-def _require_local_joins(query: SelectQuery, pmap: PartitionMap) -> None:
+def _require_local_joins(bound: BoundQuery, pmap: PartitionMap) -> None:
     """Verify every join matches rows only within one shard.
 
     A join is shard-local when it is an equi-join whose two sides are
-    the partition keys of the joined tables (co-partitioning: equal
-    keys hash to the same shard). Anything else — CROSS joins,
-    non-equality conditions, joins on non-key columns — may need rows
-    from two different shards and forces a gather.
+    the partition keys of the joined table and of an earlier one
+    (co-partitioning: equal keys hash to the same shard). Anything else
+    — CROSS joins, non-equality conditions, joins on non-key columns —
+    may need rows from two different shards and forces a gather.
     """
-    local: Dict[str, str] = {
-        query.table.effective_name.lower(): query.table.name
-    }
-    for join in query.joins:
+
+    def is_key(column: BoundColumn) -> bool:
+        slot = bound.slots[column.slot]
+        name = slot.schema.columns[column.index].name
+        return name.lower() == pmap.key_column(slot.ref.name).lower()
+
+    for slot, join in enumerate(bound.query.joins, start=1):
         if join.kind == "CROSS" or join.condition is None:
             raise _Gather("CROSS JOIN is never shard-local")
         condition = join.condition
@@ -218,87 +200,38 @@ def _require_local_joins(query: SelectQuery, pmap: PartitionMap) -> None:
             and condition.op == "="
             and isinstance(condition.left, ColumnRef)
             and isinstance(condition.right, ColumnRef)
-            and condition.left.table is not None
-            and condition.right.table is not None
         ):
-            raise _Gather(
-                f"join condition {condition.sql()} is not a qualified "
-                "equi-join"
-            )
-        joined = join.table.effective_name.lower()
-        sides: Dict[str, ColumnRef] = {}
-        for ref in (condition.left, condition.right):
-            alias = ref.table.lower()
-            if alias == joined:
-                sides["new"] = ref
-            elif alias in local:
-                sides["old"] = ref
-        if "new" not in sides or "old" not in sides:
+            raise _Gather(f"join condition {condition.sql()} is not an equi-join")
+        earlier, joined = sorted(
+            (bound.columns[condition.left], bound.columns[condition.right]),
+            key=lambda column: column.slot,
+        )
+        if joined.slot != slot or earlier.slot == slot:
             raise _Gather(
                 f"join condition {condition.sql()} does not connect "
                 f"{join.table.sql()} to an earlier table"
             )
-        new_table = join.table.name
-        old_table = local[sides["old"].table.lower()]
-        if (
-            sides["new"].name.lower() != pmap.key_column(new_table).lower()
-            or sides["old"].name.lower() != pmap.key_column(old_table).lower()
-        ):
+        if not (is_key(earlier) and is_key(joined)):
             raise _Gather(
                 f"join condition {condition.sql()} is not on the "
                 "partition keys (tables are not co-partitioned)"
             )
-        local[joined] = new_table
 
 
 # -- plain scatter ---------------------------------------------------------
-def _static_output_names(query: SelectQuery, catalog: Catalog) -> List[str]:
-    """Output column names, with ``*`` expanded from the schemas.
-
-    Mirrors the executor's star expansion (sorted by qualified name) so
-    alias resolution in ORDER BY agrees with a single-node run.
-    """
-    names: List[str] = []
-    for position, item in enumerate(query.items):
-        if isinstance(item.expr, Star):
-            keys: List[Tuple[str, str]] = []
-            for ref in _table_refs(query):
-                effective = ref.effective_name.lower()
-                if (
-                    item.expr.table is not None
-                    and item.expr.table.lower() != effective
-                ):
-                    continue
-                keys.extend(
-                    (effective, column.lower())
-                    for column in catalog.get(ref.name).schema.column_names
-                )
-            keys.sort()
-            names.extend(column for _, column in keys)
-        else:
-            names.append(item.output_name(position))
-    return names
-
-
-def _plan_scatter(query: SelectQuery, catalog: Catalog) -> DistributedPlan:
-    output_names = {name.lower() for name in _static_output_names(query, catalog)}
+def _plan_scatter(bound: BoundQuery) -> DistributedPlan:
+    query = bound.query
+    width = len(bound.outputs)
     aux_items: List[SelectItem] = []
-    order_keys: List[Tuple[str, object]] = []
-    for order in query.order_by:
-        expr = order.expr
-        if (
-            isinstance(expr, ColumnRef)
-            and expr.table is None
-            and expr.name.lower() in output_names
-        ):
+    order_keys: List[int] = []
+    for key in bound.order:
+        if isinstance(key, int):
             # ORDER BY an output column/alias: its value is already in
             # every shard row; no auxiliary column needed.
-            order_keys.append(("name", expr.name.lower()))
+            order_keys.append(key)
         else:
-            order_keys.append(("aux", len(aux_items)))
-            aux_items.append(
-                SelectItem(expr=expr, alias=f"__ok{len(aux_items)}")
-            )
+            order_keys.append(width + len(aux_items))
+            aux_items.append(SelectItem(expr=key, alias=f"__ok{len(aux_items)}"))
     shard_query = dataclasses.replace(
         query,
         items=tuple(query.items) + tuple(aux_items),
@@ -320,22 +253,13 @@ def merge_scatter(
     results: List[Tuple[List[str], List[Tuple[Value, ...]]]],
 ) -> Tuple[List[str], List[Tuple[Value, ...]]]:
     """Concatenate shard results; sort, deduplicate, and limit globally."""
-    keyed: List[Tuple[List[Value], Tuple[Value, ...]]] = []
-    columns: List[str] = []
-    for shard_columns, shard_rows in results:
-        if shard_columns and not columns:
-            columns = shard_columns
-        lowered = [c.lower() for c in shard_columns]
-        width = len(shard_columns) - plan.n_aux
-        for row in shard_rows:
-            projected = row[:width] if plan.n_aux else row
-            key: List[Value] = []
-            for kind, selector in plan.order_keys:
-                if kind == "aux":
-                    key.append(row[width + int(selector)])
-                else:
-                    key.append(projected[lowered.index(str(selector))])
-            keyed.append((key, projected))
+    columns = results[0][0]
+    width = len(columns) - plan.n_aux
+    keyed: List[Tuple[List[Value], Tuple[Value, ...]]] = [
+        ([row[i] for i in plan.order_keys], row[:width] if plan.n_aux else row)
+        for _, shard_rows in results
+        for row in shard_rows
+    ]
     if query.order_by:
         keyed = _sort_scored(keyed, query.order_by)
     merged = [projected for _, projected in keyed]
@@ -343,46 +267,28 @@ def merge_scatter(
         merged = _distinct(merged)
     if query.limit is not None:
         merged = merged[: query.limit]
-    return columns[: len(columns) - plan.n_aux] if plan.n_aux else columns, merged
+    return columns[:width], merged
 
 
 # -- two-phase aggregation -------------------------------------------------
-def _plan_partial_aggregate(
-    query: SelectQuery, pmap: PartitionMap, catalog: Catalog
-) -> DistributedPlan:
+def _plan_partial_aggregate(bound: BoundQuery) -> DistributedPlan:
+    query = bound.query
     if query.distinct:
         raise _Gather("SELECT DISTINCT with aggregation")
-
-    schemas = {
-        ref.effective_name.lower(): catalog.get(ref.name).schema
-        for ref in _table_refs(query)
-    }
-
-    def column_type(ref: ColumnRef) -> SQLType:
-        if ref.table is not None:
-            schema = schemas.get(ref.table.lower())
-            if schema is None or not schema.has_column(ref.name):
-                raise _Gather(f"cannot type column {ref.sql()}")
-            return schema.column(ref.name).sql_type
-        found = [
-            s.column(ref.name).sql_type
-            for s in schemas.values()
-            if s.has_column(ref.name)
-        ]
-        if len(found) != 1:
-            raise _Gather(f"cannot uniquely type column {ref.sql()}")
-        return found[0]
+    if any(isinstance(item.expr, Star) for item in query.items):
+        raise _Gather("'*' cannot appear with aggregation")
 
     # Group keys become __g{i} columns of the partial table.
     group_columns: List[Column] = []
+    group_refs: Dict[BoundColumn, ColumnRef] = {}
     for position, group_expr in enumerate(query.group_by):
         if not isinstance(group_expr, ColumnRef):
             raise _Gather(
                 f"GROUP BY expression {group_expr.sql()} is not a column"
             )
-        group_columns.append(
-            Column(f"__g{position}", column_type(group_expr))
-        )
+        column = bound.columns[group_expr]
+        group_columns.append(Column(f"__g{position}", column.sql_type))
+        group_refs.setdefault(column, ColumnRef(f"__g{position}"))
 
     # Every distinct aggregate call decomposes into partial columns
     # plus a merge expression over them.
@@ -405,7 +311,7 @@ def _plan_partial_aggregate(
                 raise _Gather(f"aggregate {text} has an unexpected arity")
             arg = call.args[0]
             if isinstance(arg, ColumnRef):
-                arg_type = column_type(arg)
+                arg_type = bound.columns[arg].sql_type
             elif isinstance(arg, Literal):
                 arg_type = infer_type(arg.value)
             else:
@@ -449,59 +355,40 @@ def _plan_partial_aggregate(
         else:
             raise _Gather(f"unknown aggregate {text}")
 
-    rewrite_sources: List[Expr] = [item.expr for item in query.items]
+    rewrite_sources: List[Expr] = list(bound.outputs)
     if query.having is not None:
         rewrite_sources.append(query.having)
-    rewrite_sources.extend(order.expr for order in query.order_by)
+    rewrite_sources.extend(key for key in bound.order if not isinstance(key, int))
     for source in rewrite_sources:
         for node in walk_expr(source):
             if isinstance(node, FuncCall) and node.is_aggregate:
                 decompose(node)
 
-    group_refs = {
-        expr.sql(): ColumnRef(f"__g{i}")
-        for i, expr in enumerate(query.group_by)
-    }
-
     def rewrite(expr: Expr) -> Expr:
-        replacement = group_refs.get(expr.sql())
-        if replacement is not None:
-            return replacement
         if isinstance(expr, FuncCall) and expr.is_aggregate:
             return merge_exprs[expr.sql()]
-        if isinstance(expr, Star):
-            raise _Gather("'*' cannot appear with aggregation")
         if isinstance(expr, ColumnRef):
-            raise _Gather(
-                f"column {expr.sql()} is neither grouped nor aggregated"
-            )
-        rebuilt = _rebuild(expr, rewrite)
-        return rebuilt
+            grouped = group_refs.get(bound.columns[expr])
+            if grouped is None:
+                raise _Gather(
+                    f"column {expr.sql()} is neither grouped nor aggregated"
+                )
+            return grouped
+        return map_children(expr, rewrite)
 
     merge_items = tuple(
-        SelectItem(expr=rewrite(item.expr), alias=item.output_name(position))
-        for position, item in enumerate(query.items)
+        SelectItem(expr=rewrite(expr), alias=name)
+        for expr, name in zip(bound.outputs, bound.names)
     )
     merge_having = (
         rewrite(query.having) if query.having is not None else None
     )
-    output_names = {
-        item.output_name(i).lower() for i, item in enumerate(query.items)
-    }
-    merge_order: List[OrderItem] = []
-    for order in query.order_by:
-        expr = order.expr
-        if (
-            isinstance(expr, ColumnRef)
-            and expr.table is None
-            and expr.name.lower() in output_names
-            and expr.sql() not in group_refs
-        ):
-            merge_order.append(order)  # alias of a merge item: keep as-is
-        else:
-            merge_order.append(
-                OrderItem(expr=rewrite(expr), descending=order.descending)
-            )
+    # An ORDER BY that names an output names the same merge item.
+    merge_order = tuple(
+        order if isinstance(key, int)
+        else OrderItem(expr=rewrite(key), descending=order.descending)
+        for order, key in zip(query.order_by, bound.order)
+    )
 
     shard_items = tuple(
         SelectItem(expr=expr, alias=f"__g{i}")
@@ -524,7 +411,7 @@ def _plan_partial_aggregate(
             ColumnRef(f"__g{i}") for i in range(len(query.group_by))
         ),
         having=merge_having,
-        order_by=tuple(merge_order),
+        order_by=merge_order,
         limit=query.limit,
         distinct=False,
     )
@@ -537,53 +424,3 @@ def _plan_partial_aggregate(
         merge_query=merge_query,
         partial_schema=partial_schema,
     )
-
-
-def _rebuild(expr: Expr, transform) -> Expr:
-    """Rebuild one node with transformed children (structural recursion)."""
-    from repro.sql.ast import (
-        Between,
-        CaseWhen,
-        InList,
-        IsNull,
-        UnaryOp,
-    )
-
-    if isinstance(expr, Literal):
-        return expr
-    if isinstance(expr, BinaryOp):
-        return BinaryOp(expr.op, transform(expr.left), transform(expr.right))
-    if isinstance(expr, UnaryOp):
-        return UnaryOp(expr.op, transform(expr.operand))
-    if isinstance(expr, IsNull):
-        return IsNull(transform(expr.operand), expr.negated)
-    if isinstance(expr, InList):
-        return InList(
-            transform(expr.operand),
-            tuple(transform(item) for item in expr.items),
-            expr.negated,
-        )
-    if isinstance(expr, Between):
-        return Between(
-            transform(expr.operand),
-            transform(expr.low),
-            transform(expr.high),
-            expr.negated,
-        )
-    if isinstance(expr, FuncCall):
-        return FuncCall(
-            expr.name,
-            tuple(transform(arg) for arg in expr.args),
-            expr.distinct,
-        )
-    if isinstance(expr, CaseWhen):
-        return CaseWhen(
-            branches=tuple(
-                (transform(condition), transform(value))
-                for condition, value in expr.branches
-            ),
-            default=(
-                transform(expr.default) if expr.default is not None else None
-            ),
-        )
-    raise _Gather(f"cannot rewrite expression {expr.sql()} for merging")

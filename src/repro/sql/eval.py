@@ -25,22 +25,20 @@ from repro.sql.types import Value, sql_and, sql_not, sql_or
 class RowEnv:
     """The variable bindings visible to an expression for one row.
 
-    Stores qualified bindings ``(table, column) -> value`` and tracks
-    which bare column names are ambiguous across tables.
+    Stores qualified bindings ``(table, column) -> value`` and bare
+    ``column -> value`` ones. A SELECT is bound before it runs, so a
+    bare name that two tables share never reaches :meth:`lookup`.
     """
 
-    __slots__ = ("qualified", "bare", "ambiguous")
+    __slots__ = ("qualified", "bare")
 
     def __init__(self) -> None:
         self.qualified: Dict[Tuple[str, str], Value] = {}
         self.bare: Dict[str, Value] = {}
-        self.ambiguous: set[str] = set()
 
     def bind(self, table: str, column: str, value: Value) -> None:
-        table_l, column_l = table.lower(), column.lower()
-        self.qualified[(table_l, column_l)] = value
-        if column_l in self.bare and column_l not in self.ambiguous:
-            self.ambiguous.add(column_l)
+        column_l = column.lower()
+        self.qualified[(table.lower(), column_l)] = value
         self.bare[column_l] = value
 
     def lookup(self, column: str, table: Optional[str] = None) -> Value:
@@ -53,8 +51,6 @@ class RowEnv:
                 raise SQLAnalysisError(
                     f"unknown column {table}.{column}"
                 ) from None
-        if column_l in self.ambiguous:
-            raise SQLAnalysisError(f"ambiguous column reference: {column}")
         try:
             return self.bare[column_l]
         except KeyError:

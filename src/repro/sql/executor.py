@@ -4,8 +4,12 @@ The executor materializes intermediate results as lists of
 :class:`~repro.sql.eval.RowEnv` bindings. Two optimizations can be
 toggled (the engine ablation benchmark flips them):
 
+Every SELECT binds its names first (:mod:`repro.sql.bind`): output
+names, star columns, join sides and pushdown all read the bound query.
+
 * **predicate pushdown** — WHERE conjuncts that reference a single
-  table are applied before joins, and a ``col = literal`` conjunct over
+  table are applied before joins (never to the right side of a LEFT
+  JOIN, see :func:`place_conjuncts`), and a ``col = literal`` conjunct over
   an indexed column is answered by the hash index (for SELECT, UPDATE
   and DELETE alike, through :func:`candidate_positions`);
 * **hash joins** — INNER equi-joins build a hash table on the join key
@@ -14,20 +18,18 @@ toggled (the engine ablation benchmark flips them):
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import SQLAnalysisError, SQLExecutionError
 from repro.sql.ast import (
     BinaryOp,
-    Between,
-    CaseWhen,
     ColumnRef,
     Expr,
     FuncCall,
     InList,
     InSubquery,
-    IsNull,
     JoinClause,
     Literal,
     OrderItem,
@@ -35,9 +37,9 @@ from repro.sql.ast import (
     SelectQuery,
     Star,
     Subquery,
-    TableRef,
-    UnaryOp,
+    map_children,
 )
+from repro.sql.bind import BoundQuery, Slot, bind_select
 from repro.sql.catalog import Catalog
 from repro.sql.eval import RowEnv, compare, evaluate
 from repro.sql.table import Table
@@ -67,66 +69,58 @@ def execute_select(
     options: Optional[ExecutorOptions] = None,
     stats: Optional[ExecutionStats] = None,
 ) -> Tuple[List[str], List[Tuple[Value, ...]]]:
-    """Run a SELECT; returns (column names, result rows)."""
+    """Run a SELECT; returns (column names, result rows).
+
+    Names bind first (:func:`~repro.sql.bind.bind_select`), so an
+    unknown or ambiguous name raises before any row is read.
+    """
     options = options or ExecutorOptions()
     stats = stats if stats is not None else ExecutionStats()
 
-    query = _materialize_subqueries(query, catalog, options, stats)
-    where_conjuncts = _split_conjuncts(query.where)
-    pushed: set[int] = set()
+    bound = bind_select(query, catalog)
+    if bound.has_subquery:
+        query = _materialize_subqueries(query, catalog, options, stats)
+        bound = bind_select(query, catalog)
+    conjuncts = _split_conjuncts(query.where)
+    placement = place_conjuncts(bound, conjuncts, options)
 
     # FROM: bind the base table — through a hash index when an equality
     # conjunct targets an indexed column, else a full scan.
-    table = catalog.get(query.table.name)
+    base = bound.slots[0]
+    table = catalog.get(base.ref.name)
     positions, probed = candidate_positions(
-        table, query.table.effective_name, query.where, options, stats
+        table, base.name, query.where, options, stats
     )
-    if probed is not None:
-        pushed.add(probed)
-    rows = _bind_rows(table, query.table.effective_name, positions)
-    if options.predicate_pushdown:
-        rows, pushed = _apply_single_table_predicates(
-            rows, where_conjuncts, {query.table.effective_name.lower()}, pushed
-        )
+    rows = _filter(
+        _bind_rows(table, base.name, positions), conjuncts, placement, 0, probed
+    )
 
     # JOINs, applied left to right.
-    bound_tables = {query.table.effective_name.lower()}
-    for join in query.joins:
-        right_rows = _scan(catalog, join.table, stats)
-        if options.predicate_pushdown:
-            right_rows, pushed = _apply_single_table_predicates(
-                right_rows, where_conjuncts,
-                {join.table.effective_name.lower()}, pushed,
-            )
-        right_columns = [
-            (join.table.effective_name.lower(), column.lower())
-            for column in catalog.get(join.table.name).schema.column_names
-        ]
-        rows = _join(rows, right_rows, join, options, stats, right_columns)
-        bound_tables.add(join.table.effective_name.lower())
+    for slot, join in enumerate(query.joins, start=1):
+        right = catalog.get(join.table.name)
+        stats.rows_scanned += len(right.rows)
+        right_rows = _filter(
+            _bind_rows(right, bound.slots[slot].name, range(len(right.rows))),
+            conjuncts, placement, slot,
+        )
+        rows = _join(rows, right_rows, bound, slot, options, stats)
 
     # Remaining WHERE conjuncts.
-    for index, conjunct in enumerate(where_conjuncts):
-        if index in pushed:
-            continue
-        rows = [env for env in rows if evaluate(conjunct, env) is True]
+    rows = _filter(rows, conjuncts, placement, None)
 
-    is_aggregate = bool(query.group_by) or _query_has_aggregates(query)
-    if is_aggregate:
+    if bound.aggregate:
         # _execute_aggregate applies HAVING and ORDER BY internally.
-        columns, result = _execute_aggregate(query, rows)
+        result = _execute_aggregate(bound, rows)
     else:
         if query.having is not None:
             raise SQLAnalysisError("HAVING requires GROUP BY or aggregates")
-        columns, result = _execute_plain(query, rows)
-        if query.order_by:
-            result = _order_plain(query, rows, result, columns)
+        result = _execute_plain(bound, rows)
     if query.distinct:
         # Sorting happened first, and dedup is stable, so order survives.
         result = _distinct(result)
     if query.limit is not None:
         result = result[: query.limit]
-    return columns, result
+    return list(bound.names), result
 
 
 def _materialize_subqueries(
@@ -163,72 +157,12 @@ def _materialize_subqueries(
                 items=tuple(Literal(row[0]) for row in rows),
                 negated=expr.negated,
             )
-        if isinstance(expr, BinaryOp):
-            return BinaryOp(
-                op=expr.op, left=transform(expr.left), right=transform(expr.right)
-            )
-        if isinstance(expr, UnaryOp):
-            return UnaryOp(op=expr.op, operand=transform(expr.operand))
-        if isinstance(expr, IsNull):
-            return IsNull(operand=transform(expr.operand), negated=expr.negated)
-        if isinstance(expr, InList):
-            return InList(
-                operand=transform(expr.operand),
-                items=tuple(transform(i) for i in expr.items),
-                negated=expr.negated,
-            )
-        if isinstance(expr, Between):
-            return Between(
-                operand=transform(expr.operand),
-                low=transform(expr.low),
-                high=transform(expr.high),
-                negated=expr.negated,
-            )
-        if isinstance(expr, FuncCall):
-            return FuncCall(
-                name=expr.name,
-                args=tuple(transform(a) for a in expr.args),
-                distinct=expr.distinct,
-            )
-        if isinstance(expr, CaseWhen):
-            return CaseWhen(
-                branches=tuple(
-                    (transform(c), transform(v)) for c, v in expr.branches
-                ),
-                default=transform(expr.default) if expr.default is not None else None,
-            )
-        return expr
-
-    def has_subquery(expr: Optional[Expr]) -> bool:
-        if expr is None:
-            return False
-        found = False
-
-        def walk(node: Expr) -> None:
-            nonlocal found
-            if isinstance(node, (Subquery, InSubquery)):
-                found = True
-            for child in _children(node):
-                walk(child)
-
-        walk(expr)
-        return found
-
-    touched = (
-        has_subquery(query.where)
-        or has_subquery(query.having)
-        or any(has_subquery(item.expr) for item in query.items)
-    )
-    if not touched:
-        return query
-    import dataclasses
+        return map_children(expr, transform)
 
     return dataclasses.replace(
         query,
         items=tuple(
             SelectItem(expr=transform(item.expr), alias=item.alias)
-            if not isinstance(item.expr, Star)
-            else item
             for item in query.items
         ),
         where=transform(query.where) if query.where is not None else None,
@@ -236,28 +170,46 @@ def _materialize_subqueries(
     )
 
 
-def _children(expr: Expr) -> List[Expr]:
-    """Direct child expressions of a node (for generic walking)."""
-    if isinstance(expr, BinaryOp):
-        return [expr.left, expr.right]
-    if isinstance(expr, UnaryOp):
-        return [expr.operand]
-    if isinstance(expr, IsNull):
-        return [expr.operand]
-    if isinstance(expr, InList):
-        return [expr.operand, *expr.items]
-    if isinstance(expr, InSubquery):
-        return [expr.operand]
-    if isinstance(expr, Between):
-        return [expr.operand, expr.low, expr.high]
-    if isinstance(expr, FuncCall):
-        return list(expr.args)
-    if isinstance(expr, CaseWhen):
-        children = [c for pair in expr.branches for c in pair]
-        if expr.default is not None:
-            children.append(expr.default)
-        return children
-    return []
+def place_conjuncts(
+    bound: BoundQuery, conjuncts: Sequence[Expr], options: ExecutorOptions
+) -> List[Optional[int]]:
+    """The FROM slot whose rows each WHERE conjunct filters before the joins.
+
+    With pushdown on, a conjunct that reads one slot alone filters that
+    slot's rows as they are scanned. Every other conjunct gets None and
+    filters the joined rows. The right side of a LEFT JOIN takes no
+    conjunct: the WHERE must see the NULLs that unmatched rows are
+    padded with, so ``b.w IS NULL`` keeps exactly those rows and
+    ``b.w = 5`` drops them. :func:`execute_select` and
+    :func:`explain_plan` both follow this placement.
+    """
+    if not options.predicate_pushdown:
+        return [None] * len(conjuncts)
+    nullable = {
+        slot for slot, join in enumerate(bound.query.joins, start=1)
+        if join.kind == "LEFT"
+    }
+    placement: List[Optional[int]] = []
+    for conjunct in conjuncts:
+        slots = bound.slots_of(conjunct)
+        alone = len(slots) == 1 and not slots & nullable
+        placement.append(min(slots) if alone else None)
+    return placement
+
+
+def _filter(
+    rows: List[RowEnv],
+    conjuncts: Sequence[Expr],
+    placement: Sequence[Optional[int]],
+    slot: Optional[int],
+    skip: Optional[int] = None,
+) -> List[RowEnv]:
+    """Keep the rows that every conjunct placed at ``slot`` (but the
+    ``skip``-th, which an index probe already applied) holds for."""
+    for index, (conjunct, target) in enumerate(zip(conjuncts, placement)):
+        if target == slot and index != skip:
+            rows = [env for env in rows if evaluate(conjunct, env) is True]
+    return rows
 
 
 def explain_plan(
@@ -265,60 +217,43 @@ def explain_plan(
     catalog: Catalog,
     options: Optional[ExecutorOptions] = None,
 ) -> List[str]:
-    """Describe the execution strategy for a SELECT (the EXPLAIN output).
-
-    Mirrors the decisions :func:`execute_select` makes: which WHERE
-    conjuncts are pushed below the joins, and which join algorithm each
-    JOIN clause uses.
-    """
+    """Describe the execution strategy for a SELECT (the EXPLAIN output):
+    the same conjunct placement and join algorithms as
+    :func:`execute_select`."""
     options = options or ExecutorOptions()
+    bound = bind_select(query, catalog)
     conjuncts = _split_conjuncts(query.where)
-    lines: List[str] = []
+    placement = place_conjuncts(bound, conjuncts, options)
 
-    def pushed_to(table_name: str) -> List[str]:
-        if not options.predicate_pushdown:
-            return []
-        visible = {table_name.lower()}
-        return [
-            c.sql() for c in conjuncts
-            if (tables := _referenced_tables(c)) is not None
-            and tables and tables <= visible
-        ]
+    def placed(slot: Optional[int]) -> str:
+        return " AND ".join(
+            c.sql() for c, target in zip(conjuncts, placement) if target == slot
+        )
+
+    def filtered(line: str, slot: int) -> str:
+        pushed = placed(slot)
+        return f"{line} pushed-filter: {pushed}" if pushed else line
 
     base = query.table
-    base_predicates = pushed_to(base.effective_name)
-    scan = f"Scan {base.sql()} (rows={len(catalog.get(base.name))})"
-    if base_predicates:
-        scan += f" pushed-filter: {' AND '.join(base_predicates)}"
-    lines.append(scan)
-
-    claimed = set(base_predicates)
-    for join in query.joins:
-        right_predicates = [
-            p for p in pushed_to(join.table.effective_name) if p not in claimed
-        ]
-        claimed |= set(right_predicates)
+    lines = [
+        filtered(f"Scan {base.sql()} (rows={len(catalog.get(base.name))})", 0)
+    ]
+    for slot, join in enumerate(query.joins, start=1):
         if join.kind == "CROSS":
             algorithm = "cross product"
-        elif (
-            options.hash_joins
-            and join.kind == "INNER"
-            and _equi_join_key(join.condition) is not None
-        ):
+        elif options.hash_joins and _hash_keys(bound, slot) is not None:
             algorithm = "hash join"
         else:
             algorithm = "nested-loop join"
         line = f"{join.kind} {algorithm} with {join.table.sql()}"
         if join.condition is not None:
             line += f" ON {join.condition.sql()}"
-        if right_predicates:
-            line += f" pushed-filter: {' AND '.join(right_predicates)}"
-        lines.append(line)
+        lines.append(filtered(line, slot))
 
-    residual = [c.sql() for c in conjuncts if c.sql() not in claimed]
+    residual = placed(None)
     if residual:
-        lines.append(f"Filter: {' AND '.join(residual)}")
-    if query.group_by or _query_has_aggregates(query):
+        lines.append(f"Filter: {residual}")
+    if bound.aggregate:
         keys = ", ".join(e.sql() for e in query.group_by) or "(global)"
         lines.append(f"Aggregate: group by {keys}")
         if query.having is not None:
@@ -347,12 +282,6 @@ def bind_row(name: str, column_names: List[str], row: Tuple[Value, ...]) -> RowE
 def _bind_rows(table: Table, name: str, positions: Sequence[int]) -> List[RowEnv]:
     column_names = table.schema.column_names
     return [bind_row(name, column_names, table.rows[p]) for p in positions]
-
-
-def _scan(catalog: Catalog, ref: TableRef, stats: ExecutionStats) -> List[RowEnv]:
-    table = catalog.get(ref.name)
-    stats.rows_scanned += len(table.rows)
-    return _bind_rows(table, ref.effective_name, range(len(table.rows)))
 
 
 def candidate_positions(
@@ -418,19 +347,19 @@ def _index_probe(conjunct: Expr, name: str, table: Table) -> Optional[List[int]]
 def _join(
     left: List[RowEnv],
     right: List[RowEnv],
-    join: JoinClause,
+    bound: BoundQuery,
+    slot: int,
     options: ExecutorOptions,
     stats: ExecutionStats,
-    right_columns: List[Tuple[str, str]],
 ) -> List[RowEnv]:
+    """Join the rows so far with those of FROM slot ``slot``."""
+    join = bound.query.joins[slot - 1]
     if join.kind == "CROSS":
-        out = [l.merged_with(r) for l in left for r in right]
-        return out
-
-    equi = _equi_join_key(join.condition) if options.hash_joins else None
-    if equi is not None and join.kind == "INNER":
-        return _hash_join(left, right, join, equi, stats)
-    return _nested_loop_join(left, right, join, stats, right_columns)
+        return [l.merged_with(r) for l in left for r in right]
+    keys = _hash_keys(bound, slot) if options.hash_joins else None
+    if keys is not None:
+        return _hash_join(left, right, keys, stats)
+    return _nested_loop_join(left, right, join, stats, bound.slots[slot])
 
 
 def _nested_loop_join(
@@ -438,8 +367,15 @@ def _nested_loop_join(
     right: List[RowEnv],
     join: JoinClause,
     stats: ExecutionStats,
-    right_columns: List[Tuple[str, str]],
+    right_slot: Slot,
 ) -> List[RowEnv]:
+    # NULLs for every right-side column, from the schema, so the LEFT
+    # JOIN padding is right even when the right side has no rows.
+    nulls = bind_row(
+        right_slot.name,
+        right_slot.schema.column_names,
+        (None,) * len(right_slot.schema),
+    )
     out: List[RowEnv] = []
     for left_env in left:
         matched = False
@@ -450,51 +386,42 @@ def _nested_loop_join(
                 out.append(merged)
                 matched = True
         if join.kind == "LEFT" and not matched:
-            out.append(_pad_left_join(left_env, right_columns))
+            out.append(left_env.merged_with(nulls))
     return out
 
 
-def _pad_left_join(
-    left_env: RowEnv, right_columns: List[Tuple[str, str]]
-) -> RowEnv:
-    """Extend a left row with NULLs for every right-side column.
-
-    The column list comes from the right table's *schema*, so the
-    padding is correct even when the right side has zero rows.
-    """
-    padded = RowEnv()
-    for (table, column), value in left_env.qualified.items():
-        padded.bind(table, column, value)
-    for table, column in right_columns:
-        padded.bind(table, column, None)
-    return padded
-
-
-def _equi_join_key(condition: Optional[Expr]) -> Optional[Tuple[ColumnRef, ColumnRef]]:
-    """Detect ``a.x = b.y`` conditions eligible for hash joins."""
-    if (
-        isinstance(condition, BinaryOp)
+def _hash_keys(
+    bound: BoundQuery, slot: int
+) -> Optional[Tuple[ColumnRef, ColumnRef]]:
+    """(probe, build) columns of an INNER equi-join ``x = y`` where one
+    side reads the joined slot and the other an earlier one; None when
+    the join at ``slot`` is not such a join."""
+    join = bound.query.joins[slot - 1]
+    condition = join.condition
+    if not (
+        join.kind == "INNER"
+        and isinstance(condition, BinaryOp)
         and condition.op == "="
         and isinstance(condition.left, ColumnRef)
         and isinstance(condition.right, ColumnRef)
     ):
+        return None
+    left_slot = bound.columns[condition.left].slot
+    right_slot = bound.columns[condition.right].slot
+    if right_slot == slot and left_slot < slot:
         return condition.left, condition.right
+    if left_slot == slot and right_slot < slot:
+        return condition.right, condition.left
     return None
 
 
 def _hash_join(
     left: List[RowEnv],
     right: List[RowEnv],
-    join: JoinClause,
-    equi: Tuple[ColumnRef, ColumnRef],
+    keys: Tuple[ColumnRef, ColumnRef],
     stats: ExecutionStats,
 ) -> List[RowEnv]:
-    left_ref, right_ref = equi
-    # Figure out which side of the equality belongs to the right input.
-    probe_ref, build_ref = left_ref, right_ref
-    if right and not _binds(right[0], right_ref):
-        probe_ref, build_ref = right_ref, left_ref
-
+    probe_ref, build_ref = keys
     buckets: Dict[Value, List[RowEnv]] = {}
     for env in right:
         key = evaluate(build_ref, env)
@@ -513,14 +440,6 @@ def _hash_join(
     return out
 
 
-def _binds(env: RowEnv, ref: ColumnRef) -> bool:
-    try:
-        env.lookup(ref.name, ref.table)
-        return True
-    except SQLAnalysisError:
-        return False
-
-
 # -- WHERE handling --------------------------------------------------------
 def _split_conjuncts(where: Optional[Expr]) -> List[Expr]:
     """Flatten a WHERE tree into top-level AND conjuncts."""
@@ -531,152 +450,36 @@ def _split_conjuncts(where: Optional[Expr]) -> List[Expr]:
     return [where]
 
 
-def _apply_single_table_predicates(
-    rows: List[RowEnv],
-    conjuncts: List[Expr],
-    visible_tables: set[str],
-    already_pushed: set[int],
-) -> Tuple[List[RowEnv], set[int]]:
-    """Filter rows by conjuncts whose columns all live in ``visible_tables``."""
-    pushed = set(already_pushed)
-    for index, conjunct in enumerate(conjuncts):
-        if index in pushed:
-            continue
-        tables = _referenced_tables(conjunct)
-        if tables is None or not tables or not tables <= visible_tables:
-            continue
-        rows = [env for env in rows if evaluate(conjunct, env) is True]
-        pushed.add(index)
-    return rows, pushed
-
-
-def _referenced_tables(expr: Expr) -> Optional[set[str]]:
-    """Tables referenced by an expression; None if it has bare columns
-    (which cannot be attributed without full binding context)."""
-    tables: set[str] = set()
-    bare = False
-
-    def walk(node: Expr) -> None:
-        nonlocal bare
-        if isinstance(node, ColumnRef):
-            if node.table is None:
-                bare = True
-            else:
-                tables.add(node.table.lower())
-        elif isinstance(node, BinaryOp):
-            walk(node.left)
-            walk(node.right)
-        elif isinstance(node, UnaryOp):
-            walk(node.operand)
-        elif isinstance(node, IsNull):
-            walk(node.operand)
-        elif isinstance(node, InList):
-            walk(node.operand)
-            for item in node.items:
-                walk(item)
-        elif isinstance(node, Between):
-            walk(node.operand)
-            walk(node.low)
-            walk(node.high)
-        elif isinstance(node, FuncCall):
-            for arg in node.args:
-                walk(arg)
-        elif isinstance(node, CaseWhen):
-            for cond, value in node.branches:
-                walk(cond)
-                walk(value)
-            if node.default is not None:
-                walk(node.default)
-
-    walk(expr)
-    return None if bare else tables
-
-
-# -- projection (non-aggregate) ----------------------------------------------
-def _execute_plain(
-    query: SelectQuery, rows: List[RowEnv]
-) -> Tuple[List[str], List[Tuple[Value, ...]]]:
-    columns = _output_columns(query, rows)
-    result: List[Tuple[Value, ...]] = []
-    for env in rows:
-        values: List[Value] = []
-        for item in query.items:
-            if isinstance(item.expr, Star):
-                values.extend(_star_values(item.expr, env))
-            else:
-                values.append(evaluate(item.expr, env))
-        result.append(tuple(values))
-    return columns, result
-
-
-def _output_columns(query: SelectQuery, rows: List[RowEnv]) -> List[str]:
-    columns: List[str] = []
-    for position, item in enumerate(query.items):
-        if isinstance(item.expr, Star):
-            columns.extend(_star_columns(item.expr, rows))
-        else:
-            columns.append(item.output_name(position))
-    return columns
-
-
-def _star_columns(star: Star, rows: List[RowEnv]) -> List[str]:
-    if not rows:
-        return []
-    sample = rows[0]
-    keys = sorted(sample.qualified.keys()) if star.table is None else [
-        key for key in sorted(sample.qualified.keys())
-        if key[0] == star.table.lower()
+# -- projection ----------------------------------------------------------------
+def _execute_plain(bound: BoundQuery, rows: List[RowEnv]) -> List[Tuple[Value, ...]]:
+    result = [tuple(evaluate(expr, env) for expr in bound.outputs) for env in rows]
+    if not bound.order:
+        return result
+    keyed = [
+        (_order_key(bound, projected, lambda expr: evaluate(expr, env)), projected)
+        for env, projected in zip(rows, result)
     ]
-    if star.table is not None and not keys:
-        raise SQLAnalysisError(f"unknown table in {star.table}.*")
-    return [column for _, column in keys]
+    return [projected for _, projected in _sort_scored(keyed, bound.query.order_by)]
 
 
-def _star_values(star: Star, env: RowEnv) -> List[Value]:
-    keys = sorted(env.qualified.keys())
-    if star.table is not None:
-        keys = [key for key in keys if key[0] == star.table.lower()]
-        if not keys:
-            raise SQLAnalysisError(f"unknown table in {star.table}.*")
-    return [env.qualified[key] for key in keys]
+def _order_key(
+    bound: BoundQuery, projected: Tuple[Value, ...], value_of
+) -> List[Value]:
+    """A row's ORDER BY values: an output column's value, or ``value_of``
+    the key expression."""
+    return [
+        projected[key] if isinstance(key, int) else value_of(key)
+        for key in bound.order
+    ]
 
 
 # -- aggregation ---------------------------------------------------------------
-def _query_has_aggregates(query: SelectQuery) -> bool:
-    nodes: List[Expr] = [item.expr for item in query.items]
-    if query.having is not None:
-        nodes.append(query.having)
-    nodes.extend(order.expr for order in query.order_by)
-    return any(_contains_aggregate(node) for node in nodes)
-
-
-def _contains_aggregate(expr: Expr) -> bool:
-    if isinstance(expr, FuncCall) and expr.is_aggregate:
-        return True
-    children: List[Expr] = []
-    if isinstance(expr, BinaryOp):
-        children = [expr.left, expr.right]
-    elif isinstance(expr, UnaryOp):
-        children = [expr.operand]
-    elif isinstance(expr, IsNull):
-        children = [expr.operand]
-    elif isinstance(expr, InList):
-        children = [expr.operand, *expr.items]
-    elif isinstance(expr, Between):
-        children = [expr.operand, expr.low, expr.high]
-    elif isinstance(expr, FuncCall):
-        children = list(expr.args)
-    elif isinstance(expr, CaseWhen):
-        children = [c for pair in expr.branches for c in pair]
-        if expr.default is not None:
-            children.append(expr.default)
-    return any(_contains_aggregate(child) for child in children)
-
-
 def _execute_aggregate(
-    query: SelectQuery, rows: List[RowEnv]
-) -> Tuple[List[str], List[Tuple[Value, ...]]]:
-    # Build groups.
+    bound: BoundQuery, rows: List[RowEnv]
+) -> List[Tuple[Value, ...]]:
+    query = bound.query
+    if any(isinstance(item.expr, Star) for item in query.items):
+        raise SQLAnalysisError("'*' cannot appear with aggregation")
     groups: Dict[Tuple[Value, ...], List[RowEnv]] = {}
     if query.group_by:
         for env in rows:
@@ -685,96 +488,36 @@ def _execute_aggregate(
     else:
         groups[()] = rows  # global aggregate; one group even if empty
 
-    columns = [item.output_name(i) for i, item in enumerate(query.items)]
-    for item in query.items:
-        if isinstance(item.expr, Star):
-            raise SQLAnalysisError("'*' cannot appear with aggregation")
-
     scored: List[Tuple[List[Value], Tuple[Value, ...]]] = []
-    for key, group_rows in groups.items():
+    for group_rows in groups.values():
         representative = group_rows[0] if group_rows else RowEnv()
-        if query.having is not None:
-            verdict = _eval_aggregate_expr(query.having, group_rows, representative)
-            if verdict is not True:
-                continue
-        projected = tuple(
-            _eval_aggregate_expr(item.expr, group_rows, representative)
-            for item in query.items
-        )
-        order_key: List[Value] = []
-        for order in query.order_by:
-            order_key.append(
-                _resolve_order_value(order, query, projected, columns, group_rows, representative)
-            )
-        scored.append((order_key, projected))
+
+        def value_of(expr: Expr) -> Value:
+            return _eval_aggregate_expr(expr, group_rows, representative)
+
+        if query.having is not None and value_of(query.having) is not True:
+            continue
+        projected = tuple(value_of(expr) for expr in bound.outputs)
+        scored.append((_order_key(bound, projected, value_of), projected))
 
     if query.order_by:
         scored = _sort_scored(scored, query.order_by)
-    return columns, [projected for _, projected in scored]
-
-
-def _resolve_order_value(
-    order: OrderItem,
-    query: SelectQuery,
-    projected: Tuple[Value, ...],
-    columns: List[str],
-    group_rows: List[RowEnv],
-    representative: RowEnv,
-) -> Value:
-    # ORDER BY may reference a select alias or output column name.
-    if isinstance(order.expr, ColumnRef) and order.expr.table is None:
-        name = order.expr.name.lower()
-        for i, column in enumerate(columns):
-            if column.lower() == name:
-                return projected[i]
-    return _eval_aggregate_expr(order.expr, group_rows, representative)
+    return [projected for _, projected in scored]
 
 
 def _eval_aggregate_expr(
     expr: Expr, group_rows: List[RowEnv], representative: RowEnv
 ) -> Value:
-    """Evaluate an expression tree, computing aggregates over the group."""
-    if isinstance(expr, FuncCall) and expr.is_aggregate:
-        return _compute_aggregate(expr, group_rows)
-    if isinstance(expr, (Literal,)):
-        return expr.value
-    if isinstance(expr, ColumnRef):
-        # Non-aggregated column: per SQL it must be a group key; we take
-        # the representative row's value (group members agree on keys).
-        return evaluate(expr, representative)
-    if isinstance(expr, BinaryOp):
-        rebuilt = BinaryOp(
-            op=expr.op,
-            left=Literal(_eval_aggregate_expr(expr.left, group_rows, representative)),
-            right=Literal(_eval_aggregate_expr(expr.right, group_rows, representative)),
-        )
-        return evaluate(rebuilt, representative)
-    if isinstance(expr, UnaryOp):
-        rebuilt = UnaryOp(
-            op=expr.op,
-            operand=Literal(_eval_aggregate_expr(expr.operand, group_rows, representative)),
-        )
-        return evaluate(rebuilt, representative)
-    if isinstance(expr, IsNull):
-        value = _eval_aggregate_expr(expr.operand, group_rows, representative)
-        return (value is not None) if expr.negated else (value is None)
-    if isinstance(expr, FuncCall):
-        rebuilt = FuncCall(
-            name=expr.name,
-            args=tuple(
-                Literal(_eval_aggregate_expr(a, group_rows, representative))
-                for a in expr.args
-            ),
-        )
-        return evaluate(rebuilt, representative)
-    if isinstance(expr, CaseWhen):
-        for condition, result in expr.branches:
-            if _eval_aggregate_expr(condition, group_rows, representative) is True:
-                return _eval_aggregate_expr(result, group_rows, representative)
-        if expr.default is not None:
-            return _eval_aggregate_expr(expr.default, group_rows, representative)
-        return None
-    return evaluate(expr, representative)
+    """Evaluate an expression over one group: each aggregate call folds
+    to its value over the group, and a bare column reads the
+    representative row (per SQL it is a group key, so members agree)."""
+
+    def fold(node: Expr) -> Expr:
+        if isinstance(node, FuncCall) and node.is_aggregate:
+            return Literal(_compute_aggregate(node, group_rows))
+        return map_children(node, fold)
+
+    return evaluate(fold(expr), representative)
 
 
 def _compute_aggregate(call: FuncCall, group_rows: List[RowEnv]) -> Value:
@@ -839,31 +582,6 @@ def _sort_scored(
         out.sort(key=lambda pair: _sort_key(pair[0][index]), reverse=descending)
         out.sort(key=lambda pair: pair[0][index] is None)
     return out
-
-
-def _order_plain(
-    query: SelectQuery,
-    rows: List[RowEnv],
-    result: List[Tuple[Value, ...]],
-    columns: List[str],
-) -> List[Tuple[Value, ...]]:
-    # Compute order keys per source row (aliases resolve to outputs).
-    keyed: List[Tuple[List[Value], Tuple[Value, ...]]] = []
-    lower_columns = [c.lower() for c in columns]
-    for env, projected in zip(rows, result):
-        key: List[Value] = []
-        for order in query.order_by:
-            value: Value
-            if isinstance(order.expr, ColumnRef) and order.expr.table is None and (
-                order.expr.name.lower() in lower_columns
-            ):
-                value = projected[lower_columns.index(order.expr.name.lower())]
-            else:
-                value = evaluate(order.expr, env)
-            key.append(value)
-        keyed.append((key, projected))
-    keyed = _sort_scored(keyed, query.order_by)
-    return [projected for _, projected in keyed]
 
 
 def _distinct(rows: List[Tuple[Value, ...]]) -> List[Tuple[Value, ...]]:

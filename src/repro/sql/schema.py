@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.errors import SQLAnalysisError
 from repro.sql.types import SQLType
@@ -29,14 +29,15 @@ class TableSchema:
     columns: List[Column]
 
     def __post_init__(self) -> None:
-        seen = set()
-        for column in self.columns:
+        #: lower-cased column name -> position (the columns never change)
+        self.positions: Dict[str, int] = {}
+        for i, column in enumerate(self.columns):
             lowered = column.name.lower()
-            if lowered in seen:
+            if lowered in self.positions:
                 raise SQLAnalysisError(
                     f"duplicate column {column.name!r} in table {self.name!r}"
                 )
-            seen.add(lowered)
+            self.positions[lowered] = i
 
     @property
     def column_names(self) -> List[str]:
@@ -44,33 +45,19 @@ class TableSchema:
 
     def index_of(self, column_name: str) -> int:
         """Case-insensitive position lookup."""
-        lowered = column_name.lower()
-        for i, column in enumerate(self.columns):
-            if column.name.lower() == lowered:
-                return i
-        raise SQLAnalysisError(
-            f"no column {column_name!r} in table {self.name!r} "
-            f"(has: {self.column_names})"
-        )
+        try:
+            return self.positions[column_name.lower()]
+        except KeyError:
+            raise SQLAnalysisError(
+                f"no column {column_name!r} in table {self.name!r} "
+                f"(has: {self.column_names})"
+            ) from None
 
     def column(self, column_name: str) -> Column:
         return self.columns[self.index_of(column_name)]
 
-    def type_of(self, column_name: str) -> Optional[SQLType]:
-        """The column's type, or ``None`` when the column is unknown.
-
-        The non-raising companion of :meth:`column`, for analyses that
-        collect findings instead of aborting on the first error.
-        """
-        lowered = column_name.lower()
-        for column in self.columns:
-            if column.name.lower() == lowered:
-                return column.sql_type
-        return None
-
     def has_column(self, column_name: str) -> bool:
-        lowered = column_name.lower()
-        return any(c.name.lower() == lowered for c in self.columns)
+        return column_name.lower() in self.positions
 
     def __len__(self) -> int:
         return len(self.columns)

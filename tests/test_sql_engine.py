@@ -35,7 +35,7 @@ class TestBasics:
     def test_select_star(self, db):
         result = db.execute("SELECT * FROM emp")
         assert len(result) == 5
-        assert result.columns == ["dept", "id", "name", "salary"]
+        assert result.columns == ["id", "name", "dept", "salary"]  # schema order
 
     def test_projection_and_alias(self, db):
         result = db.execute("SELECT name AS who, salary * 2 AS double FROM emp LIMIT 1")
